@@ -52,7 +52,7 @@ from .logistic import (
     leprosy_dataset,
     transform_age,
 )
-from .optimize import FitConfig, FitResult, maximize, solve_score
+from .optimize import FitConfig, FitResult, maximize
 from .reparam import (
     ConditionalFamily,
     FStarEstimate,
@@ -118,7 +118,6 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "maximize",
-    "solve_score",
     "ConditionalFamily",
     "FStarEstimate",
     "QVector",

@@ -2,7 +2,8 @@
 
 Subcommands: ``fit`` (one method), ``compare`` (all methods plus relative
 efficiencies), ``validate`` (numerical identity suite, optionally with the
-Monte Carlo variance study), ``bench`` (median fit wall time per method).
+Monte Carlo variance study), ``bench`` (median fit wall time per method,
+with the Python and numpy versions and CPU count under ``--format json``).
 
 Exit codes: 0 success, 1 input error, 2 solver non-convergence,
 3 validation failure.  The ``SEMEST_THREADS`` environment variable caps the
@@ -94,6 +95,7 @@ def build_parser():
     _add_data_args(p_bench)
     _add_fit_args(p_bench)
     p_bench.add_argument("--repeats", type=int, default=5)
+    p_bench.add_argument("--format", choices=("table", "json"), default="table")
 
     return parser
 
@@ -190,6 +192,22 @@ def _cmd_bench(args):
     stats = bench_methods(
         dataset, cfg=_cfg(args), repeats=args.repeats, covariate_labels=labels
     )
+    if args.format == "json":
+        import json
+        import os
+        import platform
+
+        import numpy
+
+        affinity = getattr(os, "sched_getaffinity", None)
+        report = {
+            "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "nproc": len(affinity(0)) if affinity else os.cpu_count(),
+            "methods": stats,
+        }
+        print(json.dumps(report, indent=2))
+        return 0
     print(f"{'method':14s}  {'params':>6s}  {'iter':>5s}  {'median ms':>10s}")
     for method, row in stats.items():
         print(

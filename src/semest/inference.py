@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Weights, as_vector
 from .errors import SingularInformationError
-from .likelihood import aggregate_hessian
+from .likelihood import aggregate_hessian, evaluate
 
 CONDITION_WARN = 1e10
 PIVOT_TOL = 1e-14
@@ -61,9 +61,9 @@ class CenteredScores:
 
 def centered_scores(model, params, dataset) -> CenteredScores:
     theta = as_vector(params)
-    raw = np.array([model.score(obs, theta) for obs in dataset.observations])
-    sample = np.array([obs.sample for obs in dataset.observations])
-    mult = np.array([obs.multiplicity for obs in dataset.observations], dtype=float)
+    raw = evaluate(model, theta, dataset, 1)
+    sample = dataset.sample
+    mult = dataset.multiplicity.astype(float)
     centered = raw.copy()
     for s in range(1, dataset.n_samples + 1):
         mask = sample == s
@@ -185,15 +185,6 @@ def standard_errors(istar, n):
     return se, warnings, cond
 
 
-def interest_block_of_inverse(blocks: InfoBlocks):
-    """Interest block of the inverse of the full information matrix,
-    computed without the Schur shortcut (cross-check path)."""
-    full = blocks.full()
-    inv, _, _ = _sym_inverse(full)
-    k = blocks.I11.shape[0]
-    return inv[:k, :k]
-
-
 @dataclass
 class EfficiencyReport:
     """Coefficient estimates, standard errors, and diagnostics for one
@@ -219,6 +210,7 @@ class EfficiencyReport:
                 "labels": list(self.labels),
                 "coef": [float(c) for c in self.coef],
                 "se": [float(s) for s in self.se],
+                "eff_info": np.asarray(self.eff_info, dtype=float).tolist(),
                 "loglik": float(self.loglik),
                 "iterations": int(self.iterations),
                 "runtime_ms": float(self.runtime_ms),
@@ -240,7 +232,7 @@ class EfficiencyReport:
             labels=tuple(d["labels"]),
             coef=np.array(d["coef"], dtype=float),
             se=np.array(d["se"], dtype=float),
-            eff_info=np.empty((0, 0)),
+            eff_info=np.array(d["eff_info"], dtype=float),
             cond_number=d["cond_number"],
             loglik=d["loglik"],
             iterations=d["iterations"],

@@ -1,9 +1,10 @@
-"""ModelSpec contract and aggregation of per-observation quantities.
+"""ModelSpec contract and aggregation of per-row quantities.
 
 A ModelSpec supplies the per-observation log-density together with its
-analytic gradient and Hessian in a flat parameter vector.  Aggregation is
-a multiplicity-weighted sum in fixed observation order, so results are
-deterministic and bit-reproducible.
+analytic gradient and Hessian in a flat parameter vector.  An ArrayModel
+evaluates all rows of a column-stored dataset in one array pass instead;
+its per-observation methods are one-row slices of that pass.  Aggregation
+is a multiplicity-weighted sum, so results are deterministic.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .data import Params, as_vector
+from .data import Params, as_vector, observation_rows
 from .errors import EvaluationError
 
 
@@ -21,7 +22,8 @@ class ModelSpec(ABC):
 
     Concrete models define ``param_labels`` (one per coordinate) and
     ``interest_idx`` (indices of the interest block); everything else is
-    nuisance.
+    nuisance.  A model that defines only the per-observation methods is
+    evaluated row by row.
     """
 
     param_labels: tuple[str, ...] = ()
@@ -52,6 +54,61 @@ class ModelSpec(ABC):
         return Params(np.asarray(values, float), self.interest_idx, self.param_labels)
 
 
+class ArrayModel(ModelSpec):
+    """A ModelSpec evaluated over all rows at once.
+
+    ``evaluate(params, data, order)`` reads the columns ``X``, ``sample``,
+    ``y``, ``multiplicity``, ``support`` and ``support_index`` of ``data``
+    (a MultisampleDataset) and returns, for ``order`` 0, 1 and 2: the
+    per-row log-densities (N,), the per-row scores (N, d), and the
+    multiplicity-weighted sum of the per-row Hessians (d, d).
+    """
+
+    @abstractmethod
+    def evaluate(self, params, data, order): ...
+
+    def log_density(self, obs, params):
+        return float(self.evaluate(params, observation_rows(obs), 0)[0])
+
+    def score(self, obs, params):
+        return self.evaluate(params, observation_rows(obs), 1)[0]
+
+    def hessian(self, obs, params):
+        return self.evaluate(params, observation_rows(obs), 2)
+
+
+def evaluate(model, params, dataset, order):
+    """``model.evaluate`` for an ArrayModel; otherwise the same quantity
+    from the per-observation methods, one row at a time.  Floating-point
+    warnings are silenced: callers check the result and name the first
+    non-finite row instead."""
+    with np.errstate(all="ignore"):
+        if isinstance(model, ArrayModel):
+            return model.evaluate(params, dataset, order)
+        obs = dataset.observations
+        if order == 0:
+            return np.array([model.log_density(o, params) for o in obs], dtype=float)
+        if order == 1:
+            return np.array([model.score(o, params) for o in obs], dtype=float)
+        total = np.zeros((model.n_params, model.n_params))
+        for o in obs:
+            total += o.multiplicity * model.hessian(o, params)
+        return total
+
+
+def _require_finite(dataset, theta, rows, what):
+    """EvaluationError naming the first row whose value is not finite."""
+    bad = ~np.all(np.isfinite(rows.reshape(len(rows), -1)), axis=1)
+    if np.any(bad):
+        i = int(np.argmax(bad))
+        obs = dataset.observations[i]
+        raise EvaluationError(
+            f"non-finite {what} ({rows[i]}) at observation {obs}",
+            observation=obs,
+            params=theta,
+        )
+
+
 def log_likelihood(model, params, dataset) -> float:
     """Multiplicity-weighted total log-likelihood.
 
@@ -59,46 +116,28 @@ def log_likelihood(model, params, dataset) -> float:
     per-observation log-density is non-finite.
     """
     theta = as_vector(params)
-    total = 0.0
-    for obs in dataset.observations:
-        val = model.log_density(obs, theta)
-        if not np.isfinite(val):
-            raise EvaluationError(
-                f"non-finite log-density ({val}) at observation {obs}",
-                observation=obs,
-                params=theta,
-            )
-        total += obs.multiplicity * val
-    return total
+    vals = evaluate(model, theta, dataset, 0)
+    _require_finite(dataset, theta, vals, "log-density")
+    return float(dataset.multiplicity @ vals)
 
 
 def aggregate_score(model, params, dataset) -> np.ndarray:
     theta = as_vector(params)
-    total = np.zeros(model.n_params)
-    for obs in dataset.observations:
-        g = model.score(obs, theta)
-        if not np.all(np.isfinite(g)):
-            raise EvaluationError(
-                f"non-finite score at observation {obs}", observation=obs, params=theta
-            )
-        total += obs.multiplicity * g
-    return total
+    rows = evaluate(model, theta, dataset, 1)
+    _require_finite(dataset, theta, rows, "score")
+    return dataset.multiplicity @ rows
 
 
 def aggregate_hessian(model, params, dataset) -> np.ndarray:
     theta = as_vector(params)
-    total = np.zeros((model.n_params, model.n_params))
-    for obs in dataset.observations:
-        h = model.hessian(obs, theta)
-        if not np.all(np.isfinite(h)):
-            raise EvaluationError(
-                f"non-finite Hessian at observation {obs}", observation=obs, params=theta
-            )
-        total += obs.multiplicity * h
+    total = evaluate(model, theta, dataset, 2)
+    if not np.all(np.isfinite(total)):  # find the offending row (error path only)
+        rows = np.array([model.hessian(o, theta) for o in dataset.observations])
+        _require_finite(dataset, theta, rows, "Hessian")
     return 0.5 * (total + total.T)
 
 
-class FixedSubsetModel(ModelSpec):
+class FixedSubsetModel(ArrayModel):
     """Adapter exposing a model restricted to a subset of free coordinates,
     with the remaining coordinates pinned.  Used for inner profile
     maximizations (e.g. over the nuisance block at fixed interest)."""
@@ -110,17 +149,13 @@ class FixedSubsetModel(ModelSpec):
         self.param_labels = tuple(base.param_labels[i] for i in self.free_idx)
         self.interest_idx = tuple(range(len(self.free_idx)))
 
-    def _embed(self, params):
+    def evaluate(self, params, data, order):
         full = self.fixed_values.copy()
-        full[list(self.free_idx)] = params
-        return full
-
-    def log_density(self, obs, params):
-        return self.base.log_density(obs, self._embed(params))
-
-    def score(self, obs, params):
-        return self.base.score(obs, self._embed(params))[list(self.free_idx)]
-
-    def hessian(self, obs, params):
-        h = self.base.hessian(obs, self._embed(params))
-        return h[np.ix_(list(self.free_idx), list(self.free_idx))]
+        free = list(self.free_idx)
+        full[free] = params
+        out = evaluate(self.base, full, data, order)
+        if order == 0:
+            return out
+        if order == 1:
+            return out[:, free]
+        return out[np.ix_(free, free)]

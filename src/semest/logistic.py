@@ -1,6 +1,7 @@
 """Case-control (two-stratum stratified) logistic regression models.
 
-Three builders for the same design:
+Three builders for the same design, each an array model evaluated over all
+rows at once:
 
 * ``build_full_mle_model`` -- joint maximum likelihood over the regression
   parameters and the discrete covariate distribution g on the observed
@@ -23,9 +24,9 @@ from importlib import resources
 
 import numpy as np
 
-from .data import MultisampleDataset, Weights, load_casecontrol_csv
+from .data import MultisampleDataset, Weights, load_casecontrol_csv, positions
 from .errors import DataError
-from .likelihood import ModelSpec
+from .likelihood import ArrayModel
 from .reparam import ConditionalFamily, WeightFunctionSpec
 
 
@@ -39,9 +40,9 @@ def transform_age(age):
 
 
 def _sigmoid(t):
-    t = np.asarray(t, dtype=float)
-    out = np.where(t >= 0, 1.0 / (1.0 + np.exp(-np.abs(t))), np.exp(-np.abs(t)) / (1.0 + np.exp(-np.abs(t))))
-    return float(out) if out.ndim == 0 else out
+    """Logistic function, stable for any sign of t."""
+    e = np.exp(-np.abs(t))
+    return np.where(np.asarray(t) >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _log1pexp(t):
@@ -55,78 +56,53 @@ def logistic_density(y, x, alpha, beta):
 
 
 def _design(x):
-    return np.concatenate([[1.0], np.atleast_1d(x)])
+    """Design (1, x): shape (1 + p,) for one point, (N, 1 + p) for N rows."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
 
 
-class IdentifiableLogisticModel(ModelSpec):
-    """Parameters (alpha_star, beta).  Estimation-mode log-density
-    y u - log(w0 + w1 e^u) with u = alpha_star + x' beta."""
+def _outer(z):
+    """z z^T, row by row for a stack of vectors."""
+    return z[..., :, None] * z[..., None, :]
 
-    def __init__(self, weights: Weights, covariate_labels):
+
+class CaseControlLogisticModel(ArrayModel):
+    """Reparametrized case-control logistic model.  Estimation-mode
+    log-density y u - log(w0 + w1 e^u) with u = z' params.
+
+    Identifiable: parameters (alpha_star, beta), design z = (1, x).
+    Non-identifiable: parameters (alpha, beta, log rho1), design
+    z = (1, x, 1); the duplicated intercept column makes the log-density
+    depend on (alpha, log rho1) only through alpha + log rho1.
+    """
+
+    def __init__(self, weights: Weights, covariate_labels, identifiable=True):
         if len(weights) != 2:
-            raise DataError("identifiable case-control model requires S=2")
+            kind = "identifiable" if identifiable else "non-identifiable"
+            raise DataError(f"{kind} case-control model requires S=2")
         self.weights = weights
+        self.identifiable = identifiable
         self._log_w0 = np.log(weights.w[0])
         self._log_w1 = np.log(weights.w[1])
-        self.param_labels = ("alpha*",) + tuple(covariate_labels)
-        self.interest_idx = tuple(range(1, len(self.param_labels)))
+        if identifiable:
+            self.param_labels = ("alpha*",) + tuple(covariate_labels)
+            self.interest_idx = tuple(range(1, len(self.param_labels)))
+        else:
+            self.param_labels = ("alpha",) + tuple(covariate_labels) + ("log_rho1",)
+            self.interest_idx = tuple(range(len(self.param_labels) - 1))
 
-    def _mu(self, u):
+    def evaluate(self, params, data, order):
+        Z = _design(data.X)
+        if not self.identifiable:
+            Z = np.hstack([Z, Z[:, :1]])
+        u = Z @ params
+        if order == 0:
+            return data.y * u - np.logaddexp(self._log_w0, self._log_w1 + u)
         # w1 e^u / (w0 + w1 e^u)
-        return _sigmoid(u + self._log_w1 - self._log_w0)
-
-    def log_density(self, obs, params):
-        y = obs.sample - 1
-        u = float(_design(obs.x) @ params)
-        return y * u - np.logaddexp(self._log_w0, self._log_w1 + u)
-
-    def score(self, obs, params):
-        y = obs.sample - 1
-        z = _design(obs.x)
-        return (y - self._mu(float(z @ params))) * z
-
-    def hessian(self, obs, params):
-        z = _design(obs.x)
-        mu = self._mu(float(z @ params))
-        return -mu * (1.0 - mu) * np.outer(z, z)
-
-    def init_params(self, dataset):
-        init = np.zeros(self.n_params)
-        init[0] = np.log(dataset.sample_sizes[1] / dataset.sample_sizes[0])
-        return init
-
-
-class NonidentifiableLogisticModel(ModelSpec):
-    """Parameters (alpha, beta, log rho1); the log-density depends on
-    (alpha, log rho1) only through alpha + log rho1."""
-
-    def __init__(self, weights: Weights, covariate_labels):
-        if len(weights) != 2:
-            raise DataError("non-identifiable case-control model requires S=2")
-        self.weights = weights
-        self._log_w0 = np.log(weights.w[0])
-        self._log_w1 = np.log(weights.w[1])
-        self.param_labels = ("alpha",) + tuple(covariate_labels) + ("log_rho1",)
-        self.interest_idx = tuple(range(len(self.param_labels) - 1))
-
-    def _design(self, x):
-        return np.concatenate([[1.0], np.atleast_1d(x), [1.0]])
-
-    def log_density(self, obs, params):
-        y = obs.sample - 1
-        u = float(self._design(obs.x) @ params)
-        return y * u - np.logaddexp(self._log_w0, self._log_w1 + u)
-
-    def score(self, obs, params):
-        y = obs.sample - 1
-        z = self._design(obs.x)
-        mu = _sigmoid(float(z @ params) + self._log_w1 - self._log_w0)
-        return (y - mu) * z
-
-    def hessian(self, obs, params):
-        z = self._design(obs.x)
-        mu = _sigmoid(float(z @ params) + self._log_w1 - self._log_w0)
-        return -mu * (1.0 - mu) * np.outer(z, z)
+        mu = _sigmoid(u + self._log_w1 - self._log_w0)
+        if order == 1:
+            return (data.y - mu)[:, None] * Z
+        return -(Z * (data.multiplicity * mu * (1.0 - mu))[:, None]).T @ Z
 
     def init_params(self, dataset):
         init = np.zeros(self.n_params)
@@ -154,9 +130,12 @@ class DiscreteG:
         return (phi - phi[-1])[:-1]
 
 
-class FullMLELogisticModel(ModelSpec):
+class FullMLELogisticModel(ArrayModel):
     """Parameters (alpha, beta, phi_1..phi_{K-1}).  Per-observation
-    log-density log f(y|v_k) + log g_k - log sum_j f(y|v_j) g_j."""
+    log-density log f(y|v_k) + log g_k - log sum_j f(y|v_j) g_j.
+
+    Every per-row quantity depends on the row only through its response y
+    and support point k, so the pass works on the (2, K) table of them."""
 
     def __init__(self, support, covariate_labels):
         support = np.asarray(support, dtype=float)
@@ -165,7 +144,6 @@ class FullMLELogisticModel(ModelSpec):
         self.support = support
         self.K = len(support)
         self._Z = np.column_stack([np.ones(self.K), support])  # (K, 1+p)
-        self._lookup = {v.tobytes(): k for k, v in enumerate(support)}
         self.param_labels = (
             ("alpha",)
             + tuple(covariate_labels)
@@ -174,71 +152,56 @@ class FullMLELogisticModel(ModelSpec):
         self.n_theta = 1 + len(covariate_labels)
         self.interest_idx = tuple(range(self.n_theta))
 
-    def _parts(self, obs, params):
+    def evaluate(self, params, data, order):
         t = params[: self.n_theta]
         g = DiscreteG.to_g(params[self.n_theta :])
-        y = obs.sample - 1
-        k = self._lookup[np.asarray(obs.x, dtype=float).tobytes()]
-        eta = self._Z @ t
-        mu = _sigmoid(eta)
-        f = mu if y == 1 else 1.0 - mu  # f(y | v_j) for every j
-        return y, k, g, eta, mu, f
-
-    def log_density(self, obs, params):
-        y, k, g, eta, mu, f = self._parts(obs, params)
-        logf_k = y * eta[k] - _log1pexp(eta[k])
-        D = float(f @ g)
-        with np.errstate(divide="ignore"):
-            return logf_k + np.log(g[k]) - np.log(D)
-
-    def score(self, obs, params):
-        y, k, g, eta, mu, f = self._parts(obs, params)
-        D = float(f @ g)
-        a = g * f / D
-        b = y - mu
-        grad_t = b[k] * self._Z[k] - (a * b) @ self._Z
-        grad_phi = -a[:-1].copy()
-        if k < self.K - 1:
-            grad_phi[k] += 1.0
-        return np.concatenate([grad_t, grad_phi])
-
-    def hessian(self, obs, params):
-        y, k, g, eta, mu, f = self._parts(obs, params)
-        D = float(f @ g)
-        a = g * f / D
-        b = y - mu
-        c = mu * (1.0 - mu)
+        y = data.sample - 1
+        k = positions(self.support, data.support)[data.support_index]
         Z = self._Z
-        m = (a * b) @ Z
-        # middle term: sum_j a_j (b_j^2 - c_j) z_j z_j^T
-        h_tt = (
-            -c[k] * np.outer(Z[k], Z[k])
-            - (Z * (a * (b**2 - c))[:, None]).T @ Z
-            + np.outer(m, m)
-        )
-        h_tphi = np.empty((self.n_theta, self.K - 1))
-        for j in range(self.K - 1):
-            h_tphi[:, j] = a[j] * (m - b[j] * Z[j])
-        h_phiphi = np.outer(a[:-1], a[:-1]) - np.diag(a[:-1])
-        top = np.hstack([h_tt, h_tphi])
-        bottom = np.hstack([h_tphi.T, h_phiphi])
-        return np.vstack([top, bottom])
+        eta = Z @ t
+        mu = _sigmoid(eta)
+        f = np.stack([1.0 - mu, mu])  # f(y | v_j), (2, K)
+        D = f @ g  # (2,)
+        if order == 0:
+            logf_k = y * eta[k] - _log1pexp(eta[k])
+            return logf_k + np.log(g[k]) - np.log(D[y])
+        a = g * f / D[:, None]
+        b = np.stack([-mu, 1.0 - mu])  # y - mu
+        m = (a * b) @ Z  # (2, 1+p)
+        if order == 1:
+            grad_t = b[y, k][:, None] * Z[k] - m[y]
+            grad_phi = -a[y, :-1]
+            own = np.flatnonzero(k < self.K - 1)
+            grad_phi[own, k[own]] += 1.0
+            return np.hstack([grad_t, grad_phi])
+        # sum over rows of the per-row Hessian
+        #   h_tt = -c_k z_k z_k' - sum_j a_j (b_j^2 - c_j) z_j z_j' + m m'
+        #   h_tphi[:, j] = a_j (m - b_j z_j),  h_phiphi = a a' - diag(a)
+        # with M[y, k] the multiplicity of (y, k) and N_y its row sums
+        M = np.bincount(
+            y * self.K + k, weights=data.multiplicity, minlength=2 * self.K
+        ).reshape(2, self.K)
+        N = M.sum(axis=1)
+        c = mu * (1.0 - mu)
+        diag_w = -c * M.sum(axis=0) - N @ (a * (b**2 - c))
+        h_tt = (Z * diag_w[:, None]).T @ Z + (m * N[:, None]).T @ m
+        a_ = a[:, :-1]
+        h_tphi = m.T @ (a_ * N[:, None]) - Z[:-1].T * (N @ (a * b))[:-1]
+        h_phiphi = (a_ * N[:, None]).T @ a_ - np.diag(N @ a_)
+        return np.block([[h_tt, h_tphi], [h_tphi.T, h_phiphi]])
 
     def init_params(self, dataset):
         init = np.zeros(self.n_params)
         init[0] = np.log(dataset.sample_sizes[1] / dataset.sample_sizes[0])
         return init
 
-    def fitted_g(self, params):
-        return DiscreteG.to_g(params[self.n_theta :])
-
 
 def build_identifiable_model(weights, covariate_labels=("Scar", "Age")):
-    return IdentifiableLogisticModel(weights, covariate_labels)
+    return CaseControlLogisticModel(weights, covariate_labels, identifiable=True)
 
 
 def build_nonidentifiable_model(weights, covariate_labels=("Scar", "Age")):
-    return NonidentifiableLogisticModel(weights, covariate_labels)
+    return CaseControlLogisticModel(weights, covariate_labels, identifiable=False)
 
 
 def build_full_mle_model(dataset, covariate_labels=("Scar", "Age")):
@@ -248,27 +211,24 @@ def build_full_mle_model(dataset, covariate_labels=("Scar", "Age")):
 def casecontrol_weight_spec(p):
     """WeightFunctionSpec for case-control sampling: Q_{s|X}(x; theta) =
     f(s-1 | x; theta) with theta = (alpha, beta), a partition of the
-    outcome space."""
+    outcome space.  Accepts one point x (p,) or rows X (N, p)."""
 
     def q_weight(x, theta):
-        z = _design(x)
-        mu = _sigmoid(float(z @ theta))
-        return np.array([1.0 - mu, mu])
+        mu = _sigmoid(_design(x) @ theta)
+        return np.stack([1.0 - mu, mu], axis=-1)
 
     def q_weight_grad(x, theta):
         z = _design(x)
-        mu = _sigmoid(float(z @ theta))
-        c = mu * (1.0 - mu)
-        return np.vstack([-c * z, c * z])
+        mu = _sigmoid(z @ theta)
+        cz = (mu * (1.0 - mu))[..., None] * z
+        return np.stack([-cz, cz], axis=-2)
 
     def q_weight_hess(x, theta):
         z = _design(x)
-        mu = _sigmoid(float(z @ theta))
-        c = mu * (1.0 - mu)
-        zz = np.outer(z, z)
+        mu = _sigmoid(z @ theta)
         # d2 mu = c (1 - 2 mu) z z^T
-        d2mu = c * (1.0 - 2.0 * mu) * zz
-        return np.stack([-d2mu, d2mu])
+        d2mu = (mu * (1.0 - mu) * (1.0 - 2.0 * mu))[..., None, None] * _outer(z)
+        return np.stack([-d2mu, d2mu], axis=-3)
 
     return WeightFunctionSpec(
         n_strata=2,
@@ -280,20 +240,21 @@ def casecontrol_weight_spec(p):
 
 
 def casecontrol_family():
-    """ConditionalFamily for the logistic f(y | x; (alpha, beta))."""
+    """ConditionalFamily for the logistic f(y | x; (alpha, beta)); accepts
+    one point or rows, like ``casecontrol_weight_spec``."""
 
     def log_f(y, x, theta):
-        eta = float(_design(x) @ theta)
+        eta = _design(x) @ theta
         return y * eta - _log1pexp(eta)
 
     def log_f_grad(y, x, theta):
         z = _design(x)
-        return (y - _sigmoid(float(z @ theta))) * z
+        return (y - _sigmoid(z @ theta))[..., None] * z
 
     def log_f_hess(y, x, theta):
         z = _design(x)
-        mu = _sigmoid(float(z @ theta))
-        return -mu * (1.0 - mu) * np.outer(z, z)
+        mu = _sigmoid(z @ theta)
+        return -(mu * (1.0 - mu))[..., None, None] * _outer(z)
 
     return ConditionalFamily(log_f, log_f_grad, log_f_hess)
 

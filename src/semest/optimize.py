@@ -155,9 +155,3 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
         model=model,
     )
 
-
-def solve_score(model, dataset, init=None, cfg=None) -> FitResult:
-    """Solve the score equations (named entry point; the estimator is
-    defined by the stationarity system).  Identical to ``maximize``: the
-    success criterion is the sup-norm of the aggregate score."""
-    return maximize(model, dataset, init=init, cfg=cfg)

@@ -28,9 +28,9 @@ from typing import Callable
 
 import numpy as np
 
-from .data import MultisampleDataset, Weights
+from .data import MultisampleDataset, Weights, positions
 from .errors import ConvergenceError, DataError, EvaluationError
-from .likelihood import ModelSpec
+from .likelihood import ArrayModel
 
 
 @dataclass(frozen=True)
@@ -71,11 +71,7 @@ class FStarEstimate:
             raise DataError("fstar values must be nonnegative")
 
     def lookup(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        for k, v in enumerate(self.support):
-            if v.tobytes() == x.tobytes():
-                return self.values[k]
-        raise EvaluationError(f"covariate value {x} not in the support")
+        return self.values[positions(self.support, x)[0]]
 
 
 @dataclass(frozen=True)
@@ -102,11 +98,9 @@ class QVector:
 
 def fstar_empirical(dataset: MultisampleDataset, weights: Weights) -> FStarEstimate:
     """Weighted mixture of within-sample empirical covariate marginals."""
-    K = len(dataset.support)
-    values = np.zeros(K)
-    for obs, k in zip(dataset.observations, dataset.support_index):
-        s = obs.sample - 1
-        values[k] += weights.w[s] * obs.multiplicity / dataset.sample_sizes[s]
+    s = dataset.sample - 1
+    mass = weights.w[s] * dataset.multiplicity / dataset.sample_sizes[s]
+    values = np.bincount(dataset.support_index, weights=mass, minlength=len(dataset.support))
     return FStarEstimate(dataset.support, values)
 
 
@@ -151,14 +145,6 @@ def log_density_star(
     if include_fstar:
         val += np.log(fstar.lookup(x))
     return val
-
-
-def score_theta(wspec, family, s, y, x, theta, q: QVector, weights):
-    """Analytic theta-gradient of log p*_s."""
-    Q, denom = _denominator(wspec, x, theta, q, weights)
-    dQ = np.asarray(wspec.q_weight_grad(x, theta), dtype=float)
-    ddenom = (weights.w / q.q) @ dQ
-    return family.log_f_grad(y, x, theta) - ddenom / denom
 
 
 def score_q(wspec, s, x, theta, q: QVector, weights):
@@ -220,10 +206,16 @@ def fixed_point_q(
     )
 
 
-class ReparamModel(ModelSpec):
+class ReparamModel(ArrayModel):
     """ModelSpec over (theta, log q_1..log q_{S-1}) for the reparametrized
     submodel.  The free nuisance coordinates are log q to keep Newton
     unconstrained; scores and Hessians apply the chain rule accordingly.
+
+    The array pass calls the ``wspec`` and ``family`` evaluators once with
+    all rows X (N, p), so they must accept rows as well as one point (as
+    ``casecontrol_weight_spec`` and ``casecontrol_family`` do): Q (N, S),
+    its Jacobian (N, S, d) and Hessians (N, S, d, d); log f (N,), its
+    gradient (N, d) and Hessian (N, d, d).
     """
 
     def __init__(self, wspec, family, fstar, weights, theta_labels, include_fstar=False):
@@ -244,58 +236,50 @@ class ReparamModel(ModelSpec):
         q = QVector.from_free(np.exp(params[self.n_theta :]))
         return theta, q
 
-    def log_density(self, obs, params):
+    def evaluate(self, params, data, order):
         theta, q = self.split(params)
-        return log_density_star(
-            self.wspec,
-            self.family,
-            obs.sample,
-            obs.y,
-            obs.x,
-            theta,
-            q,
-            self.fstar,
-            self.weights,
-            include_fstar=self.include_fstar,
-        )
-
-    def score(self, obs, params):
-        theta, q = self.split(params)
-        gt = score_theta(
-            self.wspec, self.family, obs.sample, obs.y, obs.x, theta, q, self.weights
-        )
-        gq = score_q(self.wspec, obs.sample, obs.x, theta, q, self.weights)
-        # chain rule to u = log q: d/du_j = q_j d/dq_j
-        return np.concatenate([gt, q.free * gq])
-
-    def hessian(self, obs, params):
-        theta, q = self.split(params)
-        w = self.weights.w
-        qv = q.q
+        X, s, y = data.X, data.sample - 1, data.y
+        w, qv = self.weights.w, q.q
         S = self.wspec.n_strata
-        x = obs.x
-        Q = np.asarray(self.wspec.q_weight(x, theta), dtype=float)
-        dQ = np.asarray(self.wspec.q_weight_grad(x, theta), dtype=float)  # (S, d)
-        d2Q = np.asarray(self.wspec.q_weight_hess(x, theta), dtype=float)  # (S, d, d)
-        denom = float(np.sum(w * Q / qv))
-        ddenom = (w / qv) @ dQ  # (d,)
-        d2denom = np.tensordot(w / qv, d2Q, axes=(0, 0))  # (d, d)
-        r = ddenom / denom
+        Q = np.asarray(self.wspec.q_weight(X, theta), dtype=float)  # (N, S)
+        denom = Q @ (w / qv)  # (N,)
+        if order == 0:
+            off = Q[np.arange(len(s)), s] <= 0.0
+            if np.any(off):
+                i = int(np.argmax(off))
+                raise EvaluationError(
+                    f"observation inconsistent with its stratum: "
+                    f"Q_{s[i] + 1}|X = 0 at x={X[i]}"
+                )
+            if np.any(denom <= 0.0):
+                raise EvaluationError("x has zero selection mass under all strata")
+            val = self.family.log_f(y, X, theta) - np.log(denom) - np.log(qv[s])
+            if self.include_fstar:
+                k = positions(self.fstar.support, data.support)[data.support_index]
+                val = val + np.log(self.fstar.values[k])
+            return val
 
-        h_tt = self.family.log_f_hess(obs.y, x, theta) - (
-            d2denom / denom - np.outer(r, r)
+        dQ = np.asarray(self.wspec.q_weight_grad(X, theta), dtype=float)  # (N, S, d)
+        r = np.einsum("s,nsd->nd", w / qv, dQ) / denom[:, None]  # d log denom / d theta
+        qf, wf, Qf = qv[: S - 1], w[: S - 1], Q[:, : S - 1]
+        if order == 1:
+            g_theta = self.family.log_f_grad(y, X, theta) - r
+            # q-gradient (w_j Q_j / q_j^2) / denom - 1{s = j} / q_j, then the
+            # chain rule to u = log q: d/du_j = q_j d/dq_j
+            g_q = (wf * Qf / qf**2) / denom[:, None] - (s[:, None] == np.arange(S - 1)) / qf
+            return np.hstack([g_theta, qf * g_q])
+
+        m = data.multiplicity
+        d2Q = np.asarray(self.wspec.q_weight_hess(X, theta), dtype=float)  # (N, S, d, d)
+        h_tt = (
+            np.einsum("n,nij->ij", m, self.family.log_f_hess(y, X, theta))
+            - np.einsum("n,s,nsij->ij", m / denom, w / qv, d2Q)
+            + (r * m[:, None]).T @ r
         )
-
-        # u_j block via B_j = (w_j Q_j / q_j) / denom: H_uu = B B^T - diag(B)
-        B = (w[: S - 1] * Q[: S - 1] / qv[: S - 1]) / denom
-        h_uu = np.outer(B, B) - np.diag(B)
-
-        # cross block in q then chain rule by q_j
-        h_tu = np.empty((self.n_theta, S - 1))
-        for j in range(S - 1):
-            d2_tq = (w[j] / qv[j] ** 2) * (dQ[j] / denom - Q[j] * ddenom / denom**2)
-            h_tu[:, j] = qv[j] * d2_tq
-
-        top = np.hstack([h_tt, h_tu])
-        bottom = np.hstack([h_tu.T, h_uu])
-        return np.vstack([top, bottom])
+        # u block via B_j = (w_j Q_j / q_j) / denom: H_uu = B B^T - diag(B)
+        B = (wf * Qf / qf) / denom[:, None]
+        h_uu = (B * m[:, None]).T @ B - np.diag(m @ B)
+        # cross block: q_j d2/(dtheta dq_j) = (w_j / q_j) (dQ_j - Q_j r) / denom
+        cross = (dQ[:, : S - 1] - Qf[:, :, None] * r[:, None, :]) / denom[:, None, None]
+        h_tu = np.einsum("n,njd->dj", m, cross) * (wf / qf)
+        return np.block([[h_tt, h_tu], [h_tu.T, h_uu]])

@@ -26,7 +26,14 @@ from .inference import (
     info_blocks_observed,
     standard_errors,
 )
-from .likelihood import FixedSubsetModel, aggregate_score, log_likelihood
+from .likelihood import (
+    ArrayModel,
+    FixedSubsetModel,
+    aggregate_hessian,
+    aggregate_score,
+    evaluate,
+    log_likelihood,
+)
 from .logistic import (
     DiscreteG,
     FullMLELogisticModel,
@@ -208,25 +215,23 @@ def brute_force_info(toy: ToyInstance, params=None, max_outcomes=10_000):
 def enumerated_centered_scores(toy: ToyInstance, params=None):
     """CenteredScores whose 'multiplicities' are the exact outcome
     probabilities, so moment blocks computed from them are population
-    expectations (a second route to the same matrices)."""
+    expectations (a second route to the same matrices, through the array
+    pass over all (stratum, support point) outcomes at once)."""
     from .inference import CenteredScores
 
     model = FullMLELogisticModel(toy.support, toy.labels)
     params = toy.mle_params() if params is None else np.asarray(params, dtype=float)
-    rows, samples, mults = [], [], []
-    for s in (1, 2):
-        probs = toy.cond_probs(s)
-        scores = np.array(
-            [model.score(Observation(s, v, float(s - 1)), params) for v in toy.support]
-        )
-        mean = probs @ scores
-        rows.append(scores - mean)
-        samples.extend([s] * len(toy.support))
-        mults.extend(probs)
+    K = len(toy.support)
+    outcomes = MultisampleDataset.from_columns(
+        np.vstack([toy.support] * 2), np.repeat([1, 2], K), np.ones(2 * K)
+    )
+    scores = evaluate(model, params, outcomes, 1).reshape(2, K, -1)
+    probs = np.array([toy.cond_probs(1), toy.cond_probs(2)])
+    centered = scores - np.einsum("sk,skd->sd", probs, scores)[:, None, :]
     return CenteredScores(
-        np.vstack(rows),
-        np.array(samples),
-        np.array(mults, dtype=float),
+        centered.reshape(2 * K, -1),
+        outcomes.sample,
+        probs.ravel(),
         tuple(model.interest_idx),
         tuple(model.nuisance_idx),
     )
@@ -235,13 +240,11 @@ def enumerated_centered_scores(toy: ToyInstance, params=None):
 def simulate(toy: ToyInstance, sizes, rng) -> MultisampleDataset:
     """Draw a grouped case-control dataset: ``sizes[s-1]`` units per
     stratum, covariate cells multinomial within stratum."""
-    obs = []
-    for s in (1, 2):
-        counts = rng.multinomial(sizes[s - 1], toy.cond_probs(s))
-        for v, c in zip(toy.support, counts):
-            if c > 0:
-                obs.append(Observation(s, v, float(s - 1), int(c)))
-    return MultisampleDataset(obs, n_samples=2)
+    counts = np.array([rng.multinomial(sizes[s], toy.cond_probs(s + 1)) for s in (0, 1)])
+    stratum, k = np.nonzero(counts)
+    return MultisampleDataset.from_columns(
+        toy.support[k], stratum + 1, counts[stratum, k], n_samples=2
+    )
 
 
 @dataclass
@@ -349,19 +352,20 @@ class CheckResult:
     detail: str = ""
 
 
-class _BrokenScoreModel(FixedSubsetModel):
+class _BrokenScoreModel(ArrayModel):
     """Negative-control wrapper: corrupts one score component."""
 
     def __init__(self, base):
-        super().__init__(base, tuple(range(base.n_params)), np.zeros(base.n_params))
+        self.base = base
         self.param_labels = base.param_labels
         self.interest_idx = base.interest_idx
 
-    def score(self, obs, params):
-        g = self.base.score(obs, params)
-        g = np.asarray(g, dtype=float).copy()
-        g[0] += 0.1
-        return g
+    def evaluate(self, params, data, order):
+        out = evaluate(self.base, params, data, order)
+        if order == 1:
+            out = out.copy()
+            out[:, 0] += 0.1
+        return out
 
 
 def _random_admissible(rng, dim, scale=1.0):
@@ -405,8 +409,6 @@ def run_suite(seed=0, mc=False, reps=500, inject_broken_score=False, progress=No
             g_fd = fd_gradient(f, x, fdcfg)
             scale_g = max(1.0, float(np.max(np.abs(g_fd))))
             worst_g = max(worst_g, float(np.max(np.abs(g - g_fd))) / scale_g)
-            from .likelihood import aggregate_hessian
-
             h = aggregate_hessian(model, x, dataset)
             h_fd = fd_hessian(f, x, fdcfg)
             scale_h = max(1.0, float(np.max(np.abs(h_fd))))

@@ -81,6 +81,16 @@ def test_bench(capsys):
     assert "median ms" in out and "mle" in out
 
 
+def test_bench_json(capsys):
+    assert main(["bench", "--builtin", "leprosy", "--repeats", "1", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload["methods"]) == {"mle", "reparam-nonid", "reparam-id"}
+    for row in payload["methods"].values():
+        assert row["median_ms"] > 0 and row["iterations"] > 0 and row["n_params"] >= 3
+    assert payload["nproc"] >= 1
+    assert payload["python"] and payload["numpy"]
+
+
 def test_missing_input_exits_1(capsys):
     assert main(["fit", "--input", "/no/such/file.csv"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -90,6 +100,22 @@ def test_bad_csv_exits_1(tmp_path, capsys):
     f = tmp_path / "bad.csv"
     f.write_text("not,a,valid,header\n1,2,3,4\n")
     assert main(["fit", "--input", str(f)]) == 1
+
+
+@pytest.mark.parametrize(
+    "schema, text",
+    [
+        ("casecontrol", "age,scar,cases,controls\n2.5,0,1,24\n2.5,1,1,-24\n"),
+        ("casecontrol", "age,scar,cases,controls\n2.5,0,1,24\nnan,1,1,31\n"),
+        ("long", "sample,y,x1\n1,0,1.0\n2,1,inf\n"),
+        ("long", "sample,y,x1\n1,0,1.0\n2,0,2.0\n"),
+    ],
+)
+def test_bad_rows_exit_1_naming_the_line(tmp_path, capsys, schema, text):
+    f = tmp_path / "bad.csv"
+    f.write_text(text)
+    assert main(["fit", "--input", str(f), "--schema", schema]) == 1
+    assert "error: line 3:" in capsys.readouterr().err
 
 
 def test_nonconvergence_exits_2(capsys):

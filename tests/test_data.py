@@ -12,8 +12,10 @@ from semest import (
     compute_weights,
     load_casecontrol_csv,
     load_long_csv,
+    transform_age,
 )
 from semest.data import as_vector
+from oracles import support_reference
 
 
 def test_observation_validation():
@@ -37,6 +39,24 @@ def test_dataset_basics(leprosy):
 def test_support_lexicographic(leprosy):
     rows = [tuple(v) for v in leprosy.support]
     assert rows == sorted(rows)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), min_size=2, max_size=2),
+        min_size=1,
+        max_size=30,
+    )
+)
+def test_support_matches_row_loop(rows):
+    """Bit-exact distinct rows (0.0 and -0.0 apart), lexicographic order."""
+    X = np.array(rows)
+    ds = MultisampleDataset.from_columns(X, np.ones(len(X)), np.ones(len(X)))
+    support, idx, freq = support_reference(X)
+    assert support.tobytes() == ds.support.tobytes()
+    np.testing.assert_array_equal(ds.support_index, idx)
+    np.testing.assert_array_equal(ds.pooled_freq, freq)
 
 
 def test_support_index_consistent(leprosy):
@@ -145,3 +165,42 @@ def test_load_casecontrol_csv(tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n")
         load_casecontrol_csv(bad)
+
+
+def test_observations_view(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("sample,y,x1\n1,0,1.5\n2,1,0.5\n")
+    ds = load_long_csv(f)
+    assert len(ds.observations) == 2
+    obs = ds.observations[1]
+    assert (obs.sample, obs.x.tolist(), obs.y, obs.multiplicity) == (2, [0.5], 1.0, 1)
+    assert [o.y for o in ds.observations[:]] == [0.0, 1.0]
+
+
+def test_casecontrol_negative_count_rejected(tmp_path):
+    f = tmp_path / "cc.csv"
+    f.write_text("age,scar,cases,controls\n2.5,0,1,24\n2.5,1,1,-24\n")
+    with pytest.raises(DataError, match="line 3: .*>= 0"):
+        load_casecontrol_csv(f)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_nonfinite_covariate_rejected(tmp_path, value):
+    f = tmp_path / "d.csv"
+    f.write_text(f"sample,y,x1,x2\n1,0,1.0,2.0\n2,1,0.5,{value}\n")
+    with pytest.raises(DataError, match="line 3: non-finite covariate"):
+        load_long_csv(f)
+    for row in (f"{value},1,1,31", f"2.5,{value},1,31"):
+        f.write_text(f"age,scar,cases,controls\n2.5,0,1,24\n{row}\n")
+        with pytest.raises(DataError, match="line 3: non-finite covariate"):
+            load_casecontrol_csv(f, transform=transform_age)
+
+
+def test_long_y_must_match_sample(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_text("sample,y,x1\n1,0,1.0\n2,0,2.0\n")
+    with pytest.raises(DataError, match="line 3: y must be"):
+        load_long_csv(f)
+    f.write_text("sample,y,x1\n0,0,1.0\n1,1,2.0\n0,1,3.0\n")
+    with pytest.raises(DataError, match="line 4: y must be"):
+        load_long_csv(f, sample_base=0)

@@ -135,6 +135,7 @@ def test_report_json_roundtrip(leprosy_id_fit):
     assert back.labels == report.labels
     np.testing.assert_allclose(back.coef, report.coef, atol=1e-15)
     np.testing.assert_allclose(back.se, report.se, atol=1e-15)
+    np.testing.assert_array_equal(back.eff_info, report.eff_info)
     assert back.extra_rows.keys() == report.extra_rows.keys()
 
 

@@ -8,7 +8,6 @@ from semest import (
     build_nonidentifiable_model,
     log_likelihood,
     maximize,
-    solve_score,
 )
 
 
@@ -77,10 +76,3 @@ def test_custom_init_respected(leprosy, leprosy_weights):
     assert fit.converged
     ref = maximize(model, leprosy)
     np.testing.assert_allclose(fit.params, ref.params, atol=1e-7)
-
-
-def test_solve_score_alias(leprosy, leprosy_weights):
-    model = build_identifiable_model(leprosy_weights)
-    a = solve_score(model, leprosy)
-    b = maximize(model, leprosy)
-    np.testing.assert_array_equal(a.params, b.params)
