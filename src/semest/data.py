@@ -2,9 +2,8 @@
 
 A dataset holds ``S`` independent samples indexed ``s = 1..S``.  Rows are
 stored grouped (with integer multiplicities) and column-wise: one covariate
-matrix and one array per row attribute.  Expansion to unit rows and the
-per-row ``Observation`` objects are views, never the canonical
-representation.  The covariate support ``v_1..v_K`` is the set of distinct
+matrix and one array per row attribute.  The per-row ``Observation`` objects
+are a view, never the canonical representation.  The covariate support ``v_1..v_K`` is the set of distinct
 observed covariate vectors, compared bit-exactly, ordered lexicographically
 for determinism.
 """
@@ -12,6 +11,8 @@ for determinism.
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -175,20 +176,6 @@ class MultisampleDataset:
         self.pooled_freq = np.bincount(idx, weights=multiplicity / n, minlength=len(support))
         self.support_index = idx
 
-    def expanded(self):
-        """View of the data as unit-multiplicity observations."""
-        m = self.multiplicity
-        return MultisampleDataset.from_columns(
-            np.repeat(self.X, m, axis=0), np.repeat(self.sample, m), np.ones(m.sum()),
-            n_samples=self.n_samples,
-        )
-
-    def restricted_to_sample(self, s):
-        keep = self.sample == s
-        return MultisampleDataset.from_columns(
-            self.X[keep], self.sample[keep], self.multiplicity[keep]
-        )
-
 
 @dataclass(frozen=True)
 class Weights:
@@ -249,24 +236,49 @@ def as_vector(params):
 
 
 def _read_csv(path):
-    """Header and non-blank rows, as (line number, fields), of a CSV file."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataError("no observations: empty file")
-        rows = [
-            (lineno, row)
-            for lineno, row in enumerate(reader, start=2)
-            if any(map(str.strip, row))
-        ]
-    return [h.strip() for h in header], rows
+    """Header fields of a UTF-8 CSV file, and the text after the header.
+    DataError names the path of a file that cannot be read or decoded."""
+    try:
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
+    fh = io.StringIO(text, newline="")
+    header = next(csv.reader(fh), None)
+    if header is None:
+        raise DataError("no observations: empty file")
+    return [h.strip() for h in header], text[fh.tell():]
 
 
-def _columns(rows, converters):
-    """Line numbers of ``rows`` and their fields converted column by column;
-    DataError names the line of the first row with the wrong number of
-    fields or a field its column's converter rejects."""
+def _columns(body, converters):
+    """File line numbers (csv records; the header is 1) of the non-blank rows
+    of the CSV text ``body``, and their fields converted by column: one
+    ``np.loadtxt`` pass, or, for a body it rejects or warns about (a
+    whitespace-only line, ``1_0``, a record spread over lines, ``1.0`` in an
+    int column on numpy < 2), the csv module and the converters row by row, which accept
+    the same values and more and name the line of the first bad row."""
+    dtype = np.dtype([(f"f{i}", conv) for i, conv in enumerate(converters)])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                io.StringIO(body), dtype=dtype, delimiter=",", quotechar='"',
+                comments=None, ndmin=1,
+            )
+    except (ValueError, Warning):
+        table = ()
+    lines = range(2, len(table) + 2)
+    if len(table) != body.count("\n") + (not body.endswith("\n")):  # not a row per line
+        physical = io.StringIO(body, newline="")
+        lines = [n for n, line in enumerate(physical, start=2) if line.strip("\r\n")]
+    if len(table) and len(table) == len(lines):
+        return lines, [table[name] for name in dtype.names]
+    records = csv.reader(io.StringIO(body, newline=""))
+    rows = [
+        (lineno, row)
+        for lineno, row in enumerate(records, start=2)
+        if any(map(str.strip, row))
+    ]
     if not rows:
         raise DataError("no observations")
     for lineno, row in rows:
@@ -274,19 +286,14 @@ def _columns(rows, converters):
             raise DataError(
                 f"line {lineno}: expected {len(converters)} fields, got {len(row)}"
             )
-    lines, fields = zip(*rows)
-    try:
-        return lines, [
-            np.array(list(map(conv, column))) for conv, column in zip(converters, zip(*fields))
-        ]
-    except ValueError:
-        for lineno, row in rows:  # find the field that does not convert
-            for conv, value in zip(converters, row):
-                try:
-                    conv(value)
-                except ValueError as exc:
-                    raise DataError(f"line {lineno}: {exc}") from exc
-        raise
+    columns = [[] for _ in converters]
+    for lineno, row in rows:
+        for column, conv, value in zip(columns, converters, row):
+            try:
+                column.append(conv(value))
+            except ValueError as exc:
+                raise DataError(f"line {lineno}: {exc}") from exc
+    return [lineno for lineno, _ in rows], [np.array(column) for column in columns]
 
 
 def _check_rows(lines, bad, message):
@@ -304,10 +311,10 @@ def load_long_csv(path, sample_base=1):
     """
     if sample_base not in (0, 1):
         raise DataError(f"sample_base must be 0 or 1, got {sample_base}")
-    header, rows = _read_csv(path)
+    header, body = _read_csv(path)
     if len(header) < 3 or header[0] != "sample" or header[1] != "y":
         raise DataError("expected header 'sample,y,x1,...,xp', got " + ",".join(header))
-    lines, (sample, y, *xs) = _columns(rows, [int] + [float] * (len(header) - 1))
+    lines, (sample, y, *xs) = _columns(body, [int] + [float] * (len(header) - 1))
     sample = sample + (1 - sample_base)
     X = np.column_stack(xs)
     _check_rows(lines, sample < 1, "sample index must be >= 1")
@@ -316,25 +323,35 @@ def load_long_csv(path, sample_base=1):
     return MultisampleDataset.from_columns(X, sample, np.ones(len(lines), dtype=int))
 
 
-def load_casecontrol_csv(path, transform=None):
-    """Load the grouped case-control schema ``age,scar,cases,controls``.
-
-    Controls become sample 1 (y=0), cases sample 2 (y=1).  ``transform``
-    maps raw age to the covariate actually used (identity if None); the
-    stored covariate order is (scar, transformed age).  Counts must be
-    nonnegative; a zero count contributes no row.
-    """
-    header, rows = _read_csv(path)
+def _casecontrol_columns(path):
+    """Checked raw columns age, scar, counts (controls, cases) of a CSV file."""
+    header, body = _read_csv(path)
     if header != ["age", "scar", "cases", "controls"]:
         raise DataError("expected header 'age,scar,cases,controls', got " + ",".join(header))
-    lines, (age, scar, cases, controls) = _columns(rows, (float, float, int, int))
+    lines, (age, scar, cases, controls) = _columns(body, (float, float, int, int))
     counts = np.column_stack([controls, cases])
     _check_rows(lines, np.any(counts < 0, axis=1), "case and control counts must be >= 0")
     _check_rows(lines, ~(np.isfinite(age) & np.isfinite(scar)), "non-finite covariate")
-    x2 = age if transform is None else np.array([transform(a) for a in age], dtype=float)
+    return age, scar, counts
+
+
+def _casecontrol_dataset(age, scar, counts, transform=None):
+    x2 = age if transform is None else np.asarray(transform(age), dtype=float)
     X = np.column_stack([scar, x2])
     # one row per nonzero (line, stratum) count: controls, then cases
     line_idx, stratum = np.nonzero(counts > 0)
     if not len(line_idx):
         raise DataError("no observations")
     return MultisampleDataset.from_columns(X[line_idx], stratum + 1, counts[line_idx, stratum])
+
+
+def load_casecontrol_csv(path, transform=None):
+    """Load the grouped case-control schema ``age,scar,cases,controls``.
+
+    Controls become sample 1 (y=0), cases sample 2 (y=1).  ``transform``
+    maps raw age to the covariate actually used (identity if None); it is
+    called once, on the array of all ages, and must return an array of the
+    same length.  The stored covariate order is (scar, transformed age).
+    Counts must be nonnegative; a zero count contributes no row.
+    """
+    return _casecontrol_dataset(*_casecontrol_columns(path), transform=transform)

@@ -19,12 +19,11 @@ are stored as (scar, transformed age) for the bundled leprosy data.
 
 from __future__ import annotations
 
-import csv
 from importlib import resources
 
 import numpy as np
 
-from .data import MultisampleDataset, Weights, load_casecontrol_csv, positions
+from .data import MultisampleDataset, Weights, _casecontrol_columns, _casecontrol_dataset, positions
 from .errors import DataError
 from .likelihood import ArrayModel
 from .reparam import ConditionalFamily, WeightFunctionSpec
@@ -279,27 +278,11 @@ LEPROSY_TABLE = (
 )
 
 
-def _bundled_rows():
-    with resources.files("semest").joinpath("data/leprosy.csv").open(
-        "r", encoding="utf-8"
-    ) as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = tuple(
-            (float(r[0]), int(r[1]), int(r[2]), int(r[3])) for r in reader if r
-        )
-    if header != ["age", "scar", "cases", "controls"]:
-        raise DataError("bundled leprosy.csv has an unexpected header")
-    return rows
-
-
 def leprosy_dataset() -> MultisampleDataset:
     """The bundled leprosy case-control dataset, grouped, with covariates
     (scar, transform_age(age)).  Controls are sample 1, cases sample 2."""
-    rows = _bundled_rows()
-    if rows != LEPROSY_TABLE:
+    with resources.as_file(resources.files("semest") / "data" / "leprosy.csv") as path:
+        age, scar, counts = _casecontrol_columns(path)
+    if not np.array_equal(np.column_stack([age, scar, counts[:, ::-1]]), LEPROSY_TABLE):
         raise DataError("bundled leprosy.csv disagrees with the embedded table")
-    with resources.as_file(
-        resources.files("semest").joinpath("data/leprosy.csv")
-    ) as path:
-        return load_casecontrol_csv(path, transform=transform_age)
+    return _casecontrol_dataset(age, scar, counts, transform=transform_age)

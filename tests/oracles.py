@@ -2,9 +2,11 @@
 
 Nothing here imports estimation code from the package; the point is that
 these values are produced by a different algorithm (IRLS, complex-step
-differentiation) written against the raw data, so agreement is evidence
-and not circularity.
+differentiation, a row-by-row CSV reader) written against the raw data, so
+agreement is evidence and not circularity.
 """
+
+import csv
 
 import numpy as np
 
@@ -214,3 +216,86 @@ def support_reference(X):
     for k in idx:
         freq[k] += 1 / len(X)
     return np.array(support), idx, freq
+
+
+class Rejected(Exception):
+    """An input the reference CSV loaders refuse; the message is the one the
+    package's loaders give for it."""
+
+
+def _reference_rows(path):
+    """Header and non-blank (line, fields) rows, read with the csv module."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise Rejected("no observations: empty file")
+        rows = [
+            (lineno, row)
+            for lineno, row in enumerate(reader, start=2)
+            if any(map(str.strip, row))
+        ]
+    return [h.strip() for h in header], rows
+
+
+def _reference_columns(rows, converters):
+    """Line numbers and columns, each field converted by a Python call;
+    the first row (in file order) with a wrong field count, then the first
+    field that does not convert, is rejected."""
+    if not rows:
+        raise Rejected("no observations")
+    for lineno, row in rows:
+        if len(row) != len(converters):
+            raise Rejected(f"line {lineno}: expected {len(converters)} fields, got {len(row)}")
+    columns = [[] for _ in converters]
+    for lineno, row in rows:
+        for column, conv, value in zip(columns, converters, row):
+            try:
+                column.append(conv(value))
+            except ValueError as exc:
+                raise Rejected(f"line {lineno}: {exc}") from exc
+    return [lineno for lineno, _ in rows], [np.array(c) for c in columns]
+
+
+def _reject_first(lines, bad, message):
+    for lineno, b in zip(lines, bad):
+        if b:
+            raise Rejected(f"line {lineno}: {message}")
+
+
+def long_csv_reference(path, sample_base=1):
+    """(X, sample, multiplicity) of a ``sample,y,x1,...,xp`` file, read row
+    by row with the csv module and int()/float() per field."""
+    header, rows = _reference_rows(path)
+    if len(header) < 3 or header[0] != "sample" or header[1] != "y":
+        raise Rejected("expected header 'sample,y,x1,...,xp', got " + ",".join(header))
+    lines, (sample, y, *xs) = _reference_columns(rows, [int] + [float] * (len(header) - 1))
+    sample = sample + (1 - sample_base)
+    X = np.column_stack(xs)
+    _reject_first(lines, sample < 1, "sample index must be >= 1")
+    _reject_first(lines, ~np.all(np.isfinite(X), axis=1), "non-finite covariate")
+    _reject_first(lines, y != sample - 1, "y must be 0 in the first sample, 1 in the second")
+    return X, sample, np.ones(len(lines), dtype=int)
+
+
+def casecontrol_csv_reference(path, transform=None):
+    """(X, sample, multiplicity) of an ``age,scar,cases,controls`` file, read
+    row by row with the csv module, float()/int() per field and
+    ``transform`` called on one age at a time."""
+    header, rows = _reference_rows(path)
+    if header != ["age", "scar", "cases", "controls"]:
+        raise Rejected("expected header 'age,scar,cases,controls', got " + ",".join(header))
+    lines, (age, scar, cases, controls) = _reference_columns(rows, (float, float, int, int))
+    _reject_first(lines, (cases < 0) | (controls < 0), "case and control counts must be >= 0")
+    _reject_first(lines, ~(np.isfinite(age) & np.isfinite(scar)), "non-finite covariate")
+    x2 = age if transform is None else np.array([transform(a) for a in age], dtype=float)
+    X, sample, mult = [], [], []
+    for i in range(len(lines)):
+        for s, count in ((1, controls[i]), (2, cases[i])):
+            if count > 0:
+                X.append((scar[i], x2[i]))
+                sample.append(s)
+                mult.append(count)
+    if not X:
+        raise Rejected("no observations")
+    return np.array(X), np.array(sample), np.array(mult)

@@ -1,7 +1,9 @@
 import json
+import os
 
 import pytest
 
+import semest.data
 from semest.cli import main
 
 
@@ -94,6 +96,26 @@ def test_bench_json(capsys):
 def test_missing_input_exits_1(capsys):
     assert main(["fit", "--input", "/no/such/file.csv"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["directory", "unreadable", "not UTF-8"])
+def test_unreadable_input_exits_1_naming_the_path(tmp_path, capsys, monkeypatch, case):
+    path = tmp_path / "in.csv"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not UTF-8":
+        path.write_bytes(b"age,scar,cases,controls\n2.5,0,1,24\n\xff,1,1,31\n")
+    else:
+        path.write_text("age,scar,cases,controls\n2.5,0,1,24\n")
+        path.chmod(0)
+        if os.access(path, os.R_OK):  # permission bits do not bind this user
+
+            def refuse(file, *args, **kwargs):
+                raise PermissionError(13, "Permission denied", str(file))
+
+            monkeypatch.setattr(semest.data, "open", refuse, raising=False)
+    assert main(["fit", "--input", str(path)]) == 1
+    assert f"error: cannot read {path}: " in capsys.readouterr().err
 
 
 def test_bad_csv_exits_1(tmp_path, capsys):

@@ -15,7 +15,12 @@ from semest import (
     transform_age,
 )
 from semest.data import as_vector
-from oracles import support_reference
+from oracles import (
+    Rejected,
+    casecontrol_csv_reference,
+    long_csv_reference,
+    support_reference,
+)
 
 
 def test_observation_validation():
@@ -62,20 +67,6 @@ def test_support_matches_row_loop(rows):
 def test_support_index_consistent(leprosy):
     for obs, k in zip(leprosy.observations, leprosy.support_index):
         assert np.array_equal(leprosy.support[k], obs.x)
-
-
-def test_expanded_preserves_totals(leprosy):
-    exp = leprosy.expanded()
-    assert exp.n == leprosy.n
-    assert all(o.multiplicity == 1 for o in exp.observations)
-    np.testing.assert_array_equal(exp.sample_sizes, leprosy.sample_sizes)
-    np.testing.assert_allclose(exp.pooled_freq, leprosy.pooled_freq, atol=1e-15)
-
-
-def test_restricted_to_sample(leprosy):
-    s1 = leprosy.restricted_to_sample(1)
-    assert s1.n == 260
-    assert all(o.sample == 1 for o in s1.observations)
 
 
 def test_empty_sample_rejected():
@@ -204,3 +195,162 @@ def test_long_y_must_match_sample(tmp_path):
     f.write_text("sample,y,x1\n0,0,1.0\n1,1,2.0\n0,1,3.0\n")
     with pytest.raises(DataError, match="line 4: y must be"):
         load_long_csv(f, sample_base=0)
+
+
+def _outcome(load):
+    """The dataset ``load`` returns, or the message of the error it raises."""
+    try:
+        return load()
+    except (DataError, Rejected) as exc:
+        return str(exc)
+
+
+def _assert_same_load(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got.X.dtype == want.X.dtype == np.float64
+    np.testing.assert_array_equal(got.X.view(np.int64), want.X.view(np.int64))
+    for name in ("sample", "multiplicity", "support_index"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+# Tokens the csv module and int()/float() may treat differently from a C
+# parser: underscores, non-finite and junk values, a quote (also after a
+# blank), a comma or a line end inside quotes.
+_JUNK = (
+    "1.0", "1_0", "nan", "inf", "-inf", "Infinity", "", " ", "x", "1e3", "+1", "-0",
+    "01", "0x1", '"', '1"', ' "1"', '""', '"1,0"', '"1\n"', '"1\r\n2"', "\u0663", "1\x0c",
+)
+# how a field is written: padded with whitespace, quoted, or both
+_LAYOUT = st.sampled_from(
+    ["{}"] * 6 + [" {}", "{}\t", "\xa0{}\xa0", '"{}"', '" {}\t"', '"{}" ', '"\xa0{}"']
+)
+_FLOAT = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.floats(-1e3, 1e3).map("{:.3f}".format),
+    st.floats(allow_nan=False).map("{:.17g}".format),
+    st.sampled_from(["0", "-0.0", "2.5", ".5", "5.", "+1e-300", "1E400"]),
+)
+
+
+@st.composite
+def _long_row(draw):
+    sample = draw(st.sampled_from([1] * 4 + [2] * 4 + [0, 3]))
+    y = sample - 1 if draw(st.integers(0, 9)) else 1 - sample
+    return [str(sample), str(y), draw(_FLOAT), draw(_FLOAT)]
+
+
+@st.composite
+def _casecontrol_row(draw):
+    age = st.floats(-10, 60).map(repr) | st.sampled_from(["2.5", "-0.0"])
+    count = st.integers(-1, 30).map(str)
+    scar = st.sampled_from(["0", "1", "0.0", "1.5"])
+    return [draw(age), draw(scar), draw(count), draw(count)]
+
+
+@st.composite
+def _csv_text(draw, header, headers, row):
+    """A CSV file with laid-out fields, blank lines and LF or CRLF line
+    ends; five files in six carry one defect: a junk field, a wrong field
+    count or a bare-CR line end."""
+    rows = [draw(row) for _ in range(draw(st.integers(1, 8)))]
+    defect = draw(st.sampled_from(["none", "junk", "junk", "junk", "count", "cr"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if defect == "junk":
+        rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(_JUNK))
+    elif defect == "count":
+        rows[i] = rows[i][:-1] if draw(st.booleans()) else rows[i] + ["0"]
+    lines = [draw(st.sampled_from([header] * 6 + headers))]
+    for fields in rows:
+        if draw(st.integers(0, 4)) == 0:  # blank: skipped
+            lines.append(draw(st.sampled_from([""] * 9 + [" ", "\t", ",,", '""'])))
+        lines.append(",".join(draw(_LAYOUT).format(token) for token in fields))
+    ends = [draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
+    if defect == "cr":
+        ends[draw(st.integers(0, len(lines) - 1))] = "\r"
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+_LONG_TEXT = _csv_text(
+    "sample,y,x1,x2",
+    [" sample , y ,x1,x2", '"sample","y",x1,"x2"', "sample,y", "y,sample,x1"],
+    _long_row(),
+)
+_CASECONTROL_TEXT = _csv_text(
+    "age,scar,cases,controls",
+    [" age,scar , cases,controls", '"age","scar","cases","controls"', "age,scar,cases"],
+    _casecontrol_row(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_LONG_TEXT)
+def test_long_loader_matches_row_reader(tmp_path_factory, text):
+    """Every file either loads to the reference's columns, bit for bit, or
+    is rejected with the reference's message."""
+    f = tmp_path_factory.getbasetemp() / "long.csv"
+    f.write_bytes(text.encode("utf-8"))
+    want = _outcome(lambda: MultisampleDataset.from_columns(*long_csv_reference(f)))
+    _assert_same_load(_outcome(lambda: load_long_csv(f)), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_CASECONTROL_TEXT, transform=st.sampled_from([None, transform_age]))
+def test_casecontrol_loader_matches_row_reader(tmp_path_factory, text, transform):
+    f = tmp_path_factory.getbasetemp() / "cc.csv"
+    f.write_bytes(text.encode("utf-8"))
+    want = _outcome(
+        lambda: MultisampleDataset.from_columns(*casecontrol_csv_reference(f, transform))
+    )
+    _assert_same_load(_outcome(lambda: load_casecontrol_csv(f, transform)), want)
+
+
+@pytest.mark.parametrize("blank", ["", "  \t"])
+def test_blank_lines_skipped_and_later_lines_named(tmp_path, blank):
+    """Empty lines (one loadtxt pass) and whitespace-only lines (the
+    row-by-row pass) are skipped; errors still name the file line."""
+    f = tmp_path / "d.csv"
+    head = f"sample,y,x1\n1,0,1.0\n{blank}\n\n2,1,2.0\n{blank}\n"
+    f.write_text(head)
+    assert load_long_csv(f).n == 2
+    f.write_text(head + "2,0,3.0\n")
+    with pytest.raises(DataError, match="line 7: y must be"):
+        load_long_csv(f)
+    f.write_text(head + "2,1,oops\n")
+    with pytest.raises(DataError, match="line 7: could not convert"):
+        load_long_csv(f)
+
+
+def test_quoted_line_break_leaves_one_record(tmp_path):
+    """Lines count csv records: a quoted field spread over two lines is one
+    record, so the row after it and a blank line is record 4."""
+    f = tmp_path / "d.csv"
+    f.write_text('sample,y,x1\n1,0,"1.0\n"\n\n2,0,2.0\n2,1,3.0\n')
+    with pytest.raises(DataError, match="line 4: y must be"):
+        load_long_csv(f)
+
+
+def test_quoted_fields_and_crlf_load(tmp_path):
+    f = tmp_path / "d.csv"
+    f.write_bytes(b'"sample","y","x1"\r\n"1", 0 ,"1.5"\r\n2,"1", 2.5 \r\n')
+    ds = load_long_csv(f)
+    assert ds.sample.tolist() == [1, 2]
+    assert ds.X[:, 0].tolist() == [1.5, 2.5]
+    f.write_bytes(b'age,scar,cases,controls\r\n"2.5",0,"1",24\r\n2.5,"1",0, 31\r\n')
+    ds = load_casecontrol_csv(f)
+    assert ds.X.tolist() == [[0.0, 2.5], [0.0, 2.5], [1.0, 2.5]]
+    assert ds.multiplicity.tolist() == [24, 1, 31]
+
+
+def test_casecontrol_transform_on_age_array_matches_per_row(tmp_path):
+    ages = np.random.default_rng(0).uniform(-7, 80, 200)
+    f = tmp_path / "cc.csv"
+    f.write_text(
+        "age,scar,cases,controls\n" + "".join(f"{a:.17g},{i % 2},3,2\n" for i, a in enumerate(ages))
+    )
+    X, _, _ = casecontrol_csv_reference(f, transform_age)
+    got = load_casecontrol_csv(f, transform=transform_age).X
+    np.testing.assert_array_equal(got.view(np.int64), X.view(np.int64))

@@ -50,7 +50,10 @@ def gauss_data():
 def test_multiplicity_weighting(gauss_data):
     model = GaussianLocation()
     params = np.array([0.1, 1.5])
-    exp = gauss_data.expanded()
+    m = gauss_data.multiplicity
+    exp = MultisampleDataset.from_columns(
+        np.repeat(gauss_data.X, m, axis=0), np.repeat(gauss_data.sample, m), np.ones(m.sum())
+    )
     assert log_likelihood(model, params, gauss_data) == pytest.approx(
         log_likelihood(model, params, exp), abs=1e-14
     )
