@@ -3,7 +3,7 @@
 Subcommands: ``fit`` (one method), ``compare`` (all methods plus relative
 efficiencies), ``validate`` (numerical identity suite, optionally with the
 Monte Carlo variance study), ``bench`` (median fit wall time per method,
-with the Python and numpy versions and CPU count under ``--format json``).
+with the Python, numpy and BLAS versions and CPU count under ``--format json``).
 
 Exit codes: 0 success, 1 input error, 2 solver non-convergence,
 3 validation failure.  The ``SEMEST_THREADS`` environment variable caps the
@@ -48,13 +48,6 @@ def _add_data_args(p):
 def _add_fit_args(p):
     p.add_argument("--tol", type=float, default=1e-8, help="gradient sup-norm tolerance")
     p.add_argument("--max-iter", type=int, default=200, help="Newton iteration cap")
-    p.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="random seed (the deterministic fits ignore it; kept for "
-        "interface stability)",
-    )
 
 
 def _add_output_args(p):
@@ -200,10 +193,16 @@ def _cmd_bench(args):
         import numpy
 
         affinity = getattr(os, "sched_getaffinity", None)
+        try:  # mode="dicts" is numpy >= 1.26
+            blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            blas = {"name": blas.get("name"), "version": blas.get("version")}
+        except TypeError:
+            blas = None
         report = {
             "python": platform.python_version(),
             "numpy": numpy.__version__,
             "nproc": len(affinity(0)) if affinity else os.cpu_count(),
+            "blas": blas,
             "methods": stats,
         }
         print(json.dumps(report, indent=2))

@@ -15,6 +15,7 @@ import io
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -75,6 +76,14 @@ def positions(support, X):
         raise EvaluationError(f"covariate value {missing} not in the support") from None
 
 
+def support_positions(support, data):
+    """Position in ``support`` of each row of ``data``: ``data.support_index``
+    itself when ``support`` is the array ``data.support``."""
+    if data.support is support:
+        return data.support_index
+    return positions(support, data.support)[data.support_index]
+
+
 class ObservationView(Sequence):
     """Read-only sequence of a dataset's rows as ``Observation`` objects,
     each built when it is read."""
@@ -116,6 +125,9 @@ class MultisampleDataset:
         Pooled empirical frequency of each support point (sums to 1).
     support_index : ndarray, shape (N,)
         Index into ``support`` of each row's covariate vector.
+
+    ``support``, ``support_index`` and ``pooled_freq`` are computed from ``X``
+    on first read, once per dataset; the reparametrized fits never read them.
     """
 
     def __init__(self, observations, n_samples=None):
@@ -161,8 +173,6 @@ class MultisampleDataset:
         for s in range(S):
             if sizes[s] == 0:
                 raise DataError(f"empty sample {s + 1}")
-        n = int(sizes.sum())
-        support, idx = _support(X)
 
         self.X = X
         self.sample = sample
@@ -170,11 +180,19 @@ class MultisampleDataset:
         self.multiplicity = multiplicity
         self.n_samples = S
         self.sample_sizes = sizes
-        self.n = n
+        self.n = int(sizes.sum())
         self.p = X.shape[1]
-        self.support = support
-        self.pooled_freq = np.bincount(idx, weights=multiplicity / n, minlength=len(support))
-        self.support_index = idx
+
+    @cached_property
+    def _support_table(self):
+        return _support(self.X)
+
+    support = property(lambda self: self._support_table[0])
+    support_index = property(lambda self: self._support_table[1])
+
+    @cached_property
+    def pooled_freq(self):
+        return np.bincount(self.support_index, self.multiplicity / self.n, len(self.support))
 
 
 @dataclass(frozen=True)
@@ -244,7 +262,10 @@ def _read_csv(path):
     except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
         raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
     fh = io.StringIO(text, newline="")
-    header = next(csv.reader(fh), None)
+    try:
+        header = next(csv.reader(fh), None)
+    except csv.Error as exc:  # a field over the csv module's size limit
+        raise DataError(f"line 1: {exc}") from None
     if header is None:
         raise DataError("no observations: empty file")
     return [h.strip() for h in header], text[fh.tell():]
@@ -273,12 +294,13 @@ def _columns(body, converters):
         lines = [n for n, line in enumerate(physical, start=2) if line.strip("\r\n")]
     if len(table) and len(table) == len(lines):
         return lines, [table[name] for name in dtype.names]
-    records = csv.reader(io.StringIO(body, newline=""))
-    rows = [
-        (lineno, row)
-        for lineno, row in enumerate(records, start=2)
-        if any(map(str.strip, row))
-    ]
+    rows, lineno = [], 1
+    try:
+        for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+            if any(map(str.strip, row)):
+                rows.append((lineno, row))
+    except csv.Error as exc:  # a field over the csv module's size limit
+        raise DataError(f"line {lineno + 1}: {exc}") from None
     if not rows:
         raise DataError("no observations")
     for lineno, row in rows:

@@ -98,15 +98,15 @@ def evaluate(model, params, dataset, order):
 
 def _require_finite(dataset, theta, rows, what):
     """EvaluationError naming the first row whose value is not finite."""
-    bad = ~np.all(np.isfinite(rows.reshape(len(rows), -1)), axis=1)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        obs = dataset.observations[i]
-        raise EvaluationError(
-            f"non-finite {what} ({rows[i]}) at observation {obs}",
-            observation=obs,
-            params=theta,
-        )
+    if np.isfinite(rows).all():
+        return
+    i = int(np.argmin(np.all(np.isfinite(rows.reshape(len(rows), -1)), axis=1)))
+    obs = dataset.observations[i]
+    raise EvaluationError(
+        f"non-finite {what} ({rows[i]}) at observation {obs}",
+        observation=obs,
+        params=theta,
+    )
 
 
 def log_likelihood(model, params, dataset) -> float:

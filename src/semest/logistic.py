@@ -23,7 +23,9 @@ from importlib import resources
 
 import numpy as np
 
-from .data import MultisampleDataset, Weights, _casecontrol_columns, _casecontrol_dataset, positions
+from .data import (
+    MultisampleDataset, Weights, _casecontrol_columns, _casecontrol_dataset, support_positions,
+)
 from .errors import DataError
 from .likelihood import ArrayModel
 from .reparam import ConditionalFamily, WeightFunctionSpec
@@ -155,7 +157,7 @@ class FullMLELogisticModel(ArrayModel):
         t = params[: self.n_theta]
         g = DiscreteG.to_g(params[self.n_theta :])
         y = data.sample - 1
-        k = positions(self.support, data.support)[data.support_index]
+        k = support_positions(self.support, data)
         Z = self._Z
         eta = Z @ t
         mu = _sigmoid(eta)

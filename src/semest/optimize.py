@@ -43,7 +43,6 @@ class FitResult:
     hessian: np.ndarray
     warnings: list = field(default_factory=list)
     runtime: float = 0.0
-    model: object = None
 
     def require_converged(self):
         if not self.converged:
@@ -152,6 +151,5 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
         hessian=hess,
         warnings=warnings,
         runtime=runtime,
-        model=model,
     )
 

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import MultisampleDataset, Weights, positions
+from .data import MultisampleDataset, Weights, positions, support_positions
 from .errors import ConvergenceError, DataError, EvaluationError
 from .likelihood import ArrayModel
 
@@ -255,7 +255,7 @@ class ReparamModel(ArrayModel):
                 raise EvaluationError("x has zero selection mass under all strata")
             val = self.family.log_f(y, X, theta) - np.log(denom) - np.log(qv[s])
             if self.include_fstar:
-                k = positions(self.fstar.support, data.support)[data.support_index]
+                k = support_positions(self.fstar.support, data)
                 val = val + np.log(self.fstar.values[k])
             return val
 

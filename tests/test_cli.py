@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 import semest.data
@@ -91,6 +92,11 @@ def test_bench_json(capsys):
         assert row["median_ms"] > 0 and row["iterations"] > 0 and row["n_params"] >= 3
     assert payload["nproc"] >= 1
     assert payload["python"] and payload["numpy"]
+    # null only on numpy < 1.26, which has no show_config(mode="dicts")
+    if np.lib.NumpyVersion(np.__version__) < "1.26.0":
+        assert payload["blas"] is None
+    else:
+        assert set(payload["blas"]) == {"name", "version"} and payload["blas"]["name"]
 
 
 def test_missing_input_exits_1(capsys):
@@ -138,6 +144,20 @@ def test_bad_rows_exit_1_naming_the_line(tmp_path, capsys, schema, text):
     f.write_text(text)
     assert main(["fit", "--input", str(f), "--schema", schema]) == 1
     assert "error: line 3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "schema, row",
+    [("long", "2,1,{big},2.0"), ("casecontrol", "{big},1,1,31")],
+)
+def test_oversize_field_exits_1_naming_the_line(tmp_path, capsys, schema, row):
+    # longer than the csv module's field limit, and not a number loadtxt takes
+    header = "sample,y,x1,x2" if schema == "long" else "age,scar,cases,controls"
+    first = "1,0,1.0,2.0" if schema == "long" else "2.5,0,1,24"
+    f = tmp_path / "big.csv"
+    f.write_text(f"{header}\n{first}\n{row.format(big='x' * 200000)}\n")
+    assert main(["fit", "--input", str(f), "--schema", schema]) == 1
+    assert "error: line 3: field larger than field limit" in capsys.readouterr().err
 
 
 def test_nonconvergence_exits_2(capsys):

@@ -69,6 +69,30 @@ def test_support_index_consistent(leprosy):
         assert np.array_equal(leprosy.support[k], obs.x)
 
 
+def test_support_computed_once_and_only_when_read(tmp_path, monkeypatch):
+    import semest.data
+    from semest.analysis import fit_method
+
+    calls = []
+    support = semest.data._support
+    monkeypatch.setattr(semest.data, "_support", lambda X: calls.append(1) or support(X))
+    rng = np.random.default_rng(5)
+    X = np.round(rng.normal(size=(40, 2)), 1)
+    f = tmp_path / "d.csv"
+    rows = (f"{1 + (i % 2)},{i % 2},{a!r},{b!r}" for i, (a, b) in enumerate(X.tolist()))
+    f.write_text("sample,y,x1,x2\n" + "\n".join(rows) + "\n")
+    ds = load_long_csv(f)
+    for method in ("reparam-id", "reparam-nonid"):
+        fit_method(ds, method, covariate_labels=("x1", "x2"))
+    assert len(calls) == 0
+    want = support_reference(X)
+    for _ in range(2):
+        got = (ds.support, ds.support_index, ds.pooled_freq)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert len(calls) == 1
+
+
 def test_empty_sample_rejected():
     with pytest.raises(DataError, match="empty sample"):
         MultisampleDataset([Observation(2, [1.0])], n_samples=2)

@@ -70,6 +70,21 @@ def test_array_pass_matches_row_loop(name, leprosy, leprosy_weights, rng):
         assert _rel_diff(rows, scores) < 1e-12
 
 
+def test_own_support_index_matches_support_lookup(leprosy, leprosy_weights, rng):
+    """A model built on a dataset reads its support_index directly; on a copy
+    with its own support array it looks the points up.  Same numbers."""
+    copy = MultisampleDataset.from_columns(leprosy.X, leprosy.sample, leprosy.multiplicity)
+    mle = build_full_mle_model(leprosy)
+    generic = casecontrol_reparam_model(leprosy, leprosy_weights, include_fstar=True)
+    assert copy.support is not mle.support is leprosy.support is generic.fstar.support
+    for model in (mle, generic):
+        params = rng.uniform(-1.0, 1.0, size=model.n_params)
+        for order in (0, 1, 2):
+            np.testing.assert_array_equal(
+                evaluate(model, params, leprosy, order), evaluate(model, params, copy, order)
+            )
+
+
 def _regrouped(dataset, seed):
     """The same units as ``dataset`` with every multiplicity above 1 split
     over two rows at a random point, and all rows shuffled.  ``dataset`` is

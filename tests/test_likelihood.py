@@ -13,6 +13,7 @@ from semest import (
     compute_weights,
     log_likelihood,
 )
+from semest.likelihood import ArrayModel
 
 
 class GaussianLocation(ModelSpec):
@@ -84,6 +85,27 @@ def test_nonfinite_reports_observation(gauss_data):
         log_likelihood(NonFinite(), np.zeros(2), gauss_data)
     assert exc.value.observation is not None
     assert exc.value.observation.sample == 2
+
+
+class NaNAtRow3(ArrayModel):
+    """Array model whose log-density and score are NaN at row 3 only."""
+
+    param_labels = ("a",)
+
+    def evaluate(self, params, data, order):
+        rows = np.zeros((len(data.sample), 1))
+        rows[3] = np.nan
+        return rows[:, 0] if order == 0 else rows if order == 1 else np.zeros((1, 1))
+
+
+@pytest.mark.parametrize("quantity", [log_likelihood, aggregate_score])
+def test_array_model_nonfinite_names_the_row(leprosy, quantity):
+    with pytest.raises(EvaluationError) as exc:
+        quantity(NaNAtRow3(), np.zeros(1), leprosy)
+    got, want = exc.value.observation, leprosy.observations[3]
+    assert (got.sample, got.x.tolist(), got.multiplicity) == (
+        want.sample, want.x.tolist(), want.multiplicity
+    )
 
 
 def test_fixed_subset_model(leprosy, leprosy_weights):
