@@ -1,20 +1,10 @@
 """semest: efficient semiparametric estimation in multisample models via
 reparametrized least-favorable submodels."""
 
-import os as _os
-
-# Cap linear-algebra thread pools before numpy is first imported ("0" or
-# unset means automatic).
-_threads = _os.environ.get("SEMEST_THREADS")
-if _threads and _threads != "0":
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _threads)
-
 from .analysis import METHODS, bench_methods, compare_methods, fit_method
 from .data import (
     MultisampleDataset,
     Observation,
-    Params,
     Weights,
     compute_weights,
     load_casecontrol_csv,
@@ -39,7 +29,6 @@ from .inference import (
     standard_errors,
 )
 from .likelihood import (
-    FixedSubsetModel,
     ModelSpec,
     aggregate_hessian,
     aggregate_score,
@@ -62,8 +51,6 @@ from .reparam import (
     check_normalization,
     fixed_point_q,
     fstar_empirical,
-    g_hat,
-    log_density_star,
 )
 from .validate import (
     FDConfig,
@@ -86,7 +73,6 @@ __all__ = [
     "fit_method",
     "MultisampleDataset",
     "Observation",
-    "Params",
     "Weights",
     "compute_weights",
     "load_casecontrol_csv",
@@ -105,7 +91,6 @@ __all__ = [
     "info_blocks_observed",
     "relative_efficiency",
     "standard_errors",
-    "FixedSubsetModel",
     "ModelSpec",
     "aggregate_hessian",
     "aggregate_score",
@@ -126,8 +111,6 @@ __all__ = [
     "check_normalization",
     "fixed_point_q",
     "fstar_empirical",
-    "g_hat",
-    "log_density_star",
     "FDConfig",
     "MonteCarloReport",
     "ToyInstance",

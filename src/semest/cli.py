@@ -6,8 +6,9 @@ Monte Carlo variance study), ``bench`` (median fit wall time per method,
 with the Python, numpy and BLAS versions and CPU count under ``--format json``).
 
 Exit codes: 0 success, 1 input error, 2 solver non-convergence,
-3 validation failure.  The ``SEMEST_THREADS`` environment variable caps the
-linear-algebra thread pools (applied at package import).
+3 validation failure.  The linear-algebra thread pools follow the standard
+BLAS variables (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``,
+``MKL_NUM_THREADS``).
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ import csv
 import io
 import warnings
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -162,6 +162,8 @@ class MultisampleDataset:
             raise DataError("X must be (N, p), with a sample and a multiplicity per row")
         if not len(X):
             raise DataError("no observations")
+        if not X.shape[1]:
+            raise DataError("X must have at least one covariate column")
         if np.any(multiplicity < 1):
             raise DataError(f"multiplicity must be >= 1, got {multiplicity.min()}")
         if np.any(sample < 1):
@@ -215,42 +217,6 @@ class Weights:
 def compute_weights(dataset: MultisampleDataset) -> Weights:
     """Exact plug-in sample weights w_s = n_s / n."""
     return Weights(dataset.sample_sizes / dataset.n)
-
-
-@dataclass(frozen=True)
-class Params:
-    """Flat parameter vector partitioned into an interest block and a
-    nuisance block via index arrays.  ``labels`` names every coordinate."""
-
-    values: np.ndarray
-    interest_idx: tuple[int, ...]
-    labels: tuple[str, ...]
-    nuisance_idx: tuple[int, ...] = field(default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
-        if self.nuisance_idx is None:
-            nuis = tuple(
-                i for i in range(len(self.values)) if i not in set(self.interest_idx)
-            )
-            object.__setattr__(self, "nuisance_idx", nuis)
-        if len(self.labels) != len(self.values):
-            raise DataError("labels must match parameter dimension")
-
-    @property
-    def interest(self):
-        return self.values[list(self.interest_idx)]
-
-    @property
-    def nuisance(self):
-        return self.values[list(self.nuisance_idx)]
-
-
-def as_vector(params):
-    """Accept either a Params or a plain array."""
-    if isinstance(params, Params):
-        return params.values
-    return np.asarray(params, dtype=float)
 
 
 def _read_csv(path):

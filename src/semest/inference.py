@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Weights, as_vector
+from .data import Weights
 from .errors import SingularInformationError
-from .likelihood import aggregate_hessian, evaluate
+from .likelihood import evaluate
 
 CONDITION_WARN = 1e10
 PIVOT_TOL = 1e-14
@@ -60,8 +60,7 @@ class CenteredScores:
 
 
 def centered_scores(model, params, dataset) -> CenteredScores:
-    theta = as_vector(params)
-    raw = evaluate(model, theta, dataset, 1)
+    raw = evaluate(model, np.asarray(params, dtype=float), dataset, 1)
     sample = dataset.sample
     mult = dataset.multiplicity.astype(float)
     centered = raw.copy()
@@ -80,21 +79,12 @@ def _partition(full, interest_idx, nuisance_idx):
     return full[np.ix_(i, i)], full[np.ix_(i, j)], full[np.ix_(j, j)]
 
 
-def info_blocks_observed(model, fit, dataset=None) -> InfoBlocks:
+def info_blocks_observed(model, fit, dataset) -> InfoBlocks:
     """Blocks of -n^{-1} x (Hessian at the fit)."""
     fit.require_converged()
-    hess = fit.hessian
-    if hess is None:
-        if dataset is None:
-            raise ValueError("fit carries no Hessian and no dataset was given")
-        hess = aggregate_hessian(model, fit.params, dataset)
-    if dataset is not None:
-        n = dataset.n
-    else:
-        raise ValueError("dataset is required to scale the observed information")
-    full = -hess / n
+    full = -fit.hessian / dataset.n
     I11, I12, I22 = _partition(full, model.interest_idx, model.nuisance_idx)
-    return InfoBlocks(I11, I12, I22, n, "observed-hessian")
+    return InfoBlocks(I11, I12, I22, dataset.n, "observed-hessian")
 
 
 def info_blocks_moments(cs: CenteredScores, weights: Weights, n=None) -> InfoBlocks:
@@ -266,10 +256,9 @@ class EfficiencyReport:
         return "\n".join(lines)
 
 
-def relative_efficiency(report_a: EfficiencyReport, report_ref: EfficiencyReport, kind="variance"):
+def relative_efficiency(report_a: EfficiencyReport, report_ref: EfficiencyReport):
     """Per-coefficient efficiency of ``report_a`` relative to
-    ``report_ref``: the variance ratio (se_ref / se_a)^2 by default, or the
-    plain SE ratio with ``kind='se'``."""
+    ``report_ref``: the variance ratio (se_ref / se_a)^2."""
     common = [lab for lab in report_ref.labels if lab in report_a.labels]
     if not common:
         raise ValueError(
@@ -278,8 +267,4 @@ def relative_efficiency(report_a: EfficiencyReport, report_ref: EfficiencyReport
         )
     se_a = report_a.se_by_label()
     se_ref = report_ref.se_by_label()
-    out = {}
-    for lab in common:
-        ratio = se_ref[lab] / se_a[lab]
-        out[lab] = ratio**2 if kind == "variance" else ratio
-    return out
+    return {lab: (se_ref[lab] / se_a[lab]) ** 2 for lab in common}

@@ -27,7 +27,7 @@ from .data import (
     MultisampleDataset, Weights, _casecontrol_columns, _casecontrol_dataset, support_positions,
 )
 from .errors import DataError
-from .likelihood import ArrayModel
+from .likelihood import ModelSpec
 from .reparam import ConditionalFamily, WeightFunctionSpec
 
 
@@ -50,12 +50,6 @@ def _log1pexp(t):
     return np.logaddexp(0.0, t)
 
 
-def logistic_density(y, x, alpha, beta):
-    """f(y | x; alpha, beta) for y in {0, 1}."""
-    eta = alpha + float(np.dot(np.atleast_1d(x), np.atleast_1d(beta)))
-    return float(np.exp(y * eta - _log1pexp(eta)))
-
-
 def _design(x):
     """Design (1, x): shape (1 + p,) for one point, (N, 1 + p) for N rows."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -67,7 +61,7 @@ def _outer(z):
     return z[..., :, None] * z[..., None, :]
 
 
-class CaseControlLogisticModel(ArrayModel):
+class CaseControlLogisticModel(ModelSpec):
     """Reparametrized case-control logistic model.  Estimation-mode
     log-density y u - log(w0 + w1 e^u) with u = z' params.
 
@@ -131,7 +125,7 @@ class DiscreteG:
         return (phi - phi[-1])[:-1]
 
 
-class FullMLELogisticModel(ArrayModel):
+class FullMLELogisticModel(ModelSpec):
     """Parameters (alpha, beta, phi_1..phi_{K-1}).  Per-observation
     log-density log f(y|v_k) + log g_k - log sum_j f(y|v_j) g_j.
 
@@ -160,14 +154,20 @@ class FullMLELogisticModel(ArrayModel):
         k = support_positions(self.support, data)
         Z = self._Z
         eta = Z @ t
-        mu = _sigmoid(eta)
-        f = np.stack([1.0 - mu, mu])  # f(y | v_j), (2, K)
+        # mu = f(1 | v_j) and nu = 1 - mu from one exp(-|eta|): the complement
+        # keeps its relative precision where mu rounds to 1 (large alpha on
+        # the flat intercept ridge), so the score can still reach grad_tol
+        e = np.exp(-np.abs(eta))
+        up = eta >= 0
+        mu = np.where(up, 1.0, e) / (1.0 + e)
+        nu = np.where(up, e, 1.0) / (1.0 + e)
+        f = np.stack([nu, mu])  # f(y | v_j), (2, K)
         D = f @ g  # (2,)
         if order == 0:
             logf_k = y * eta[k] - _log1pexp(eta[k])
             return logf_k + np.log(g[k]) - np.log(D[y])
         a = g * f / D[:, None]
-        b = np.stack([-mu, 1.0 - mu])  # y - mu
+        b = np.stack([-mu, nu])  # y - mu
         m = (a * b) @ Z  # (2, 1+p)
         if order == 1:
             grad_t = b[y, k][:, None] * Z[k] - m[y]
@@ -183,7 +183,7 @@ class FullMLELogisticModel(ArrayModel):
             y * self.K + k, weights=data.multiplicity, minlength=2 * self.K
         ).reshape(2, self.K)
         N = M.sum(axis=1)
-        c = mu * (1.0 - mu)
+        c = mu * nu
         diag_w = -c * M.sum(axis=0) - N @ (a * (b**2 - c))
         h_tt = (Z * diag_w[:, None]).T @ Z + (m * N[:, None]).T @ m
         a_ = a[:, :-1]
@@ -236,7 +236,6 @@ def casecontrol_weight_spec(p):
         q_weight=q_weight,
         q_weight_grad=q_weight_grad,
         q_weight_hess=q_weight_hess,
-        partition=True,
     )
 
 

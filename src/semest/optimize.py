@@ -18,15 +18,19 @@ from .errors import EvaluationError
 from .likelihood import aggregate_hessian, aggregate_score, log_likelihood
 
 
+# Line search: step halvings per Newton direction, Armijo sufficient-increase
+# fraction.  Damping lambda: initial value, cap, and factor per escalation.
+MAX_HALVINGS = 40
+ARMIJO = 1e-4
+DAMPING_INIT = 1e-8
+DAMPING_MAX = 1e2
+DAMPING_FACTOR = 10.0
+
+
 @dataclass(frozen=True)
 class FitConfig:
     grad_tol: float = 1e-8
     max_iter: int = 200
-    max_halvings: int = 40
-    armijo: float = 1e-4
-    damping_init: float = 1e-8
-    damping_max: float = 1e2
-    damping_factor: float = 10.0
 
     def __post_init__(self):
         if self.grad_tol <= 0 or self.max_iter <= 0:
@@ -79,7 +83,7 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
     f = log_likelihood(model, x, dataset)
     if not np.isfinite(f):
         raise EvaluationError(f"objective is not finite at params {x}", params=x)
-    lam = cfg.damping_init
+    lam = DAMPING_INIT
     warnings = []
     grad = aggregate_score(model, x, dataset)
     hess = aggregate_hessian(model, x, dataset)
@@ -100,9 +104,9 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
             if cand is not None and np.all(np.isfinite(cand)) and grad @ cand > 0:
                 d = cand
                 break
-            if lam >= cfg.damping_max:
+            if lam >= DAMPING_MAX:
                 break
-            lam = min(lam * cfg.damping_factor, cfg.damping_max)
+            lam = min(lam * DAMPING_FACTOR, DAMPING_MAX)
         if d is None:
             d = grad  # last resort: steepest ascent
         slope = float(grad @ d)
@@ -113,23 +117,23 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
         noise_tol = 1e-11 * max(1.0, abs(f))
         step = 1.0
         accepted = False
-        for _ in range(cfg.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             trial = x + step * d
             f_trial = _try_objective(model, trial, dataset)
-            if f_trial >= f + cfg.armijo * step * slope - noise_tol:
+            if f_trial >= f + ARMIJO * step * slope - noise_tol:
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
-            if lam >= cfg.damping_max:
+            if lam >= DAMPING_MAX:
                 warnings.append("line search stalled at maximum damping")
                 break
-            lam = min(lam * cfg.damping_factor, cfg.damping_max)
+            lam = min(lam * DAMPING_FACTOR, DAMPING_MAX)
             continue
 
         x = trial
         f = f_trial
-        lam = max(lam / cfg.damping_factor, cfg.damping_init)
+        lam = max(lam / DAMPING_FACTOR, DAMPING_INIT)
         grad = aggregate_score(model, x, dataset)
         hess = aggregate_hessian(model, x, dataset)
         gnorm = float(np.max(np.abs(grad)))

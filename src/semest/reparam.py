@@ -17,8 +17,8 @@ the code preserves it.
 ``fstar`` here is the weighted pooled empirical covariate distribution
 (mixture of within-sample empirical marginals with weights w_s).  With the
 exact plug-in weights w_s = n_s/n this equals the pooled relative frequency.
-The additive log fstar(x) term is constant in (theta, q); estimation mode
-drops it, which changes no score, Hessian, or standard error.
+The additive log fstar(x) term is constant in (theta, q); the
+log-likelihood drops it, which changes no score, Hessian, or standard error.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from typing import Callable
 
 import numpy as np
 
-from .data import MultisampleDataset, Weights, positions, support_positions
+from .data import MultisampleDataset, Weights
 from .errors import ConvergenceError, DataError, EvaluationError
-from .likelihood import ArrayModel
+from .likelihood import ModelSpec
 
 
 @dataclass(frozen=True)
@@ -39,15 +39,13 @@ class WeightFunctionSpec:
 
     ``q_weight(x, theta)`` returns the vector (Q_{1|X}, ..., Q_{S|X}) at x;
     ``q_weight_grad`` its theta-Jacobian with shape (S, d); ``q_weight_hess``
-    the stacked theta-Hessians with shape (S, d, d).  ``partition=True``
-    asserts sum_s Q_{s|X}(x; theta) = 1 for stratified designs.
+    the stacked theta-Hessians with shape (S, d, d).
     """
 
     n_strata: int
     q_weight: Callable
     q_weight_grad: Callable
     q_weight_hess: Callable
-    partition: bool = False
 
 
 @dataclass(frozen=True)
@@ -69,9 +67,6 @@ class FStarEstimate:
     def __post_init__(self):
         if np.any(self.values < 0):
             raise DataError("fstar values must be nonnegative")
-
-    def lookup(self, x):
-        return self.values[positions(self.support, x)[0]]
 
 
 @dataclass(frozen=True)
@@ -109,65 +104,9 @@ def _denominator(wspec, x, theta, q, weights):
     return Q, float(np.sum(weights.w * Q / q.q))
 
 
-def g_hat(wspec, x, theta, q: QVector, fstar: FStarEstimate, weights: Weights):
-    """Least-favorable nuisance density value at x."""
-    _, denom = _denominator(wspec, x, theta, q, weights)
-    if denom <= 0.0:
-        raise EvaluationError("x has zero selection mass under all strata")
-    return fstar.lookup(x) / denom
-
-
-def log_density_star(
-    wspec,
-    family: ConditionalFamily,
-    s,
-    y,
-    x,
-    theta,
-    q: QVector,
-    fstar,
-    weights,
-    include_fstar=False,
-):
-    """log p*_s(y, x; theta, q).
-
-    ``include_fstar=False`` (estimation mode) drops the parameter-free
-    log fstar(x) term; scores and Hessians are unaffected either way.
-    """
-    Q, denom = _denominator(wspec, x, theta, q, weights)
-    if Q[s - 1] <= 0.0:
-        raise EvaluationError(
-            f"observation inconsistent with its stratum: Q_{s}|X = 0 at x={x}"
-        )
-    if denom <= 0.0:
-        raise EvaluationError("x has zero selection mass under all strata")
-    val = family.log_f(y, x, theta) - np.log(denom) - np.log(q.q[s - 1])
-    if include_fstar:
-        val += np.log(fstar.lookup(x))
-    return val
-
-
-def score_q(wspec, s, x, theta, q: QVector, weights):
-    """Analytic q-gradient of log p*_s, components j = 1..S-1.
-
-    This is the exact per-observation derivative
-    ``(w_j Q_j / q_j^2) / denom - 1_{s=j} / q_j``; its sample-weighted
-    aggregate coincides with the population form that replaces the
-    indicator with w_j, because w_j = n_j / n exactly.
-    """
-    Q, denom = _denominator(wspec, x, theta, q, weights)
-    S = wspec.n_strata
-    out = np.empty(S - 1)
-    for j in range(S - 1):
-        out[j] = (weights.w[j] * Q[j] / q.q[j] ** 2) / denom
-        if s - 1 == j:
-            out[j] -= 1.0 / q.q[j]
-    return out
-
-
 def check_normalization(wspec, theta, q: QVector, fstar: FStarEstimate, weights):
-    """sum_s w_s sum_k p*_s-mass at v_k, full mode.  Identically 1 for any
-    admissible (theta, q) when fstar sums to 1."""
+    """sum_s w_s sum_k p*_s-mass at v_k, with fstar included.  Identically 1
+    for any admissible (theta, q) when fstar sums to 1."""
     total = 0.0
     for k, v in enumerate(fstar.support):
         Q, denom = _denominator(wspec, v, theta, q, weights)
@@ -178,12 +117,10 @@ def check_normalization(wspec, theta, q: QVector, fstar: FStarEstimate, weights)
     return total
 
 
-def fixed_point_q(
-    wspec, theta, fstar: FStarEstimate, weights, tol=1e-10, max_iter=500, damping=1.0
-):
+def fixed_point_q(wspec, theta, fstar: FStarEstimate, weights, tol=1e-10, max_iter=500):
     """Solve the self-consistency equations Q_s = sum_k Q_{s|X}(v_k) g(v_k)
-    by damped fixed-point iteration; returns the normalized QVector
-    (last component 1).  Raises ConvergenceError on divergence."""
+    by fixed-point iteration; returns the normalized QVector (last
+    component 1).  Raises ConvergenceError on divergence."""
     S = wspec.n_strata
     Qmat = np.array([wspec.q_weight(v, theta) for v in fstar.support])  # (K, S)
     qs = np.ones(S)
@@ -193,12 +130,10 @@ def fixed_point_q(
             raise EvaluationError("x has zero selection mass under all strata")
         ghat = fstar.values / denom
         new = Qmat.T @ ghat  # (S,)
-        step = new - qs
-        qs_next = qs + damping * step
-        if np.any(qs_next <= 0.0):
+        if np.any(new <= 0.0):
             raise ConvergenceError("fixed-point iterate left the positive orthant")
-        delta = np.max(np.abs(qs_next - qs))
-        qs = qs_next
+        delta = np.max(np.abs(new - qs))
+        qs = new
         if delta < tol:
             return QVector(qs / qs[-1])
     raise ConvergenceError(
@@ -206,7 +141,7 @@ def fixed_point_q(
     )
 
 
-class ReparamModel(ArrayModel):
+class ReparamModel(ModelSpec):
     """ModelSpec over (theta, log q_1..log q_{S-1}) for the reparametrized
     submodel.  The free nuisance coordinates are log q to keep Newton
     unconstrained; scores and Hessians apply the chain rule accordingly.
@@ -218,12 +153,11 @@ class ReparamModel(ArrayModel):
     gradient (N, d) and Hessian (N, d, d).
     """
 
-    def __init__(self, wspec, family, fstar, weights, theta_labels, include_fstar=False):
+    def __init__(self, wspec, family, fstar, weights, theta_labels):
         self.wspec = wspec
         self.family = family
         self.fstar = fstar
         self.weights = weights
-        self.include_fstar = include_fstar
         S = wspec.n_strata
         self.n_theta = len(theta_labels)
         self.param_labels = tuple(theta_labels) + tuple(
@@ -253,11 +187,7 @@ class ReparamModel(ArrayModel):
                 )
             if np.any(denom <= 0.0):
                 raise EvaluationError("x has zero selection mass under all strata")
-            val = self.family.log_f(y, X, theta) - np.log(denom) - np.log(qv[s])
-            if self.include_fstar:
-                k = support_positions(self.fstar.support, data)
-                val = val + np.log(self.fstar.values[k])
-            return val
+            return self.family.log_f(y, X, theta) - np.log(denom) - np.log(qv[s])
 
         dQ = np.asarray(self.wspec.q_weight_grad(X, theta), dtype=float)  # (N, S, d)
         r = np.einsum("s,nsd->nd", w / qv, dQ) / denom[:, None]  # d log denom / d theta

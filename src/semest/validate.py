@@ -11,11 +11,11 @@ variance formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .data import MultisampleDataset, Observation, Weights, compute_weights
+from .data import MultisampleDataset, Observation, Weights, compute_weights, observation_rows
 from .errors import ConvergenceError, EvaluationError
 from .inference import (
     InfoBlocks,
@@ -27,8 +27,7 @@ from .inference import (
     standard_errors,
 )
 from .likelihood import (
-    ArrayModel,
-    FixedSubsetModel,
+    ModelSpec,
     aggregate_hessian,
     aggregate_score,
     evaluate,
@@ -41,7 +40,7 @@ from .logistic import (
     casecontrol_weight_spec,
 )
 from .optimize import FitConfig, maximize
-from .reparam import FStarEstimate, QVector, ReparamModel, fstar_empirical
+from .reparam import FStarEstimate, QVector, ReparamModel, fixed_point_q, fstar_empirical
 
 
 @dataclass(frozen=True)
@@ -93,39 +92,21 @@ def fd_hessian(f, x, cfg: FDConfig | None = None):
     return H
 
 
-def check_stationarity(
-    model: ReparamModel,
-    theta,
-    dataset,
-    grad_tol=1e-10,
-    cfg: FitConfig | None = None,
-):
-    """Profile the nuisance q at fixed theta and return the sup-norm of the
-    self-consistency residual max_j |sum_k Q_j(v_k) g_hat(v_k) - q_j|.
+def check_stationarity(model: ReparamModel, theta, dataset, tol=1e-10):
+    """Profile the nuisance q at fixed theta by the self-consistency fixed
+    point (to ``tol``) and return the likelihood's log-q score there,
+    max_j |d loglik / d log q_j| / n.
 
-    Vacuously 0 when there is no free q (S = 1)."""
-    wspec = model.wspec
-    S = wspec.n_strata
-    if S == 1:
+    The fixed point solves the self-consistency equations, the score comes
+    from the model's likelihood: a model whose q-profile is not the
+    self-consistency point shows a nonzero score.  Vacuously 0 when there
+    is no free q (S = 1)."""
+    if model.wspec.n_strata == 1:
         return 0.0
     theta = np.asarray(theta, dtype=float)
-    full0 = np.concatenate([theta, np.zeros(S - 1)])
-    free_idx = tuple(range(model.n_theta, model.n_theta + S - 1))
-    inner = FixedSubsetModel(model, free_idx, full0)
-    cfg = cfg or FitConfig(grad_tol=grad_tol, max_iter=200)
-    fit = maximize(inner, dataset, init=np.zeros(S - 1), cfg=cfg)
-    if not fit.converged:
-        raise ConvergenceError(
-            f"inner q-maximization did not converge (grad_norm={fit.grad_norm:.3e})"
-        )
-    q = QVector.from_free(np.exp(fit.params))
-    fstar = model.fstar
-    w = model.weights.w
-    Qmat = np.array([wspec.q_weight(v, theta) for v in fstar.support])  # (K, S)
-    denom = (Qmat / q.q) @ w
-    ghat = fstar.values / denom
-    resid = Qmat.T @ ghat - q.q
-    return float(np.max(np.abs(resid)))
+    q = fixed_point_q(model.wspec, theta, model.fstar, model.weights, tol=tol)
+    score = aggregate_score(model, np.concatenate([theta, np.log(q.free)]), dataset)
+    return float(np.max(np.abs(score[model.n_theta :]))) / dataset.n
 
 
 @dataclass(frozen=True)
@@ -197,9 +178,10 @@ def brute_force_info(toy: ToyInstance, params=None, max_outcomes=10_000):
     full = np.zeros((d, d))
     for s in (1, 2):
         probs = toy.cond_probs(s)
-        scores = np.array(
-            [model.score(Observation(s, v, float(s - 1)), params) for v in toy.support]
-        )
+        scores = np.array([
+            evaluate(model, params, observation_rows(Observation(s, v)), 1)[0]
+            for v in toy.support
+        ])
         mean = probs @ scores
         centered = scores - mean
         full += toy.weights.w[s - 1] * (centered * probs[:, None]).T @ centered
@@ -329,7 +311,7 @@ def monte_carlo_variance(
     )
 
 
-def casecontrol_reparam_model(dataset, weights=None, include_fstar=False):
+def casecontrol_reparam_model(dataset, weights=None):
     """Generic reparametrized model (theta = (alpha, beta), nuisance
     q = (q_1, 1)) for a two-stratum case-control dataset."""
     weights = weights or compute_weights(dataset)
@@ -337,7 +319,7 @@ def casecontrol_reparam_model(dataset, weights=None, include_fstar=False):
     family = casecontrol_family()
     fstar = fstar_empirical(dataset, weights)
     labels = ("alpha",) + tuple(f"x{i+1}" for i in range(dataset.p))
-    return ReparamModel(wspec, family, fstar, weights, labels, include_fstar=include_fstar)
+    return ReparamModel(wspec, family, fstar, weights, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +334,7 @@ class CheckResult:
     detail: str = ""
 
 
-class _BrokenScoreModel(ArrayModel):
+class _BrokenScoreModel(ModelSpec):
     """Negative-control wrapper: corrupts one score component."""
 
     def __init__(self, base):
@@ -372,7 +354,7 @@ def _random_admissible(rng, dim, scale=1.0):
     return scale * rng.uniform(-1.0, 1.0, size=dim)
 
 
-def run_suite(seed=0, mc=False, reps=500, inject_broken_score=False, progress=None):
+def run_suite(seed=0, mc=False, reps=500, inject_broken_score=False):
     """Run the full identity/oracle suite on the bundled dataset.  Returns
     a list of CheckResult; the optional Monte Carlo stage appends its
     variance report as a final entry."""
@@ -444,7 +426,7 @@ def run_suite(seed=0, mc=False, reps=500, inject_broken_score=False, progress=No
         theta = theta_hat + delta
         worst = max(worst, check_stationarity(reparam, theta, dataset))
     results.append(
-        CheckResult("stationarity", worst < 1e-8, f"max residual {worst:.2e}")
+        CheckResult("stationarity", worst < 1e-8, f"max |score_log_q| / n {worst:.2e}")
     )
 
     # 4 + 5. orthogonality and Schur identity at every fitted model

@@ -1,11 +1,14 @@
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
 import semest.data
 from semest.cli import main
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def test_fit_table(capsys):
@@ -61,6 +64,19 @@ def test_fit_custom_csv(tmp_path, capsys, leprosy):
     assert main(["fit", "--input", str(f), "--method", "reparam-id"]) == 0
     out = capsys.readouterr().out
     assert "-0.30212" in out and "-4.31017" in out
+
+
+def test_mle_converges_off_the_intercept_ridge(capsys):
+    """A wide-support dataset on which damped Newton walks the mle intercept
+    far along its flat ridge (alpha near 31), where 1 - mu rounds to a few
+    ulps; the complement must keep its precision so the score reaches
+    grad_tol.  Generated by perfbench/gen.py: wide_support_csv(1, 12)."""
+    path = str(FIXTURES / "wide_support_ridge_stall.csv")
+    slopes = {}
+    for method in ("mle", "reparam-id"):
+        assert main(["fit", "--input", path, "--method", method, "--format", "json"]) == 0
+        slopes[method] = json.loads(capsys.readouterr().out)["coef"]
+    np.testing.assert_allclose(slopes["mle"], slopes["reparam-id"], rtol=0, atol=1e-6)
 
 
 def test_compare(capsys):

@@ -7,14 +7,12 @@ from semest import (
     DataError,
     MultisampleDataset,
     Observation,
-    Params,
     Weights,
     compute_weights,
     load_casecontrol_csv,
     load_long_csv,
     transform_age,
 )
-from semest.data import as_vector
 from oracles import (
     Rejected,
     casecontrol_csv_reference,
@@ -123,14 +121,11 @@ def test_weights_from_any_sizes(sizes):
     np.testing.assert_allclose(w.w, np.array(sizes) / sum(sizes), atol=1e-15)
 
 
-def test_params_partition():
-    p = Params(np.arange(5.0), interest_idx=(0, 2), labels=("a", "b", "c", "d", "e"))
-    assert p.nuisance_idx == (1, 3, 4)
-    np.testing.assert_array_equal(p.interest, [0.0, 2.0])
-    np.testing.assert_array_equal(as_vector(p), np.arange(5.0))
-    np.testing.assert_array_equal(as_vector([1.0, 2.0]), [1.0, 2.0])
-    with pytest.raises(DataError):
-        Params(np.arange(3.0), (0,), labels=("a", "b"))
+def test_zero_covariate_columns_rejected_at_construction():
+    with pytest.raises(DataError, match="at least one covariate column"):
+        MultisampleDataset.from_columns(np.zeros((3, 0)), [1, 2, 2], [1, 1, 1])
+    with pytest.raises(DataError, match="at least one covariate column"):
+        MultisampleDataset([Observation(1, []), Observation(2, [])])
 
 
 def test_load_long_csv(tmp_path):

@@ -21,6 +21,7 @@ from semest import (
     standard_errors,
 )
 from semest.analysis import METHODS, fit_method
+from semest.data import observation_rows
 from semest.likelihood import evaluate
 from semest.validate import casecontrol_reparam_model
 from oracles import casecontrol_logistic_rows, casecontrol_reparam_rows, full_mle_rows
@@ -65,24 +66,24 @@ def test_array_pass_matches_row_loop(name, leprosy, leprosy_weights, rng):
         total = scores.T @ leprosy.multiplicity
         assert _rel_diff(aggregate_score(model, params, leprosy), total) < 1e-12
         assert _rel_diff(aggregate_hessian(model, params, leprosy), hess) < 1e-12
-        # the per-observation methods are one-row slices of the same pass
-        rows = np.array([model.score(o, params) for o in leprosy.observations])
+        # a one-row dataset gives that row of the same pass
+        rows = np.array([
+            evaluate(model, params, observation_rows(o), 1)[0] for o in leprosy.observations
+        ])
         assert _rel_diff(rows, scores) < 1e-12
 
 
-def test_own_support_index_matches_support_lookup(leprosy, leprosy_weights, rng):
+def test_own_support_index_matches_support_lookup(leprosy, rng):
     """A model built on a dataset reads its support_index directly; on a copy
     with its own support array it looks the points up.  Same numbers."""
     copy = MultisampleDataset.from_columns(leprosy.X, leprosy.sample, leprosy.multiplicity)
     mle = build_full_mle_model(leprosy)
-    generic = casecontrol_reparam_model(leprosy, leprosy_weights, include_fstar=True)
-    assert copy.support is not mle.support is leprosy.support is generic.fstar.support
-    for model in (mle, generic):
-        params = rng.uniform(-1.0, 1.0, size=model.n_params)
-        for order in (0, 1, 2):
-            np.testing.assert_array_equal(
-                evaluate(model, params, leprosy, order), evaluate(model, params, copy, order)
-            )
+    assert copy.support is not mle.support is leprosy.support
+    params = rng.uniform(-1.0, 1.0, size=mle.n_params)
+    for order in (0, 1, 2):
+        np.testing.assert_array_equal(
+            evaluate(mle, params, leprosy, order), evaluate(mle, params, copy, order)
+        )
 
 
 def _regrouped(dataset, seed):
@@ -129,3 +130,25 @@ def test_row_order_and_grouping_invariance(leprosy, leprosy_weights, seed):
         np.testing.assert_allclose(rb.se, ra.se, rtol=1e-10, atol=0)
     for got, ref in zip(_generic_fit(other), _generic_fit(leprosy)):
         np.testing.assert_allclose(got, ref, rtol=1e-10, atol=0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    j=st.sampled_from([0, 1]),
+    c=st.floats(min_value=0.1, max_value=10.0),
+    negative=st.booleans(),
+)
+def test_covariate_rescaling(leprosy, leprosy_reports, j, c, negative):
+    """Scaling covariate j by c scales its slope by 1/c and its standard
+    error by 1/|c|, and leaves the other slope unchanged, for every method."""
+    c = -c if negative else c
+    X = leprosy.X.copy()
+    X[:, j] *= c
+    scaled = MultisampleDataset.from_columns(X, leprosy.sample, leprosy.multiplicity)
+    factor = np.ones(2)
+    factor[j] = c
+    for method in METHODS:
+        ref = leprosy_reports[0][method]
+        _, got, _ = fit_method(scaled, method)
+        np.testing.assert_allclose(got.coef * factor, ref.coef, rtol=1e-8, atol=0)
+        np.testing.assert_allclose(got.se * np.abs(factor), ref.se, rtol=1e-8, atol=0)

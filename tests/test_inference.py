@@ -150,8 +150,9 @@ def test_relative_efficiency_kinds(leprosy_reports):
     eff = relative_efficiency(reports["reparam-id"], reports["mle"])
     for lab in ("Scar", "Age"):
         assert eff[lab] == pytest.approx(1.0, abs=1e-4)
-    eff_se = relative_efficiency(reports["reparam-id"], reports["mle"], kind="se")
-    assert eff_se["Scar"] == pytest.approx(np.sqrt(eff["Scar"]), abs=1e-12)
+    # the variance ratio is the square of the SE ratio
+    se_mle, se_id = reports["mle"].se_by_label(), reports["reparam-id"].se_by_label()
+    assert eff["Scar"] == pytest.approx((se_mle["Scar"] / se_id["Scar"]) ** 2, abs=1e-12)
 
 
 def test_relative_efficiency_label_mismatch(leprosy_reports):
@@ -215,8 +216,8 @@ def test_centered_scores_kill_sample_constants(leprosy):
         interest_idx = (0,)
         nuisance_idx = (1,)
 
-        def score(self, obs, params):
-            return np.array([float(obs.sample), -2.0 * obs.sample])
+        def evaluate(self, params, data, order):
+            return np.column_stack([data.sample, -2.0 * data.sample])
 
     cs = centered_scores(PerSampleConstant(), np.zeros(2), leprosy)
     assert np.max(np.abs(cs.scores)) < 1e-14

@@ -3,17 +3,13 @@ import pytest
 
 from semest import (
     EvaluationError,
-    FixedSubsetModel,
     ModelSpec,
     MultisampleDataset,
     Observation,
     aggregate_hessian,
     aggregate_score,
-    build_identifiable_model,
-    compute_weights,
     log_likelihood,
 )
-from semest.likelihood import ArrayModel
 
 
 class GaussianLocation(ModelSpec):
@@ -22,19 +18,14 @@ class GaussianLocation(ModelSpec):
     param_labels = ("m1", "m2")
     interest_idx = (0,)
 
-    def log_density(self, obs, params):
-        m = params[obs.sample - 1]
-        return -0.5 * float((obs.x[0] - m) ** 2)
-
-    def score(self, obs, params):
-        g = np.zeros(2)
-        g[obs.sample - 1] = obs.x[0] - params[obs.sample - 1]
-        return g
-
-    def hessian(self, obs, params):
-        h = np.zeros((2, 2))
-        h[obs.sample - 1, obs.sample - 1] = -1.0
-        return h
+    def evaluate(self, params, data, order):
+        s = data.sample - 1
+        resid = data.X[:, 0] - np.asarray(params)[s]
+        if order == 0:
+            return -0.5 * resid**2
+        if order == 1:
+            return resid[:, None] * (s[:, None] == np.arange(2))
+        return -np.diag(np.bincount(s, weights=data.multiplicity, minlength=2))
 
 
 @pytest.fixture
@@ -76,8 +67,8 @@ def test_hessian_symmetrized(gauss_data):
 
 
 class NonFinite(GaussianLocation):
-    def log_density(self, obs, params):
-        return float("nan") if obs.sample == 2 else 0.0
+    def evaluate(self, params, data, order):
+        return np.where(data.sample == 2, np.nan, 0.0)
 
 
 def test_nonfinite_reports_observation(gauss_data):
@@ -87,7 +78,7 @@ def test_nonfinite_reports_observation(gauss_data):
     assert exc.value.observation.sample == 2
 
 
-class NaNAtRow3(ArrayModel):
+class NaNAtRow3(ModelSpec):
     """Array model whose log-density and score are NaN at row 3 only."""
 
     param_labels = ("a",)
@@ -108,27 +99,11 @@ def test_array_model_nonfinite_names_the_row(leprosy, quantity):
     )
 
 
-def test_fixed_subset_model(leprosy, leprosy_weights):
-    base = build_identifiable_model(leprosy_weights)
-    full = np.array([1.0, -0.3, -4.0])
-    sub = FixedSubsetModel(base, free_idx=(1, 2), fixed_values=full)
-    free = np.array([-0.3, -4.0])
-    obs = leprosy.observations[0]
-    assert sub.log_density(obs, free) == pytest.approx(
-        base.log_density(obs, full), abs=1e-15
-    )
-    np.testing.assert_allclose(
-        sub.score(obs, free), base.score(obs, full)[1:], atol=1e-15
-    )
-    np.testing.assert_allclose(
-        sub.hessian(obs, free), base.hessian(obs, full)[1:, 1:], atol=1e-15
-    )
-    assert sub.param_labels == ("Scar", "Age")
-
-
 def test_nuisance_idx_complement():
     m = GaussianLocation()
     assert m.nuisance_idx == (1,)
     assert m.n_params == 2
-    p = m.make_params([1.0, 2.0])
-    assert p.interest_idx == (0,)
+
+
+def test_evaluate_is_the_one_contract():
+    assert ModelSpec.__abstractmethods__ == frozenset({"evaluate"})

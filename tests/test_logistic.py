@@ -12,7 +12,9 @@ from semest import (
     log_likelihood,
     transform_age,
 )
-from semest.logistic import DiscreteG, logistic_density
+from semest.data import observation_rows
+from semest.likelihood import evaluate
+from semest.logistic import DiscreteG
 from semest.validate import FDConfig, fd_gradient
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
@@ -24,13 +26,6 @@ def test_transform_age_values():
     with pytest.raises(DataError):
         transform_age(-7.5)
     np.testing.assert_allclose(transform_age(np.array([2.5, 12.5])), [1.0, 0.25])
-
-
-@settings(max_examples=50, deadline=None)
-@given(x=finite, alpha=finite, beta=finite)
-def test_logistic_density_sums_to_one(x, alpha, beta):
-    total = logistic_density(0, x, alpha, beta) + logistic_density(1, x, alpha, beta)
-    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 @settings(max_examples=50, deadline=None)
@@ -62,7 +57,8 @@ def test_identifiable_equals_prospective_offset(leprosy):
             - np.log(w.w[0])
             - y * offset
         )
-        assert model.log_density(obs, params) == pytest.approx(expected, abs=1e-12)
+        got = evaluate(model, params, observation_rows(obs), 0)[0]
+        assert got == pytest.approx(expected, abs=1e-12)
 
 
 def test_discrete_g_roundtrip(rng):
@@ -126,8 +122,3 @@ def test_all_methods_agree_on_slopes(leprosy_reports):
         ses = [reports[m].se_by_label()[lab] for m in reports]
         assert max(ses) - min(ses) < 1e-6
 
-
-def test_logistic_density_reference_values():
-    assert logistic_density(1, [0.0], 0.0, [0.0]) == pytest.approx(0.5)
-    assert logistic_density(1, [1.0], 0.0, [np.log(3.0)]) == pytest.approx(0.75)
-    assert logistic_density(0, [1.0], 0.0, [np.log(3.0)]) == pytest.approx(0.25)

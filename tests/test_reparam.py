@@ -10,14 +10,14 @@ from semest import (
     ToyInstance,
     Weights,
     check_normalization,
-    compute_weights,
     fixed_point_q,
     fstar_empirical,
-    g_hat,
     log_likelihood,
 )
+from semest.data import positions
+from semest.likelihood import aggregate_score
 from semest.logistic import casecontrol_weight_spec
-from semest.reparam import WeightFunctionSpec, log_density_star, score_q
+from semest.reparam import ConditionalFamily, FStarEstimate, ReparamModel, WeightFunctionSpec
 from semest.validate import (
     FDConfig,
     casecontrol_reparam_model,
@@ -104,16 +104,18 @@ def test_stationarity_after_inner_profile(leprosy, leprosy_weights):
 
 
 def test_score_q_aggregate_identity(leprosy, leprosy_weights):
-    # the per-observation indicator form and the weight form agree in the
-    # sample aggregate because w_j = n_j / n exactly
-    wspec = casecontrol_weight_spec(2)
+    # the model's per-observation indicator form and the weight form agree
+    # in the sample aggregate because w_j = n_j / n exactly
+    model = casecontrol_reparam_model(leprosy, leprosy_weights)
+    wspec = model.wspec
     theta = np.array([0.8, -0.4, -2.0])
     q = QVector.from_free([0.6])
-    total_exact = np.zeros(1)
+    params = np.concatenate([theta, np.log(q.free)])
+    # chain rule back from u = log q_1 to q_1
+    total_exact = aggregate_score(model, params, leprosy)[model.n_theta :] / q.free
     total_wform = np.zeros(1)
     w = leprosy_weights.w
     for obs in leprosy.observations:
-        total_exact += obs.multiplicity * score_q(wspec, obs.sample, obs.x, theta, q, leprosy_weights)
         Q = wspec.q_weight(obs.x, theta)
         denom = float(np.sum(w * Q / q.q))
         wform = (w[0] * Q[0] / q.q[0] ** 2) / denom - w[0] / q.q[0]
@@ -128,60 +130,37 @@ def test_zero_mass_errors(leprosy_weights):
         q_weight_grad=lambda x, t: np.zeros((2, 1)),
         q_weight_hess=lambda x, t: np.zeros((2, 1, 1)),
     )
-    from semest.reparam import FStarEstimate
-
     fstar = FStarEstimate(np.array([[0.0]]), np.array([1.0]))
     q = QVector.from_free([1.0])
     with pytest.raises(EvaluationError, match="zero selection mass"):
-        g_hat(wspec, [0.0], np.zeros(1), q, fstar, leprosy_weights)
+        check_normalization(wspec, np.zeros(1), q, fstar, leprosy_weights)
 
 
-def test_inconsistent_stratum_error(leprosy_weights):
+def test_inconsistent_stratum_error(leprosy, leprosy_weights):
+    # Q_{1|X} = 0 everywhere, so every control (stratum 1) is inconsistent
     wspec = WeightFunctionSpec(
         n_strata=2,
-        q_weight=lambda x, t: np.array([0.0, 1.0]),
+        q_weight=lambda x, t: np.broadcast_to([0.0, 1.0], np.shape(x)[:-1] + (2,)),
         q_weight_grad=lambda x, t: np.zeros((2, 1)),
         q_weight_hess=lambda x, t: np.zeros((2, 1, 1)),
     )
-    from semest.reparam import ConditionalFamily, FStarEstimate
-
     family = ConditionalFamily(
         lambda y, x, t: 0.0, lambda y, x, t: np.zeros(1), lambda y, x, t: np.zeros((1, 1))
     )
-    fstar = FStarEstimate(np.array([[0.0]]), np.array([1.0]))
-    with pytest.raises(EvaluationError, match="inconsistent with its stratum"):
-        log_density_star(
-            wspec, family, 1, 0.0, [0.0], np.zeros(1), QVector.from_free([1.0]),
-            fstar, leprosy_weights,
-        )
-
-
-def test_include_fstar_is_constant_shift(leprosy, leprosy_weights):
-    m0 = casecontrol_reparam_model(leprosy, leprosy_weights, include_fstar=False)
-    m1 = casecontrol_reparam_model(leprosy, leprosy_weights, include_fstar=True)
-    shift = None
-    for params in (np.array([0.5, -0.3, -2.0, 0.1]), np.array([-0.2, 0.4, 1.0, -0.3])):
-        d = log_likelihood(m1, params, leprosy) - log_likelihood(m0, params, leprosy)
-        if shift is None:
-            shift = d
-        assert d == pytest.approx(shift, abs=1e-9)
-    expected = sum(
-        o.multiplicity * np.log(m1.fstar.lookup(o.x)) for o in leprosy.observations
-    )
-    assert shift == pytest.approx(expected, abs=1e-9)
-
-
-def test_lookup_unknown_covariate(leprosy, leprosy_weights):
     fstar = fstar_empirical(leprosy, leprosy_weights)
+    model = ReparamModel(wspec, family, fstar, leprosy_weights, ("t",))
+    with pytest.raises(EvaluationError, match="inconsistent with its stratum"):
+        log_likelihood(model, np.zeros(2), leprosy)
+
+
+def test_lookup_unknown_covariate(leprosy):
     with pytest.raises(EvaluationError, match="not in the support"):
-        fstar.lookup([123.0, 456.0])
+        positions(leprosy.support, [123.0, 456.0])
 
 
 def test_normalization_linearity_and_single_stratum(leprosy, leprosy_weights):
     # a deliberately broken plug-in that sums to 0.9 is detected linearly
     model = casecontrol_reparam_model(leprosy, leprosy_weights)
-    from semest.reparam import FStarEstimate
-
     broken = FStarEstimate(model.fstar.support, 0.9 * model.fstar.values)
     theta = np.array([0.4, -0.3, -2.0])
     q = QVector.from_free([0.8])
@@ -194,7 +173,6 @@ def test_normalization_linearity_and_single_stratum(leprosy, leprosy_weights):
         q_weight=lambda x, t: np.array([1.0]),
         q_weight_grad=lambda x, t: np.zeros((1, 1)),
         q_weight_hess=lambda x, t: np.zeros((1, 1, 1)),
-        partition=True,
     )
     total1 = check_normalization(
         wspec1, np.zeros(1), QVector([1.0]), model.fstar, Weights([1.0])
