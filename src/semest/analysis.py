@@ -23,13 +23,13 @@ from __future__ import annotations
 import numpy as np
 
 from .data import compute_weights
+from .errors import SingularInformationError
 from .inference import (
     EfficiencyReport,
     efficient_information,
     info_blocks_observed,
     relative_efficiency,
     standard_errors,
-    _sym_inverse,
 )
 from .logistic import (
     build_full_mle_model,
@@ -44,6 +44,8 @@ _NOT_IDENTIFIED = (
     "intercept is not identified under case-control sampling; "
     "its printed value and standard error are unreliable ('!' rows)"
 )
+# display names of the intercept-type parameters, by parameter label
+_ROW_NAMES = {"alpha": "Intercept", "log_rho1": "log_rho1", "alpha*": "Intercept*"}
 
 
 def _build(dataset, method, covariate_labels, weights):
@@ -60,48 +62,49 @@ def fit_method(dataset, method, cfg=None, covariate_labels=("Scar", "Age"), weig
     """Fit one method on a two-stratum case-control dataset.
 
     Returns (FitResult, EfficiencyReport, model).  The report's ``labels``
-    cover the slope coefficients; intercept-type parameters appear in
-    ``extra_rows`` because their meaning differs across methods.
+    cover the slope coefficients, with standard errors from the efficient
+    information; intercept-type parameters appear in ``extra_rows`` because
+    their meaning differs across methods, with standard errors from the full
+    observed information.  A coordinate that loads on a null direction of
+    either matrix is not identified: an intercept-type row is marked '!'
+    and has no standard error, a slope raises SingularInformationError.
     """
     cfg = cfg or FitConfig()
     weights = weights or compute_weights(dataset)
     model = _build(dataset, method, covariate_labels, weights)
     fit = maximize(model, dataset, cfg=cfg)
-    fit.require_converged()
     blocks = info_blocks_observed(model, fit, dataset)
     istar = efficient_information(blocks)
-    se, warnings, cond = standard_errors(istar, dataset.n)
-    warnings = list(fit.warnings) + warnings
+    se_star, ok_star, cond = standard_errors(istar, dataset.n)
+    se, ok, _ = standard_errors(-fit.hessian / dataset.n, dataset.n)
+    interest = list(model.interest_idx)
+    se[interest] = se_star
+    ok[interest] &= ok_star
 
     p = len(covariate_labels)
-    coef = fit.params[1 : 1 + p]
-    # SEs of every raw coordinate by plain inversion of the observed
-    # information: meaningful for reparam-id, deliberately printed with a
-    # '!' marker for the ridge methods (values depend on the pivot floor)
-    inv_full, _, _ = _sym_inverse(-fit.hessian / dataset.n)
-    se_full = np.sqrt(np.maximum(np.diag(inv_full), 0.0) / dataset.n)
-    extra = {}
-    if method == "mle":
-        # interest block is (alpha, slopes); alpha sits on the flat ridge
-        se_slopes = se[1:]
-        extra["Intercept"] = (float(fit.params[0]), float(se_full[0]), "!")
+    slopes = slice(1, 1 + p)
+    if not ok[slopes].all():
+        names = ", ".join(np.asarray(covariate_labels)[~ok[slopes]])
+        raise SingularInformationError(
+            f"slopes {names} are not identified: they load on a null direction "
+            "of the information (collinear covariates?)"
+        )
+    # the original intercept alpha is not recoverable from alpha*, so its
+    # row stays empty unless the model has it
+    extra = {"Intercept": (None, None, "")}
+    for j, label in enumerate(model.param_labels):
+        if label in _ROW_NAMES:
+            se_j = float(se[j]) if ok[j] else None
+            extra[_ROW_NAMES[label]] = (float(fit.params[j]), se_j, "" if ok[j] else "!")
+    warnings = list(fit.warnings)
+    if any(marker for _, _, marker in extra.values()):
         warnings.append(_NOT_IDENTIFIED)
-    elif method == "reparam-nonid":
-        se_slopes = se[1:]
-        extra["Intercept"] = (float(fit.params[0]), float(se_full[0]), "!")
-        extra["log_rho1"] = (float(fit.params[1 + p]), float(se_full[1 + p]), "!")
-        warnings.append(_NOT_IDENTIFIED)
-    else:  # reparam-id: interest is the slopes, alpha* is the nuisance
-        se_slopes = se
-        # the original intercept alpha is not recoverable from alpha*
-        extra["Intercept"] = (None, None, "")
-        extra["Intercept*"] = (float(fit.params[0]), float(se_full[0]), "")
 
     report = EfficiencyReport(
         method=method,
         labels=tuple(covariate_labels),
-        coef=np.asarray(coef, dtype=float),
-        se=np.asarray(se_slopes, dtype=float),
+        coef=np.asarray(fit.params[slopes], dtype=float),
+        se=se[slopes],
         eff_info=istar,
         cond_number=cond,
         loglik=fit.loglik,

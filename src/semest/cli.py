@@ -5,15 +5,18 @@ efficiencies), ``validate`` (numerical identity suite, optionally with the
 Monte Carlo variance study), ``bench`` (median fit wall time per method,
 with the Python, numpy and BLAS versions and CPU count under ``--format json``).
 
-Exit codes: 0 success, 1 input error, 2 solver non-convergence,
-3 validation failure.  The linear-algebra thread pools follow the standard
-BLAS variables (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``,
-``MKL_NUM_THREADS``).
+Exit codes: 0 success, 1 input error, 2 solver non-convergence or an
+information matrix that does not identify the slopes, 3 validation
+failure.  A stdout closed early (``semest compare | head -1``) ends quietly
+with exit 1, as in Python's documented ``BrokenPipeError`` recipe.  The
+linear-algebra thread pools follow the standard BLAS variables
+(``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, ``MKL_NUM_THREADS``).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .analysis import (
@@ -220,16 +223,18 @@ def _cmd_bench(args):
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    commands = {
+        "fit": _cmd_fit, "compare": _cmd_compare, "validate": _cmd_validate, "bench": _cmd_bench,
+    }
     try:
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "bench":
-            return _cmd_bench(args)
-        parser.error(f"unknown command {args.command!r}")
+        code = commands[args.command](args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # https://docs.python.org/3/library/signal.html#note-on-sigpipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except (DataError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

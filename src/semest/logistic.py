@@ -209,7 +209,7 @@ def build_full_mle_model(dataset, covariate_labels=("Scar", "Age")):
     return FullMLELogisticModel(dataset.support, covariate_labels)
 
 
-def casecontrol_weight_spec(p):
+def casecontrol_weight_spec():
     """WeightFunctionSpec for case-control sampling: Q_{s|X}(x; theta) =
     f(s-1 | x; theta) with theta = (alpha, beta), a partition of the
     outcome space.  Accepts one point x (p,) or rows X (N, p)."""

@@ -99,22 +99,16 @@ def fstar_empirical(dataset: MultisampleDataset, weights: Weights) -> FStarEstim
     return FStarEstimate(dataset.support, values)
 
 
-def _denominator(wspec, x, theta, q, weights):
-    Q = np.asarray(wspec.q_weight(x, theta), dtype=float)
-    return Q, float(np.sum(weights.w * Q / q.q))
-
-
 def check_normalization(wspec, theta, q: QVector, fstar: FStarEstimate, weights):
     """sum_s w_s sum_k p*_s-mass at v_k, with fstar included.  Identically 1
-    for any admissible (theta, q) when fstar sums to 1."""
-    total = 0.0
-    for k, v in enumerate(fstar.support):
-        Q, denom = _denominator(wspec, v, theta, q, weights)
-        if denom <= 0.0:
-            raise EvaluationError("x has zero selection mass under all strata")
-        ghat = fstar.values[k] / denom
-        total += float(np.sum(weights.w * Q / q.q)) * ghat
-    return total
+    for any admissible (theta, q) when fstar sums to 1.  ``wspec`` is called
+    once, on all support rows."""
+    Q = np.asarray(wspec.q_weight(fstar.support, theta), dtype=float)  # (K, S)
+    denom = Q @ (weights.w / q.q)  # (K,)
+    if np.any(denom <= 0.0):
+        raise EvaluationError("x has zero selection mass under all strata")
+    ghat = fstar.values / denom
+    return float((Q.T @ ghat) @ (weights.w / q.q))
 
 
 def fixed_point_q(wspec, theta, fstar: FStarEstimate, weights, tol=1e-10, max_iter=500):
@@ -122,7 +116,7 @@ def fixed_point_q(wspec, theta, fstar: FStarEstimate, weights, tol=1e-10, max_it
     by fixed-point iteration; returns the normalized QVector (last
     component 1).  Raises ConvergenceError on divergence."""
     S = wspec.n_strata
-    Qmat = np.array([wspec.q_weight(v, theta) for v in fstar.support])  # (K, S)
+    Qmat = np.asarray(wspec.q_weight(fstar.support, theta), dtype=float)  # (K, S)
     qs = np.ones(S)
     for _ in range(max_iter):
         denom = (Qmat / qs) @ weights.w  # (K,)

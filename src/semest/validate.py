@@ -24,6 +24,7 @@ from .inference import (
     efficient_score,
     info_blocks_moments,
     info_blocks_observed,
+    spectrum,
     standard_errors,
 )
 from .likelihood import (
@@ -187,9 +188,7 @@ def brute_force_info(toy: ToyInstance, params=None, max_outcomes=10_000):
         full += toy.weights.w[s - 1] * (centered * probs[:, None]).T @ centered
     i = list(model.interest_idx)
     j = list(model.nuisance_idx)
-    blocks = InfoBlocks(
-        full[np.ix_(i, i)], full[np.ix_(i, j)], full[np.ix_(j, j)], 0, "enumeration"
-    )
+    blocks = InfoBlocks(full[np.ix_(i, i)], full[np.ix_(i, j)], full[np.ix_(j, j)])
     istar = blocks.I11 - blocks.I12 @ np.linalg.inv(blocks.I22) @ blocks.I12.T
     return blocks, 0.5 * (istar + istar.T)
 
@@ -315,7 +314,7 @@ def casecontrol_reparam_model(dataset, weights=None):
     """Generic reparametrized model (theta = (alpha, beta), nuisance
     q = (q_1, 1)) for a two-stratum case-control dataset."""
     weights = weights or compute_weights(dataset)
-    wspec = casecontrol_weight_spec(dataset.p)
+    wspec = casecontrol_weight_spec()
     family = casecontrol_family()
     fstar = fstar_empirical(dataset, weights)
     labels = ("alpha",) + tuple(f"x{i+1}" for i in range(dataset.p))
@@ -435,7 +434,7 @@ def run_suite(seed=0, mc=False, reps=500, inject_broken_score=False):
     for method in METHODS:
         fit, report, model = fit_method(dataset, method)
         cs = centered_scores(model, fit.params, dataset)
-        blocks = info_blocks_moments(cs, weights, n=dataset.n)
+        blocks = info_blocks_moments(cs, weights)
         try:
             lstar = efficient_score(cs, blocks)
             w_obs = (
@@ -464,7 +463,7 @@ def run_suite(seed=0, mc=False, reps=500, inject_broken_score=False):
     )
     blocks_bf, istar_bf = brute_force_info(toy)
     cs_enum = enumerated_centered_scores(toy)
-    blocks_inf = info_blocks_moments(cs_enum, toy.weights, n=1)
+    blocks_inf = info_blocks_moments(cs_enum, toy.weights)
     istar_inf = efficient_information(blocks_inf)
     diff = max(
         float(np.max(np.abs(blocks_bf.full() - blocks_inf.full()))),
@@ -499,13 +498,12 @@ def schur_identity_gap(blocks):
     deflated (shifted to the top of the spectrum) first, which leaves the
     identity on the identified subspace intact and exact."""
     full = blocks.full()
-    eigvals, eigvecs = np.linalg.eigh(full)
-    scale = float(np.max(np.abs(eigvals)))
-    null = eigvecs[:, np.abs(eigvals) < 1e-12 * scale]
-    deflated = full + scale * null @ null.T
+    values, vectors, keep = spectrum(full, "full information")
+    null = vectors[:, ~keep]
+    deflated = full + values[-1] * null @ null.T
     k = blocks.I11.shape[0]
     d11, d12, d22 = deflated[:k, :k], deflated[:k, k:], deflated[k:, k:]
-    def_blocks = InfoBlocks(d11, d12, d22, blocks.n, blocks.source)
+    def_blocks = InfoBlocks(d11, d12, d22)
     istar = efficient_information(def_blocks)
     inv_schur = np.linalg.inv(istar)
     inv_full = np.linalg.inv(deflated)[:k, :k]

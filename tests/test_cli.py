@@ -1,6 +1,8 @@
 import json
 import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -215,3 +217,64 @@ def test_fit_all_methods_json(capsys):
     assert set(payload) == {"mle", "reparam-nonid", "reparam-id"}
     rows = payload["reparam-id"]["extra_rows"]
     assert rows["Intercept*"][0] == pytest.approx(1.22669, abs=1e-4)
+    assert rows["Intercept"] == [None, None, ""]
+    # ridge rows carry no standard error; the slopes' condition number is
+    # the same for every method
+    assert payload["mle"]["extra_rows"]["Intercept"][1:] == [None, "!"]
+    nonid = payload["reparam-nonid"]["extra_rows"]
+    assert nonid["Intercept"][1:] == nonid["log_rho1"][1:] == [None, "!"]
+    cond = payload["reparam-id"]["cond_number"]
+    for method in ("mle", "reparam-nonid"):
+        assert payload[method]["cond_number"] == pytest.approx(cond, rel=1e-8)
+        assert not any("ill-conditioned" in w for w in payload[method]["warnings"])
+
+
+def test_indefinite_rounding_is_a_null_direction(capsys):
+    """The mle efficient information of (alpha, slopes) has an exactly null
+    alpha direction whose computed eigenvalue is rounding noise of either
+    sign (-1.06e-13 against a largest 4.87e-2 on this file); it must count
+    as a null direction, not as an indefinite matrix.  Generated by
+    perfbench/gen.py: wide_support_csv(63, 85)."""
+    path = str(FIXTURES / "wide_support_indefinite.csv")
+    slopes = {}
+    for method in ("mle", "reparam-id"):
+        assert main(["fit", "--input", path, "--method", method, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        slopes[method] = report["coef"]
+    assert report["extra_rows"]["Intercept*"][1] is not None
+    np.testing.assert_allclose(slopes["mle"], slopes["reparam-id"], rtol=0, atol=1e-6)
+    assert main(["compare", "--input", path, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    mle = payload["reports"]["mle"]
+    assert mle["extra_rows"]["Intercept"][1:] == [None, "!"]
+    assert mle["cond_number"] == pytest.approx(
+        payload["reports"]["reparam-id"]["cond_number"], rel=1e-8
+    )
+
+
+@pytest.mark.parametrize("method", ["mle", "reparam-nonid", "reparam-id"])
+def test_duplicated_covariate_exits_2_naming_the_slopes(tmp_path, capsys, method):
+    # x2 is a copy of x1, so only x1 + x2 is identified
+    y = np.repeat([0, 1], 20)
+    x = np.random.default_rng(3).standard_normal(40) + 0.5 * y
+    lines = ["sample,y,x1,x2"] + [f"{1 + t},{t},{v:.17g},{v:.17g}" for t, v in zip(y, x)]
+    f = tmp_path / "dup.csv"
+    f.write_text("\n".join(lines) + "\n")
+    assert main(["fit", "--input", str(f), "--schema", "long", "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: slopes x1, x2 are not identified" in captured.err
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    # the read end is closed before the child writes, so every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(semest.data.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "semest.cli", "compare", "--builtin", "leprosy"],
+        stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+    )
+    os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

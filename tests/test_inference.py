@@ -15,6 +15,7 @@ from semest import (
     relative_efficiency,
     standard_errors,
 )
+from semest.inference import RANK_TOL
 from semest.validate import schur_identity_gap
 
 
@@ -33,9 +34,10 @@ def test_centered_scores_have_zero_sample_means(leprosy, leprosy_weights, lepros
 def test_observed_blocks(leprosy, leprosy_id_fit):
     fit, _, model = leprosy_id_fit
     blocks = info_blocks_observed(model, fit, leprosy)
-    assert blocks.source == "observed-hessian"
-    assert blocks.n == 520
     full = blocks.full()
+    # -H / n at the fit, interest coordinates first
+    order = list(model.interest_idx) + list(model.nuisance_idx)
+    np.testing.assert_array_equal(full, (-fit.hessian / 520)[np.ix_(order, order)])
     np.testing.assert_array_equal(full, full.T)
     # positive definite at the identifiable optimum
     assert np.min(np.linalg.eigvalsh(full)) > 0
@@ -44,9 +46,8 @@ def test_observed_blocks(leprosy, leprosy_id_fit):
 def test_moment_blocks_close_to_observed(leprosy, leprosy_weights, leprosy_id_fit):
     fit, _, model = leprosy_id_fit
     cs = centered_scores(model, fit.params, leprosy)
-    mom = info_blocks_moments(cs, leprosy_weights, n=leprosy.n)
+    mom = info_blocks_moments(cs, leprosy_weights)
     obs = info_blocks_observed(model, fit, leprosy)
-    assert mom.source == "centered-moments"
     # two consistent estimators of the same efficient information; the raw
     # blocks differ (centering removes between-stratum variation) but the
     # implied standard errors agree to sampling accuracy
@@ -77,7 +78,7 @@ def test_loglik_matches_independent_cell_sum(leprosy_id_fit, oracle_prospective)
 def test_efficient_score_orthogonality(leprosy, leprosy_weights, leprosy_id_fit):
     fit, _, model = leprosy_id_fit
     cs = centered_scores(model, fit.params, leprosy)
-    blocks = info_blocks_moments(cs, leprosy_weights, n=leprosy.n)
+    blocks = info_blocks_moments(cs, leprosy_weights)
     lstar = efficient_score(cs, blocks)
     w_obs = (
         leprosy_weights.w[cs.sample - 1]
@@ -99,15 +100,13 @@ def test_schur_identity_all_methods(leprosy, leprosy_reports):
 
 def test_no_nuisance_block():
     I11 = np.array([[2.0, 0.1], [0.1, 1.0]])
-    blocks = InfoBlocks(I11, np.empty((2, 0)), np.empty((0, 0)), 10, "observed-hessian")
+    blocks = InfoBlocks(I11, np.empty((2, 0)), np.empty((0, 0)))
     np.testing.assert_array_equal(efficient_information(blocks), I11)
 
 
 def test_singular_nuisance_raises():
     I22 = np.array([[1.0, 1.0], [1.0, 1.0]])  # exactly singular
-    blocks = InfoBlocks(
-        np.eye(1), np.array([[0.3, 0.2]]), I22, 10, "observed-hessian"
-    )
+    blocks = InfoBlocks(np.eye(1), np.array([[0.3, 0.2]]), I22)
     with pytest.raises(SingularInformationError) as exc:
         efficient_information(blocks)
     v = exc.value.null_direction
@@ -116,16 +115,36 @@ def test_singular_nuisance_raises():
 
 
 def test_standard_errors_paths():
-    se, warnings, cond = standard_errors(np.diag([4.0, 1.0]), n=100)
+    se, identified, cond = standard_errors(np.diag([4.0, 1.0]), n=100)
     np.testing.assert_allclose(se, [0.05, 0.1])
-    assert not warnings
-    # nearly singular: warning, finite output
-    se, warnings, cond = standard_errors(np.diag([1.0, 1e-16]), n=100)
-    assert warnings and np.all(np.isfinite(se))
-    assert cond > 1e10
+    assert identified.all() and cond == pytest.approx(4.0)
+    # a null direction: that coordinate is not identified and has no SE;
+    # the condition number is taken over the non-null spectrum
+    se, identified, cond = standard_errors(np.diag([1.0, 1e-16]), n=100)
+    assert se[0] == pytest.approx(0.1) and np.isnan(se[1])
+    assert identified.tolist() == [True, False]
+    assert cond == 1.0
+    # rounding noise below zero, inside the rank tolerance, is a null
+    # direction, not an indefinite matrix
+    se, identified, _ = standard_errors(np.diag([4.9e-2, 7.4e-3, -1.1e-13]), n=1)
+    assert identified.tolist() == [True, True, False]
+    assert se[:2] == pytest.approx(np.sqrt([1 / 4.9e-2, 1 / 7.4e-3]))
     # indefinite: error
     with pytest.raises(SingularInformationError, match="indefinite"):
         standard_errors(np.diag([1.0, -0.5]), n=100)
+    with pytest.raises(SingularInformationError, match="indefinite"):
+        standard_errors(np.diag([1.0, -2 * RANK_TOL]), n=100)
+
+
+def test_null_direction_loading_marks_coordinates():
+    # one null direction along (1, -1, 0) / sqrt(2): coordinates 0 and 1
+    # load on it, coordinate 2 does not, and its SE is the plain inverse
+    v = np.array([1.0, -1.0, 0.0]) / np.sqrt(2.0)
+    info = np.eye(3) - np.outer(v, v)
+    se, identified, cond = standard_errors(info, n=4)
+    assert identified.tolist() == [False, False, True]
+    assert np.isnan(se[:2]).all() and se[2] == pytest.approx(0.5)
+    assert cond == pytest.approx(1.0)
 
 
 def test_report_json_roundtrip(leprosy_id_fit):
@@ -173,13 +192,9 @@ def test_relative_efficiency_label_mismatch(leprosy_reports):
 
 
 def test_efficient_information_arithmetic():
-    blocks = InfoBlocks(
-        np.array([[2.0]]), np.array([[1.0]]), np.array([[2.0]]), 1, "observed-hessian"
-    )
+    blocks = InfoBlocks(np.array([[2.0]]), np.array([[1.0]]), np.array([[2.0]]))
     np.testing.assert_allclose(efficient_information(blocks), [[1.5]])
-    zero_cross = InfoBlocks(
-        np.array([[2.0]]), np.array([[0.0]]), np.array([[2.0]]), 1, "observed-hessian"
-    )
+    zero_cross = InfoBlocks(np.array([[2.0]]), np.array([[0.0]]), np.array([[2.0]]))
     np.testing.assert_allclose(efficient_information(zero_cross), [[2.0]])
 
 
@@ -197,7 +212,7 @@ def test_efficient_score_second_moment_equals_istar(
 ):
     fit, _, model = leprosy_id_fit
     cs = centered_scores(model, fit.params, leprosy)
-    blocks = info_blocks_moments(cs, leprosy_weights, n=leprosy.n)
+    blocks = info_blocks_moments(cs, leprosy_weights)
     lstar = efficient_score(cs, blocks)
     w_obs = (
         leprosy_weights.w[cs.sample - 1]
@@ -261,7 +276,7 @@ def test_blocks_paths_converge_with_n():
         ds = simulate(toy, (n // 2, n // 2), rng)
         w = compute_weights(ds)
         cs = centered_scores(model, params, ds)
-        mom = info_blocks_moments(cs, w, n=ds.n)
+        mom = info_blocks_moments(cs, w)
         obs_full = -aggregate_hessian(model, params, ds) / ds.n
         gaps.append(np.max(np.abs(mom.full() - obs_full)))
     assert gaps[2] < gaps[0]
@@ -284,6 +299,6 @@ def test_istar_lln_against_enumeration():
     ds = simulate(toy, (500_000, 500_000), np.random.default_rng(17))
     model = FullMLELogisticModel(toy.support, toy.labels)
     cs = centered_scores(model, toy.mle_params(), ds)
-    blocks = info_blocks_moments(cs, compute_weights(ds), n=ds.n)
+    blocks = info_blocks_moments(cs, compute_weights(ds))
     istar_emp = efficient_information(blocks)
     assert np.max(np.abs(istar_emp - istar_exact)) / np.max(np.abs(istar_exact)) < 0.01

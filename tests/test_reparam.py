@@ -89,7 +89,7 @@ def test_fixed_point_matches_enumeration():
         beta=[np.log(2.0)],
         weights=Weights([0.5, 0.5]),
     )
-    wspec = casecontrol_weight_spec(1)
+    wspec = casecontrol_weight_spec()
     fstar = toy.population_fstar()
     qhat = fixed_point_q(wspec, toy.theta, fstar, toy.weights)
     expected = np.array([toy.stratum_prob(1), toy.stratum_prob(2)])
@@ -170,7 +170,7 @@ def test_normalization_linearity_and_single_stratum(leprosy, leprosy_weights):
     # degenerate single-stratum design: the identity is exactly 1
     wspec1 = WeightFunctionSpec(
         n_strata=1,
-        q_weight=lambda x, t: np.array([1.0]),
+        q_weight=lambda x, t: np.ones(np.shape(x)[:-1] + (1,)),
         q_weight_grad=lambda x, t: np.zeros((1, 1)),
         q_weight_hess=lambda x, t: np.zeros((1, 1, 1)),
     )

@@ -70,7 +70,7 @@ def test_enumerated_moments_path_agrees(toy):
     """Second route to the same matrices through the inference formulas."""
     blocks_bf, istar_bf = brute_force_info(toy)
     cs = enumerated_centered_scores(toy)
-    blocks = info_blocks_moments(cs, toy.weights, n=1)
+    blocks = info_blocks_moments(cs, toy.weights)
     istar = efficient_information(blocks)
     assert np.max(np.abs(blocks.full() - blocks_bf.full())) < 1e-12
     assert np.max(np.abs(istar - istar_bf)) < 1e-12
