@@ -42,7 +42,7 @@ METHODS = ("mle", "reparam-nonid", "reparam-id")
 
 _NOT_IDENTIFIED = (
     "intercept is not identified under case-control sampling; "
-    "its printed value and standard error are unreliable ('!' rows)"
+    "'!' rows are unreliable: one point on a flat ridge, with no standard error"
 )
 # display names of the intercept-type parameters, by parameter label
 _ROW_NAMES = {"alpha": "Intercept", "log_rho1": "log_rho1", "alpha*": "Intercept*"}
@@ -64,10 +64,12 @@ def fit_method(dataset, method, cfg=None, covariate_labels=("Scar", "Age"), weig
     Returns (FitResult, EfficiencyReport, model).  The report's ``labels``
     cover the slope coefficients, with standard errors from the efficient
     information; intercept-type parameters appear in ``extra_rows`` because
-    their meaning differs across methods, with standard errors from the full
-    observed information.  A coordinate that loads on a null direction of
-    either matrix is not identified: an intercept-type row is marked '!'
-    and has no standard error, a slope raises SingularInformationError.
+    their meaning differs across methods.  Each coordinate's standard error
+    and identification come from one matrix: I* for the interest block, the
+    full observed information for the nuisance block.  A coordinate that
+    loads on a null direction is not identified: an intercept-type row is
+    marked '!' and has no standard error, a slope raises
+    SingularInformationError.
     """
     cfg = cfg or FitConfig()
     weights = weights or compute_weights(dataset)
@@ -75,14 +77,19 @@ def fit_method(dataset, method, cfg=None, covariate_labels=("Scar", "Age"), weig
     fit = maximize(model, dataset, cfg=cfg)
     blocks = info_blocks_observed(model, fit, dataset)
     istar = efficient_information(blocks)
-    se_star, ok_star, cond = standard_errors(istar, dataset.n)
-    se, ok, _ = standard_errors(-fit.hessian / dataset.n, dataset.n)
-    interest = list(model.interest_idx)
-    se[interest] = se_star
-    ok[interest] &= ok_star
-
-    p = len(covariate_labels)
-    slopes = slice(1, 1 + p)
+    # the rank rule reads the information with the covariates standardized,
+    # free of their units and origins: the slopes (parameters 1..p in every
+    # method) per sd, the intercept (parameter 0) at the covariate mean
+    slopes = slice(1, 1 + len(covariate_labels))
+    mean = dataset.multiplicity @ dataset.X / dataset.n
+    sd = np.sqrt(dataset.multiplicity @ (dataset.X - mean) ** 2 / dataset.n)
+    sd[sd == 0.0] = 1.0
+    basis = np.eye(model.n_params)
+    basis[slopes, slopes] = np.diag(1.0 / sd)
+    basis[0, slopes] = -mean / sd
+    i = list(model.interest_idx)
+    se, ok, _ = standard_errors(-fit.hessian / dataset.n, dataset.n, basis)
+    se[i], ok[i], cond = standard_errors(istar, dataset.n, basis[np.ix_(i, i)])
     if not ok[slopes].all():
         names = ", ".join(np.asarray(covariate_labels)[~ok[slopes]])
         raise SingularInformationError(

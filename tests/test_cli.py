@@ -266,6 +266,34 @@ def test_duplicated_covariate_exits_2_naming_the_slopes(tmp_path, capsys, method
     assert "error: slopes x1, x2 are not identified" in captured.err
 
 
+@pytest.mark.parametrize("method", ["mle", "reparam-nonid", "reparam-id"])
+def test_income_scale_covariate_fits_as_its_standardized_copy(tmp_path, capsys, method):
+    """A binary covariate next to one on an income scale (sd 3e4, mean 1e4):
+    the raw information's eigenvalues span ten orders of magnitude, but the
+    fit is the unit-scale fit with x2's slope and standard error divided by
+    3e4, and the same rows are identified."""
+    rng = np.random.default_rng(5)
+    y = np.repeat([0, 1], 40)
+    x1 = (rng.random(80) < 0.4 + 0.3 * y).astype(int)
+    x2 = rng.standard_normal(80) + 0.4 * y
+    reports = []
+    for scale, origin in ((1.0, 0.0), (3e4, 1e4)):
+        rows = [f"{1 + t},{t},{a},{origin + scale * b:.17g}" for t, a, b in zip(y, x1, x2)]
+        f = tmp_path / f"x{scale:g}.csv"
+        f.write_text("\n".join(["sample,y,x1,x2"] + rows) + "\n")
+        argv = ["fit", "--input", str(f), "--schema", "long", "--method", method]
+        assert main(argv + ["--format", "json"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    unit, income = reports
+    factor = np.array([1.0, 3e4])
+    np.testing.assert_allclose(np.multiply(income["coef"], factor), unit["coef"], rtol=1e-8)
+    np.testing.assert_allclose(np.multiply(income["se"], factor), unit["se"], rtol=1e-7)
+    assert [r[2] for r in income["extra_rows"].values()] == [
+        r[2] for r in unit["extra_rows"].values()
+    ]
+    assert income["warnings"] == unit["warnings"]
+
+
 def test_closed_stdout_exits_1_without_traceback():
     # the read end is closed before the child writes, so every write fails
     read_end, write_end = os.pipe()

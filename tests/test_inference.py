@@ -147,6 +147,28 @@ def test_null_direction_loading_marks_coordinates():
     assert cond == pytest.approx(1.0)
 
 
+def test_standard_errors_in_a_standardizing_basis():
+    # a coordinate measured in large units: its raw eigenvalue 1e-10 falls
+    # under RANK_TOL, but in the basis that rescales it by 1e5 it is as
+    # well determined as the other one
+    info = np.diag([1.0, 1e-10])
+    se, identified, _ = standard_errors(info, n=100)
+    assert identified.tolist() == [True, False]
+    basis = np.diag([1.0, 1e5])
+    se, identified, cond = standard_errors(info, n=100, basis=basis)
+    assert identified.all()
+    np.testing.assert_allclose(se, [0.1, 1e4], rtol=1e-12)
+    assert cond == pytest.approx(1e10)
+    # a basis that mixes coordinates: the null direction (1, -1) of the
+    # transformed matrix [[2, 2], [2, 2]] loads on both of its coordinates
+    # but maps back to the model's first coordinate only
+    info = np.array([[0.0, 0.0], [0.0, 2.0]])
+    basis = np.array([[1.0, 0.0], [1.0, 1.0]])
+    se, identified, _ = standard_errors(info, n=2, basis=basis)
+    assert identified.tolist() == [False, True]
+    assert np.isnan(se[0]) and se[1] == pytest.approx(0.5)
+
+
 def test_report_json_roundtrip(leprosy_id_fit):
     _, report, _ = leprosy_id_fit
     back = EfficiencyReport.from_json(report.to_json())
