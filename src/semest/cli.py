@@ -16,6 +16,7 @@ linear-algebra thread pools follow the standard BLAS variables
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -59,7 +60,10 @@ def _add_output_args(p):
     p.add_argument("--out", help="write the report here instead of stdout")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: ``parse_args`` leaves it
+    unchanged, so every ``main`` call reuses it.  Callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="semest",
         description="Semiparametric estimation in multisample models via "

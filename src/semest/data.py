@@ -238,8 +238,9 @@ def _read_csv(path):
 
 
 def _columns(body, converters):
-    """File line numbers (csv records; the header is 1) of the non-blank rows
-    of the CSV text ``body``, and their fields converted by column: one
+    """File line numbers (where each record starts; the header is 1) of the
+    non-blank rows of the CSV text ``body``, and their fields converted by
+    column: one
     ``np.loadtxt`` pass, or, for a body it rejects or warns about (a
     whitespace-only line, ``1_0``, a record spread over lines, ``1.0`` in an
     int column on numpy < 2), the csv module and the converters row by row, which accept
@@ -260,13 +261,15 @@ def _columns(body, converters):
         lines = [n for n, line in enumerate(physical, start=2) if line.strip("\r\n")]
     if len(table) and len(table) == len(lines):
         return lines, [table[name] for name in dtype.names]
-    rows, lineno = [], 1
+    reader = csv.reader(io.StringIO(body, newline=""))
+    rows, lineno = [], 2  # the file line where the next record starts
     try:
-        for lineno, row in enumerate(csv.reader(io.StringIO(body, newline="")), start=2):
+        for row in reader:
             if any(map(str.strip, row)):
                 rows.append((lineno, row))
+            lineno = reader.line_num + 2
     except csv.Error as exc:  # a field over the csv module's size limit
-        raise DataError(f"line {lineno + 1}: {exc}") from None
+        raise DataError(f"line {lineno}: {exc}") from None
     if not rows:
         raise DataError("no observations")
     for lineno, row in rows:

@@ -81,17 +81,16 @@ def centered_scores(model, params, dataset) -> CenteredScores:
     )
 
 
-def _partition(full, interest_idx, nuisance_idx):
-    i = list(interest_idx)
-    j = list(nuisance_idx)
-    return full[np.ix_(i, i)], full[np.ix_(i, j)], full[np.ix_(j, j)]
+def partition(full, interest_idx, nuisance_idx) -> InfoBlocks:
+    """InfoBlocks of ``full`` (d, d), or of a stack of them (..., d, d)."""
+    i, j = (np.array(idx, dtype=int) for idx in (interest_idx, nuisance_idx))
+    return InfoBlocks(full[..., i[:, None], i], full[..., i[:, None], j], full[..., j[:, None], j])
 
 
 def info_blocks_observed(model, fit, dataset) -> InfoBlocks:
     """Blocks of -n^{-1} x (Hessian at the fit)."""
     fit.require_converged()
-    full = -fit.hessian / dataset.n
-    return InfoBlocks(*_partition(full, model.interest_idx, model.nuisance_idx))
+    return partition(-fit.hessian / dataset.n, model.interest_idx, model.nuisance_idx)
 
 
 def info_blocks_moments(cs: CenteredScores, weights: Weights) -> InfoBlocks:
@@ -106,7 +105,11 @@ def info_blocks_moments(cs: CenteredScores, weights: Weights) -> InfoBlocks:
         block = (cs.scores[mask] * m[:, None]).T @ cs.scores[mask] / m.sum()
         full += weights.w[s - 1] * block
     full = 0.5 * (full + full.T)
-    return InfoBlocks(*_partition(full, cs.interest_idx, cs.nuisance_idx))
+    return partition(full, cs.interest_idx, cs.nuisance_idx)
+
+
+def _t(M):
+    return np.swapaxes(M, -1, -2)
 
 
 def spectrum(M, what):
@@ -114,12 +117,14 @@ def spectrum(M, what):
     relative tolerance.  Returns (values, vectors, keep), eigenvalues
     ascending, ``keep`` marking the non-null ones (above ``RANK_TOL`` times
     the largest |eigenvalue|).  Raises SingularInformationError when ``M``
-    is zero or indefinite (an eigenvalue below -``RANK_TOL`` times it)."""
-    values, vectors = np.linalg.eigh(0.5 * (M + M.T))
-    scale = float(np.max(np.abs(values)))
-    if scale == 0.0:
+    is zero or indefinite (an eigenvalue below -``RANK_TOL`` times it).
+    A stack of matrices (..., k, k) gives stacked results and raises if any
+    one of them would."""
+    values, vectors = np.linalg.eigh(0.5 * (M + _t(M)))
+    scale = np.max(np.abs(values), axis=-1, keepdims=True)
+    if np.any(scale == 0.0):
         raise SingularInformationError(f"{what} is zero")
-    if values[0] < -RANK_TOL * scale:
+    if np.any(values[..., :1] < -RANK_TOL * scale):
         raise SingularInformationError(f"{what} is indefinite (eigenvalues {values})")
     return values, vectors, values > RANK_TOL * scale
 
@@ -127,23 +132,23 @@ def spectrum(M, what):
 def _regression_on_nuisance(blocks: InfoBlocks):
     """I12 I22^{-1} from the eigenpairs of I22 (zero when there is no
     nuisance block); raises when I22 has a null direction."""
-    if blocks.I22.size == 0:
+    if blocks.I22.shape[-1] == 0:
         return np.zeros_like(blocks.I12)
     values, vectors, keep = spectrum(blocks.I22, "nuisance information block I22")
     if not keep.all():
-        v = vectors[:, 0]
+        v = vectors[..., 0][~keep[..., 0]][0]  # the first singular block's
         raise SingularInformationError(
             f"nuisance information block I22 is numerically singular; null direction {v}",
             null_direction=v,
         )
-    return (blocks.I12 @ vectors / values) @ vectors.T
+    return (blocks.I12 @ vectors / values[..., None, :]) @ _t(vectors)
 
 
 def efficient_information(blocks: InfoBlocks) -> np.ndarray:
     """Schur complement I11 - I12 I22^{-1} I21 (equal to I11 when there is
-    no nuisance block)."""
-    istar = blocks.I11 - _regression_on_nuisance(blocks) @ blocks.I12.T
-    return 0.5 * (istar + istar.T)
+    no nuisance block), of one set of blocks or of stacks of them."""
+    istar = blocks.I11 - _regression_on_nuisance(blocks) @ _t(blocks.I12)
+    return 0.5 * (istar + _t(istar))
 
 
 def efficient_score(cs: CenteredScores, blocks: InfoBlocks) -> np.ndarray:
@@ -162,15 +167,24 @@ def standard_errors(info, n, basis=None):
     to the row's norm) is not identified and its se is NaN; ``cond`` is the
     condition number of ``info`` over its identified coordinates."""
     info = np.atleast_2d(np.asarray(info, dtype=float))
-    basis = np.eye(len(info)) if basis is None else basis
-    values, vectors, keep = spectrum(basis.T @ info @ basis, "information matrix")
-    rows = basis @ vectors
-    reach = np.linalg.norm(basis, axis=1)
-    identified = np.linalg.norm(rows[:, ~keep], axis=1) <= RANK_TOL * reach
-    variance = np.sum(rows[:, keep] ** 2 / values[keep], axis=1)
+    variance, identified = spectral_variance(info, basis)
     se = np.where(identified, np.sqrt(variance / n), np.nan)
     sub = np.linalg.eigvalsh(info[np.ix_(identified, identified)])
     return se, identified, float(sub[-1] / sub[0]) if sub.size else np.inf
+
+
+def spectral_variance(info, basis=None):
+    """The diagonal of the inverse of ``info`` over its non-null spectrum,
+    read in ``basis`` as in ``standard_errors``, and which coordinates are
+    identified; for one matrix (k, k) or a stack (..., k, k)."""
+    basis = np.eye(info.shape[-1]) if basis is None else basis
+    values, vectors, keep = spectrum(basis.T @ info @ basis, "information matrix")
+    rows = basis @ vectors
+    kept = keep[..., None, :]
+    reach = np.linalg.norm(basis, axis=1)
+    identified = np.linalg.norm(np.where(kept, 0.0, rows), axis=-1) <= RANK_TOL * reach
+    share = np.divide(rows**2, values[..., None, :], out=np.zeros_like(rows), where=kept)
+    return share.sum(axis=-1), identified
 
 
 @dataclass

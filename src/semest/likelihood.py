@@ -3,6 +3,12 @@
 A ModelSpec evaluates all rows of a column-stored dataset in one array
 pass.  Aggregation is a multiplicity-weighted sum, so results are
 deterministic.
+
+Every aggregate also takes a (P, d) stack of parameter vectors and returns
+one result per vector.  The dataset's ``multiplicity`` may then be (P, N),
+one set of row weights per vector.  Each vector's total is its own
+vector-matrix product, so it does not depend on the other vectors in the
+stack: one vector stacked alone gives the same bits as the plain (d,) call.
 """
 
 from __future__ import annotations
@@ -26,10 +32,16 @@ class ModelSpec(ABC):
     ``support_index`` of ``data`` (a MultisampleDataset) and returns, for
     ``order`` 0, 1 and 2: the per-row log-densities (N,), the per-row scores
     (N, d), and the multiplicity-weighted sum of the per-row Hessians (d, d).
+
+    ``stacked_orders`` lists the orders whose ``evaluate`` also takes a
+    (P, d) stack of parameter vectors and gives a leading P axis: (P, N),
+    (P, N, d) or (P, d, d), reading ``multiplicity`` (N,) or (P, N).
+    ``likelihood.evaluate`` hands the other orders one vector at a time.
     """
 
     param_labels: tuple[str, ...] = ()
     interest_idx: tuple[int, ...] = ()
+    stacked_orders: tuple[int, ...] = ()
 
     @property
     def n_params(self):
@@ -49,9 +61,21 @@ class ModelSpec(ABC):
 
 def evaluate(model, params, dataset, order):
     """``model.evaluate`` with floating-point warnings silenced: callers
-    check the result and name the first non-finite row instead."""
+    check the result and name the first non-finite row instead.  A (P, d)
+    stack goes to the model in one call for its ``stacked_orders``, and one
+    vector at a time otherwise."""
     with np.errstate(all="ignore"):
-        return model.evaluate(params, dataset, order)
+        if np.ndim(params) == 1 or order in model.stacked_orders:
+            return model.evaluate(params, dataset, order)
+        if order == 2 and np.ndim(dataset.multiplicity) == 2:
+            raise ValueError("per-vector multiplicities need a model that stacks order 2")
+        return np.array([model.evaluate(p, dataset, order) for p in params])
+
+
+def _total(multiplicity, rows):
+    """sum_n multiplicity[..., n] * rows[..., n, :], one vector-matrix
+    product per stack item."""
+    return (multiplicity[..., None, :] @ rows)[..., 0, :]
 
 
 def _require_finite(dataset, theta, rows, what):
@@ -67,31 +91,41 @@ def _require_finite(dataset, theta, rows, what):
     )
 
 
-def log_likelihood(model, params, dataset) -> float:
-    """Multiplicity-weighted total log-likelihood.
+def log_likelihood(model, params, dataset):
+    """Multiplicity-weighted total log-likelihood: a float for one vector
+    (d,), a (P,) array for a stack (P, d).
 
-    Raises EvaluationError (carrying the offending observation) if any
-    per-observation log-density is non-finite.
+    For one vector, raises EvaluationError (carrying the offending
+    observation) if any per-observation log-density is non-finite.  In a
+    stack such a vector gets a non-finite total instead, for the caller to
+    check, so one inadmissible vector does not stop the others.
     """
     theta = np.asarray(params, dtype=float)
     vals = evaluate(model, theta, dataset, 0)
+    if theta.ndim == 2:
+        return _total(dataset.multiplicity, vals[..., None])[..., 0]
     _require_finite(dataset, theta, vals, "log-density")
     return float(dataset.multiplicity @ vals)
 
 
 def aggregate_score(model, params, dataset) -> np.ndarray:
+    """Multiplicity-weighted total score, (d,) or (P, d); non-finite rows
+    raise or, in a stack, propagate, as in ``log_likelihood``."""
     theta = np.asarray(params, dtype=float)
     rows = evaluate(model, theta, dataset, 1)
-    _require_finite(dataset, theta, rows, "score")
-    return dataset.multiplicity @ rows
+    if theta.ndim == 1:
+        _require_finite(dataset, theta, rows, "score")
+    return _total(dataset.multiplicity, rows)
 
 
 def aggregate_hessian(model, params, dataset) -> np.ndarray:
+    """Symmetrized total Hessian, (d, d) or (P, d, d); non-finite entries
+    raise naming the row or, in a stack, propagate."""
     theta = np.asarray(params, dtype=float)
     total = evaluate(model, theta, dataset, 2)
-    if not np.all(np.isfinite(total)):  # find the offending row (error path only)
+    if theta.ndim == 1 and not np.all(np.isfinite(total)):  # find the offending row
         rows = np.array(
             [evaluate(model, theta, observation_rows(o), 2) for o in dataset.observations]
         )
         _require_finite(dataset, theta, rows, "Hessian")
-    return 0.5 * (total + total.T)
+    return 0.5 * (total + np.swapaxes(total, -1, -2))

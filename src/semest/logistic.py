@@ -69,7 +69,13 @@ class CaseControlLogisticModel(ModelSpec):
     Non-identifiable: parameters (alpha, beta, log rho1), design
     z = (1, x, 1); the duplicated intercept column makes the log-density
     depend on (alpha, log rho1) only through alpha + log rho1.
+
+    Every order takes a stack of parameter vectors, with per-vector row
+    multiplicities at order 2 (the Monte Carlo replicates fitted as one
+    batch).
     """
+
+    stacked_orders = (0, 1, 2)
 
     def __init__(self, weights: Weights, covariate_labels, identifiable=True):
         if len(weights) != 2:
@@ -79,6 +85,7 @@ class CaseControlLogisticModel(ModelSpec):
         self.identifiable = identifiable
         self._log_w0 = np.log(weights.w[0])
         self._log_w1 = np.log(weights.w[1])
+        self._X = self._Z = None  # the last covariate array seen, and its design
         if identifiable:
             self.param_labels = ("alpha*",) + tuple(covariate_labels)
             self.interest_idx = tuple(range(1, len(self.param_labels)))
@@ -87,17 +94,21 @@ class CaseControlLogisticModel(ModelSpec):
             self.interest_idx = tuple(range(len(self.param_labels) - 1))
 
     def evaluate(self, params, data, order):
-        Z = _design(data.X)
-        if not self.identifiable:
-            Z = np.hstack([Z, Z[:, :1]])
-        u = Z @ params
+        if data.X is not self._X:  # a fit evaluates one dataset many times
+            Z = _design(data.X)
+            self._Z = Z if self.identifiable else np.hstack([Z, Z[:, :1]])
+            self._X = data.X
+        Z = self._Z
+        u = (Z @ params[..., None])[..., 0]
         if order == 0:
             return data.y * u - np.logaddexp(self._log_w0, self._log_w1 + u)
-        # w1 e^u / (w0 + w1 e^u)
-        mu = _sigmoid(u + self._log_w1 - self._log_w0)
+        # w1 e^u / (w0 + w1 e^u); exp overflows to inf, and mu to 0, silently
+        # under likelihood.evaluate
+        mu = 1.0 / (1.0 + np.exp(-(u + self._log_w1 - self._log_w0)))
         if order == 1:
-            return (data.y - mu)[:, None] * Z
-        return -(Z * (data.multiplicity * mu * (1.0 - mu))[:, None]).T @ Z
+            return (data.y - mu)[..., None] * Z
+        weighted = Z * (data.multiplicity * mu * (1.0 - mu))[..., None]
+        return -np.swapaxes(weighted, -1, -2) @ Z
 
     def init_params(self, dataset):
         init = np.zeros(self.n_params)
@@ -111,10 +122,12 @@ class DiscreteG:
 
     @staticmethod
     def to_g(phi_free):
-        phi = np.append(np.asarray(phi_free, dtype=float), 0.0)
-        phi = phi - phi.max()
+        """g from phi_1..phi_{K-1}, along the last axis of ``phi_free``."""
+        phi = np.asarray(phi_free, dtype=float)
+        phi = np.concatenate([phi, np.zeros(phi.shape[:-1] + (1,))], axis=-1)
+        phi = phi - phi.max(axis=-1, keepdims=True)
         e = np.exp(phi)
-        return e / e.sum()
+        return e / e.sum(axis=-1, keepdims=True)
 
     @staticmethod
     def from_g(g):
@@ -130,7 +143,11 @@ class FullMLELogisticModel(ModelSpec):
     log-density log f(y|v_k) + log g_k - log sum_j f(y|v_j) g_j.
 
     Every per-row quantity depends on the row only through its response y
-    and support point k, so the pass works on the (2, K) table of them."""
+    and support point k, so the pass works on the (2, K) table of them.
+    Order 0 takes a stack of parameter vectors (the finite-difference
+    oracle evaluates all its points at once)."""
+
+    stacked_orders = (0,)
 
     def __init__(self, support, covariate_labels):
         support = np.asarray(support, dtype=float)
@@ -148,12 +165,12 @@ class FullMLELogisticModel(ModelSpec):
         self.interest_idx = tuple(range(self.n_theta))
 
     def evaluate(self, params, data, order):
-        t = params[: self.n_theta]
-        g = DiscreteG.to_g(params[self.n_theta :])
+        t = params[..., : self.n_theta]
+        g = DiscreteG.to_g(params[..., self.n_theta :])
         y = data.sample - 1
         k = support_positions(self.support, data)
         Z = self._Z
-        eta = Z @ t
+        eta = (Z @ t[..., None])[..., 0]
         # mu = f(1 | v_j) and nu = 1 - mu from one exp(-|eta|): the complement
         # keeps its relative precision where mu rounds to 1 (large alpha on
         # the flat intercept ridge), so the score can still reach grad_tol
@@ -161,11 +178,12 @@ class FullMLELogisticModel(ModelSpec):
         up = eta >= 0
         mu = np.where(up, 1.0, e) / (1.0 + e)
         nu = np.where(up, e, 1.0) / (1.0 + e)
-        f = np.stack([nu, mu])  # f(y | v_j), (2, K)
-        D = f @ g  # (2,)
+        f = np.stack([nu, mu], axis=-2)  # f(y | v_j), (2, K)
+        D = (f @ g[..., None])[..., 0]  # (2,)
         if order == 0:
-            logf_k = y * eta[k] - _log1pexp(eta[k])
-            return logf_k + np.log(g[k]) - np.log(D[y])
+            eta_k = eta[..., k]
+            logf_k = y * eta_k - _log1pexp(eta_k)
+            return logf_k + np.log(g[..., k]) - np.log(D[..., y])
         a = g * f / D[:, None]
         b = np.stack([-mu, nu])  # y - mu
         m = (a * b) @ Z  # (2, 1+p)

@@ -39,6 +39,9 @@ class FitConfig:
 
 @dataclass
 class FitResult:
+    """One fit, or R fits with a leading R axis on every array field;
+    ``warnings`` then holds one list per fit."""
+
     params: np.ndarray
     loglik: float
     iterations: int
@@ -49,21 +52,93 @@ class FitResult:
     runtime: float = 0.0
 
     def require_converged(self):
-        if not self.converged:
+        if not np.all(self.converged):
             raise EvaluationError(
-                f"fit did not converge (grad_norm={self.grad_norm:.3e} "
-                f"after {self.iterations} iterations)"
+                f"fit did not converge (grad_norm={np.max(self.grad_norm):.3e} "
+                f"after {np.max(self.iterations)} iterations)"
             )
         return self
 
 
-def _try_objective(model, params, dataset):
-    """Objective value, or -inf when the trial point is inadmissible."""
+def _objective(model, params, dataset):
+    """Objective of each parameter vector of the stack, -inf where the
+    point is inadmissible."""
     try:
-        val = log_likelihood(model, params, dataset)
+        vals = log_likelihood(model, params, dataset)
     except (EvaluationError, FloatingPointError, OverflowError):
-        return -np.inf
-    return val if np.isfinite(val) else -np.inf
+        return np.full(len(params), -np.inf)
+    return np.where(np.isfinite(vals), vals, -np.inf)
+
+
+def _dot(a, b):
+    """Row-wise inner products, one dot product per row."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _every(rows):
+    """``rows.all()``, cheaper on the short masks of a batch."""
+    return np.count_nonzero(rows) == len(rows)
+
+
+def _solve(system, rhs):
+    """Solve each system[r] d = rhs[r]; NaN rows where one is singular."""
+    try:
+        return np.linalg.solve(system, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:  # one singular system fails the stack: one at a time
+        out = np.full_like(rhs, np.nan)
+        for r in range(len(rhs)):
+            try:
+                out[r] = np.linalg.solve(system[r], rhs[r])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _newton_directions(hess, grad, lam, rows, eye):
+    """Newton direction from (-H + lam I) d = g for each of ``rows``,
+    escalating a row's damping lam until its system solves and gives an
+    ascent direction, or, at the cap, falling back to steepest ascent.
+    Returns (directions, slopes g'd, damping)."""
+    d = slope = None
+    while True:
+        cand = _solve(-hess + lam[:, None, None] * eye, grad)
+        gain = _dot(grad, cand)
+        ok = rows & np.isfinite(cand).all(axis=-1) & (gain > 0)
+        if _every(ok):
+            return cand, gain, lam
+        if d is None:  # rows that never get a Newton direction keep steepest ascent
+            d, slope = grad, _dot(grad, grad)
+        d = np.where(ok[:, None], cand, d)
+        slope = np.where(ok, gain, slope)
+        rows = (rows ^ ok) & (lam < DAMPING_MAX)
+        if not np.count_nonzero(rows):
+            return d, slope, lam
+        lam = np.where(rows, np.minimum(lam * DAMPING_FACTOR, DAMPING_MAX), lam)
+
+
+def _line_search(model, dataset, x, f, d, slope, rows):
+    """Backtracking from x along d for each of ``rows``: the first step of
+    1, 1/2, 1/4, ... (at most MAX_HALVINGS halvings) whose objective passes
+    the Armijo test.  Returns (x, f, stuck): the rows where no step passed
+    keep their x and f."""
+    # Near the optimum the predicted gain can sink below the rounding noise
+    # of the summed log-likelihood; a strict Armijo test would then reject
+    # exact Newton steps, so allow losses within the noise.
+    noise_tol = 1e-11 * np.maximum(1.0, np.abs(f))
+    step = 1.0  # the fits still searching share one step length
+    for _ in range(MAX_HALVINGS + 1):
+        trial = x + step * d
+        f_trial = _objective(model, trial, dataset)
+        ok = rows & (f_trial >= f + ARMIJO * step * slope - noise_tol)
+        if _every(ok):
+            return trial, f_trial, ~ok
+        x = np.where(ok[:, None], trial, x)
+        f = np.where(ok, f_trial, f)
+        rows = rows ^ ok
+        if not np.count_nonzero(rows):
+            break
+        step *= 0.5
+    return x, f, rows
 
 
 def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResult:
@@ -71,89 +146,78 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
 
     Deterministic: identical inputs give bit-identical iterates.  Accepted
     steps never decrease the objective.  Non-convergence is reported in the
-    result, never silently; a non-finite objective at the starting point is
-    an error.
+    result, never silently; a non-finite objective or gradient is an error.
+
+    ``init`` of shape (R, d) runs R fits as one batch, each with its own
+    damping, line search, iteration count and stopping rule (``dataset``
+    may carry per-fit multiplicities (R, N)), and returns them with a
+    leading R axis.  A fit whose objective or gradient is not finite stops
+    there, unconverged, with that error as its last warning, and the others
+    go on.  Each fit's iterates are bit-identical to those of the same fit
+    run alone.
     """
     cfg = cfg or FitConfig()
-    x = np.array(
-        model.init_params(dataset) if init is None else np.asarray(init, float),
-        dtype=float,
-    )
+    start = model.init_params(dataset) if init is None else np.asarray(init, float)
+    x = np.array(np.atleast_2d(start), dtype=float)
+    R, eye = len(x), np.eye(x.shape[1])
     t0 = time.perf_counter()
-    f = log_likelihood(model, x, dataset)
-    if not np.isfinite(f):
-        raise EvaluationError(f"objective is not finite at params {x}", params=x)
-    lam = DAMPING_INIT
-    warnings = []
-    grad = aggregate_score(model, x, dataset)
-    hess = aggregate_hessian(model, x, dataset)
-    gnorm = float(np.max(np.abs(grad)))
-    it = 0
-    while it < cfg.max_iter and gnorm > cfg.grad_tol:
-        it += 1
-        # Newton direction from (-H + lam I) d = g; escalate damping until
-        # the system solves and the direction is an ascent direction.
-        d = None
-        while True:
-            try:
-                cand = np.linalg.solve(
-                    -hess + lam * np.eye(len(x)), grad
-                )
-            except np.linalg.LinAlgError:
-                cand = None
-            if cand is not None and np.all(np.isfinite(cand)) and grad @ cand > 0:
-                d = cand
-                break
-            if lam >= DAMPING_MAX:
-                break
-            lam = min(lam * DAMPING_FACTOR, DAMPING_MAX)
-        if d is None:
-            d = grad  # last resort: steepest ascent
-        slope = float(grad @ d)
+    warnings = [[] for _ in range(R)]
+    failed = np.zeros(R, dtype=bool)
+    stopped = np.zeros(R, dtype=bool)  # failed, or stalled at maximum damping
 
-        # Near the optimum the predicted gain can sink below the rounding
-        # noise of the summed log-likelihood; a strict Armijo test would
-        # then reject exact Newton steps, so allow losses within the noise.
-        noise_tol = 1e-11 * max(1.0, abs(f))
-        step = 1.0
-        accepted = False
-        for _ in range(MAX_HALVINGS + 1):
-            trial = x + step * d
-            f_trial = _try_objective(model, trial, dataset)
-            if f_trial >= f + ARMIJO * step * slope - noise_tol:
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            if lam >= DAMPING_MAX:
-                warnings.append("line search stalled at maximum damping")
-                break
-            lam = min(lam * DAMPING_FACTOR, DAMPING_MAX)
-            continue
+    def stop(rows, why):
+        for r in np.flatnonzero(rows):
+            warnings[r].append(why.format(x[r]))
+        stopped[rows] = True
+        return rows
 
-        x = trial
-        f = f_trial
-        lam = max(lam / DAMPING_FACTOR, DAMPING_INIT)
+    def derivatives(rows):
+        """Gradient, Hessian and gradient norm at ``x``; fails the ``rows``
+        where they are not finite."""
         grad = aggregate_score(model, x, dataset)
         hess = aggregate_hessian(model, x, dataset)
-        gnorm = float(np.max(np.abs(grad)))
-        if not np.isfinite(gnorm):
-            raise EvaluationError(f"non-finite gradient at params {x}", params=x)
+        gnorm = np.abs(grad).max(axis=-1)
+        bad = rows & ~(np.isfinite(gnorm) & np.isfinite(hess).all(axis=(-2, -1)))
+        if np.count_nonzero(bad):
+            failed[stop(bad & ~stopped, "non-finite gradient at params {}")] = True
+        return grad, hess, gnorm
+
+    f = log_likelihood(model, x, dataset)
+    if not _every(np.isfinite(f)):
+        failed[stop(~np.isfinite(f), "objective is not finite at params {}")] = True
+    grad, hess, gnorm = derivatives(np.ones(R, dtype=bool))
+    lam = np.full(R, DAMPING_INIT)
+    it = np.zeros(R, dtype=int)
+    while True:
+        act = ~stopped & (it < cfg.max_iter) & (gnorm > cfg.grad_tol)
+        if not np.count_nonzero(act):
+            break
+        it += act
+        d, slope, lam = _newton_directions(hess, grad, lam, act, eye)
+        x, f, stuck = _line_search(model, dataset, x, f, d, slope, act)
+        # less damping after a step; without one more, or a stop at the cap
+        # (a fit that is no longer active never resumes, so its lam may drift)
+        lam_down = np.maximum(lam / DAMPING_FACTOR, DAMPING_INIT)
+        if not np.count_nonzero(stuck):
+            lam = lam_down
+        else:
+            stop(stuck & (lam >= DAMPING_MAX), "line search stalled at maximum damping")
+            lam = np.where(stuck, np.minimum(lam * DAMPING_FACTOR, DAMPING_MAX), lam_down)
+        if np.count_nonzero(act ^ stuck):
+            # the fits that did not move get back the values they had
+            grad, hess, gnorm = derivatives(act ^ stuck)
 
     runtime = time.perf_counter() - t0
-    converged = gnorm <= cfg.grad_tol
-    if not converged:
-        warnings.append(
-            f"did not reach grad_tol={cfg.grad_tol:g}: grad_norm={gnorm:.3e}"
+    converged = ~failed & (gnorm <= cfg.grad_tol)
+    for r in np.flatnonzero(~converged & ~failed):
+        warnings[r].append(
+            f"did not reach grad_tol={cfg.grad_tol:g}: grad_norm={gnorm[r]:.3e}"
         )
+    if np.ndim(start) > 1:
+        return FitResult(x, f, it, gnorm, converged, hess, warnings, runtime)
+    if failed[0]:
+        raise EvaluationError(warnings[0][-1], params=x[0])
     return FitResult(
-        params=x,
-        loglik=f,
-        iterations=it,
-        grad_norm=gnorm,
-        converged=converged,
-        hessian=hess,
-        warnings=warnings,
-        runtime=runtime,
+        x[0], float(f[0]), int(it[0]), float(gnorm[0]), bool(converged[0]), hess[0],
+        warnings[0], runtime,
     )
-

@@ -12,6 +12,7 @@ variance formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,8 +25,9 @@ from .inference import (
     efficient_score,
     info_blocks_moments,
     info_blocks_observed,
+    partition,
+    spectral_variance,
     spectrum,
-    standard_errors,
 )
 from .likelihood import (
     ModelSpec,
@@ -57,39 +59,44 @@ class FDConfig:
 
 
 def fd_gradient(f, x, cfg: FDConfig | None = None):
-    cfg = cfg or FDConfig()
-    x = np.asarray(x, dtype=float)
-    grad = np.empty_like(x)
-    for i in range(len(x)):
-        h = cfg.step * max(1.0, abs(x[i]))
-        xp, xm = x.copy(), x.copy()
-        xp[i] += h
-        xm[i] -= h
-        fp, fm = f(xp), f(xm)
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise EvaluationError(f"non-finite sample in finite differences at {x}")
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad
-
-
-def fd_hessian(f, x, cfg: FDConfig | None = None):
+    """Central-difference gradient of ``f`` at ``x``.  ``f`` maps a stack of
+    points (P, d) to their values (P,); it is called once, on all 2d points
+    x +- h_i e_i."""
     cfg = cfg or FDConfig()
     x = np.asarray(x, dtype=float)
     d = len(x)
-    H = np.empty((d, d))
-    steps = np.array([cfg.hess_step * max(1.0, abs(xi)) for xi in x])
-    for i in range(d):
-        for j in range(i, d):
-            hi, hj = steps[i], steps[j]
-            pts = []
-            for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                xx = x.copy()
-                xx[i] += si * hi
-                xx[j] += sj * hj
-                pts.append(f(xx))
-            if not np.all(np.isfinite(pts)):
-                raise EvaluationError(f"non-finite sample in finite differences at {x}")
-            H[i, j] = H[j, i] = (pts[0] - pts[1] - pts[2] + pts[3]) / (4 * hi * hj)
+    h = cfg.step * np.maximum(1.0, np.abs(x))
+    pts = np.tile(x, (2 * d, 1))  # rows 2i, 2i + 1: x + h_i e_i, x - h_i e_i
+    i = np.repeat(np.arange(d), 2)
+    pts[np.arange(2 * d), i] += np.tile([1.0, -1.0], d) * h[i]
+    vals = np.asarray(f(pts), dtype=float).reshape(d, 2)
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError(f"non-finite sample in finite differences at {x}")
+    return (vals[:, 0] - vals[:, 1]) / (2.0 * h)
+
+
+def fd_hessian(f, x, cfg: FDConfig | None = None):
+    """Central-difference Hessian of ``f`` at ``x`` from the four points
+    x +- h_i e_i +- h_j e_j of every pair i <= j; ``f`` is called once, on
+    all of them (see ``fd_gradient``)."""
+    cfg = cfg or FDConfig()
+    x = np.asarray(x, dtype=float)
+    steps = cfg.hess_step * np.maximum(1.0, np.abs(x))
+    i, j = np.triu_indices(len(x))
+    si = np.tile([1.0, 1.0, -1.0, -1.0], len(i))
+    sj = np.tile([1.0, -1.0, 1.0, -1.0], len(i))
+    ii, jj = np.repeat(i, 4), np.repeat(j, 4)
+    rows = np.arange(len(ii))
+    pts = np.tile(x, (len(ii), 1))
+    pts[rows, ii] += si * steps[ii]  # two updates, so that i == j moves twice
+    pts[rows, jj] += sj * steps[jj]
+    vals = np.asarray(f(pts), dtype=float).reshape(-1, 4)
+    if not np.all(np.isfinite(vals)):
+        raise EvaluationError(f"non-finite sample in finite differences at {x}")
+    H = np.empty((len(x), len(x)))
+    H[i, j] = H[j, i] = (vals[:, 0] - vals[:, 1] - vals[:, 2] + vals[:, 3]) / (
+        4 * steps[i] * steps[j]
+    )
     return H
 
 
@@ -218,10 +225,17 @@ def enumerated_centered_scores(toy: ToyInstance, params=None):
     )
 
 
+def _draw_counts(rng, sizes, probs):
+    """Case-control count table (2, K): ``sizes[s]`` units of stratum s + 1,
+    multinomial over the covariate support with cell probabilities
+    ``probs[s]``."""
+    return np.array([rng.multinomial(sizes[s], probs[s]) for s in (0, 1)])
+
+
 def simulate(toy: ToyInstance, sizes, rng) -> MultisampleDataset:
     """Draw a grouped case-control dataset: ``sizes[s-1]`` units per
     stratum, covariate cells multinomial within stratum."""
-    counts = np.array([rng.multinomial(sizes[s], toy.cond_probs(s + 1)) for s in (0, 1)])
+    counts = _draw_counts(rng, sizes, (toy.cond_probs(1), toy.cond_probs(2)))
     stratum, k = np.nonzero(counts)
     return MultisampleDataset.from_columns(
         toy.support[k], stratum + 1, counts[stratum, k], n_samples=2
@@ -255,6 +269,34 @@ class MonteCarloReport:
         }
 
 
+def replicate_fits(toy: ToyInstance, sizes=(260, 260), n_rep=500, seed=0, cfg=None):
+    """Draw ``n_rep`` case-control count tables from ``toy`` (PCG64, one
+    spawned stream per replicate, in replicate order) and fit the
+    identifiable reparametrization to all of them as one batch.
+
+    The replicates are held as counts over the shared (stratum, support
+    point) cells, where an empty cell contributes nothing.  Returns
+    (model, cells, fit): ``cells`` has the cell columns and the per-replicate
+    multiplicities (n_rep, 2K), ``fit`` a leading n_rep axis."""
+    from .logistic import build_identifiable_model
+
+    seeds = np.random.SeedSequence(seed).spawn(n_rep)
+    probs = (toy.cond_probs(1), toy.cond_probs(2))
+    counts = np.array([_draw_counts(np.random.default_rng(s), sizes, probs) for s in seeds])
+    K = len(toy.support)
+    cells = SimpleNamespace(
+        X=np.vstack([toy.support, toy.support]),
+        sample=np.repeat([1, 2], K),
+        y=np.repeat([0.0, 1.0], K),
+        multiplicity=counts.reshape(n_rep, 2 * K),
+        sample_sizes=np.asarray(sizes),
+        n=int(np.sum(sizes)),
+    )
+    model = build_identifiable_model(Weights(cells.sample_sizes / cells.n), toy.labels)
+    init = np.tile(model.init_params(cells), (n_rep, 1))
+    return model, cells, maximize(model, cells, init=init, cfg=cfg)
+
+
 def monte_carlo_variance(
     toy: ToyInstance,
     sizes=(260, 260),
@@ -267,38 +309,20 @@ def monte_carlo_variance(
     case-control data and compare the empirical spread of the slope
     estimates with the mean model-based standard error.
 
-    Deterministic for a fixed seed (PCG64 with per-replicate spawned
-    streams, aggregated in replicate order)."""
-    from .logistic import build_identifiable_model
-
-    cfg = cfg or FitConfig()
-    seeds = np.random.SeedSequence(seed).spawn(n_rep)
-    coefs, ses = [], []
-    failures = []
-    for r in range(n_rep):
-        rng = np.random.default_rng(seeds[r])
-        dataset = simulate(toy, sizes, rng)
-        weights = compute_weights(dataset)
-        model = build_identifiable_model(weights, toy.labels)
-        try:
-            fit = maximize(model, dataset, cfg=cfg)
-        except EvaluationError as exc:
-            failures.append((r, str(exc)))
-            continue
-        if not fit.converged:
-            failures.append((r, f"grad_norm={fit.grad_norm:.3e}"))
-            continue
-        blocks = info_blocks_observed(model, fit, dataset)
-        istar = efficient_information(blocks)
-        se, _, _ = standard_errors(istar, dataset.n)
-        coefs.append(fit.params[list(model.interest_idx)])
-        ses.append(se)
+    Deterministic for a fixed seed (see ``replicate_fits``).  The
+    information matrices, Schur complements and standard errors of the
+    converged replicates are taken as stacks."""
+    model, cells, fit = replicate_fits(toy, sizes, n_rep, seed, cfg)
+    failures = [(int(r), fit.warnings[r][-1]) for r in np.flatnonzero(~fit.converged)]
     if len(failures) > max_failure_rate * n_rep:
         raise ConvergenceError(
             f"{len(failures)}/{n_rep} replicate fits failed; first: {failures[:3]}"
         )
-    coefs = np.array(coefs)
-    ses = np.array(ses)
+    kept = fit.converged
+    blocks = partition(-fit.hessian[kept] / cells.n, model.interest_idx, model.nuisance_idx)
+    variance, identified = spectral_variance(efficient_information(blocks))
+    ses = np.where(identified, np.sqrt(variance / cells.n), np.nan)
+    coefs = fit.params[kept][:, list(model.interest_idx)]
     return MonteCarloReport(
         labels=toy.labels,
         n_rep=n_rep,

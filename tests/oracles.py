@@ -224,17 +224,18 @@ class Rejected(Exception):
 
 
 def _reference_rows(path):
-    """Header and non-blank (line, fields) rows, read with the csv module."""
+    """Header and non-blank (line, fields) rows, read with the csv module; a
+    row's line is the file line where its record starts."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise Rejected("no observations: empty file")
-        rows = [
-            (lineno, row)
-            for lineno, row in enumerate(reader, start=2)
-            if any(map(str.strip, row))
-        ]
+        rows, start = [], reader.line_num + 1  # the line where a record starts
+        for row in reader:
+            if any(map(str.strip, row)):
+                rows.append((start, row))
+            start = reader.line_num + 1
     return [h.strip() for h in header], rows
 
 

@@ -28,6 +28,21 @@ def test_fit_json(capsys):
     assert payload["coef"][0] == pytest.approx(-0.30212, abs=5e-5)
 
 
+def test_successive_calls_parse_independently(tmp_path, capsys):
+    """The parser is built once per process; one call's subcommand and flags
+    leave no trace in the next call's defaults."""
+    out = tmp_path / "report.json"
+    argv = ["fit", "--builtin", "leprosy", "--method", "mle", "--format", "json"]
+    assert main(argv + ["--out", str(out), "--max-iter", "1"]) == 2
+    assert not out.exists()  # the capped fit failed before writing
+    capsys.readouterr()
+    assert main(["compare", "--builtin", "leprosy"]) == 0
+    assert "Coefficients (standard errors)" in capsys.readouterr().out
+    assert main(["fit", "--builtin", "leprosy"]) == 0
+    table = capsys.readouterr().out
+    assert table.startswith("method: reparam-id") and "-0.30212" in table
+
+
 def test_fit_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(

@@ -343,12 +343,12 @@ def test_blank_lines_skipped_and_later_lines_named(tmp_path, blank):
         load_long_csv(f)
 
 
-def test_quoted_line_break_leaves_one_record(tmp_path):
-    """Lines count csv records: a quoted field spread over two lines is one
-    record, so the row after it and a blank line is record 4."""
+def test_quoted_line_break_names_the_file_line(tmp_path):
+    """A quoted field spread over two lines is one record; the row after it
+    and a blank line is named by the file line it starts on, 5."""
     f = tmp_path / "d.csv"
     f.write_text('sample,y,x1\n1,0,"1.0\n"\n\n2,0,2.0\n2,1,3.0\n')
-    with pytest.raises(DataError, match="line 4: y must be"):
+    with pytest.raises(DataError, match="line 5: y must be"):
         load_long_csv(f)
 
 

@@ -1,5 +1,6 @@
-"""The array passes against plain per-row loops, and invariance of every
-estimator under row order and multiplicity grouping."""
+"""The array passes against plain per-row loops, the stacked passes against
+one parameter vector at a time, and invariance of every estimator under row
+order and multiplicity grouping."""
 
 import numpy as np
 import pytest
@@ -23,8 +24,20 @@ from semest import (
 from semest.analysis import METHODS, fit_method
 from semest.data import observation_rows
 from semest.likelihood import evaluate
-from semest.validate import casecontrol_reparam_model
-from oracles import casecontrol_logistic_rows, casecontrol_reparam_rows, full_mle_rows
+from semest.validate import (
+    casecontrol_reparam_model,
+    default_mc_design,
+    fd_gradient,
+    fd_hessian,
+    replicate_fits,
+    simulate,
+)
+from oracles import (
+    casecontrol_logistic_rows,
+    casecontrol_reparam_rows,
+    full_mle_rows,
+    irls_logistic,
+)
 
 MODELS = ("identifiable", "non-identifiable", "full-mle", "reparam-generic")
 
@@ -71,6 +84,64 @@ def test_array_pass_matches_row_loop(name, leprosy, leprosy_weights, rng):
             evaluate(model, params, observation_rows(o), 1)[0] for o in leprosy.observations
         ])
         assert _rel_diff(rows, scores) < 1e-12
+
+
+def test_stacked_loglik_matches_each_fd_point(leprosy, leprosy_weights):
+    """At every point the validate suite's finite differences evaluate (its
+    20 random points per model, seed 0), the one stacked log-likelihood call
+    gives each point's own value."""
+    rng = np.random.default_rng(0)
+    for name in MODELS:
+        model = _model(name, leprosy, leprosy_weights)
+        stacks = []
+
+        def f(points):
+            stacks.append(points)
+            return log_likelihood(model, points, leprosy)
+
+        for _ in range(20):
+            x = 0.5 * rng.uniform(-1.0, 1.0, size=model.n_params)
+            fd_gradient(f, x)
+            fd_hessian(f, x)
+        points = np.vstack(stacks)
+        assert len(points) == 20 * 2 * model.n_params * (1 + model.n_params + 1)
+        stacked = log_likelihood(model, points, leprosy)
+        single = np.array([log_likelihood(model, p, leprosy) for p in points])
+        np.testing.assert_allclose(stacked, single, rtol=1e-12, atol=0)
+
+
+@pytest.fixture(scope="module")
+def mc_batch():
+    """40 Monte Carlo replicates fitted as one batch."""
+    design = default_mc_design()
+    return design, replicate_fits(design, n_rep=40, seed=3)
+
+
+def test_batched_replicates_match_single_fits(mc_batch, leprosy):
+    """Each replicate of the batch equals the ordinary fit of its own
+    dataset (the same stream drawn by ``simulate``): parameters, iteration
+    count and Hessian."""
+    design, (model, cells, fit) = mc_batch
+    assert fit.converged.all()
+    seeds = np.random.SeedSequence(3).spawn(40)
+    for r in range(40):
+        dataset = simulate(design, (260, 260), np.random.default_rng(seeds[r]))
+        alone = maximize(build_identifiable_model(compute_weights(dataset), design.labels), dataset)
+        assert fit.iterations[r] == alone.iterations
+        assert _rel_diff(fit.params[r], alone.params) <= 1e-12
+        assert _rel_diff(fit.hessian[r], alone.hessian) <= 1e-12
+        assert fit.loglik[r] == pytest.approx(alone.loglik, rel=1e-12, abs=0)
+
+
+def test_batched_replicates_match_irls(mc_batch):
+    """The batch's (alpha*, slopes) are the prospective logistic fit of each
+    count table with the fixed offset log(w1 / w0), by IRLS."""
+    _, (model, cells, fit) = mc_batch
+    Z = np.column_stack([np.ones(len(cells.X)), cells.X])
+    offset = np.log(cells.sample_sizes[1] / cells.sample_sizes[0])
+    for r in range(len(fit.params)):
+        beta, _ = irls_logistic(Z, cells.y, cells.multiplicity[r].astype(float), offset)
+        np.testing.assert_allclose(fit.params[r], beta, rtol=0, atol=1e-8)
 
 
 def test_own_support_index_matches_support_lookup(leprosy, rng):

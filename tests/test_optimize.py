@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,34 @@ def test_custom_init_respected(leprosy, leprosy_weights):
     assert fit.converged
     ref = maximize(model, leprosy)
     np.testing.assert_allclose(fit.params, ref.params, atol=1e-7)
+
+
+def test_batch_isolates_a_failed_fit(leprosy, leprosy_weights):
+    """In a batch, the fit whose start is not finite fails alone; every other
+    fit is bit-identical to the same fit run by itself."""
+    from semest.validate import default_mc_design, replicate_fits
+
+    model = build_nonidentifiable_model(leprosy_weights)
+    init = np.array([[0.0, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0], [2.0, -1.0, -3.0, -1.0]])
+    fit = maximize(model, leprosy, init=init)
+    assert fit.converged.tolist() == [True, False, True]
+    assert fit.warnings[1][-1].startswith("objective is not finite")
+    for r in (0, 2):
+        alone = maximize(model, leprosy, init=init[r])
+        np.testing.assert_array_equal(fit.params[r], alone.params)
+        np.testing.assert_array_equal(fit.hessian[r], alone.hessian)
+        assert (fit.loglik[r], fit.iterations[r], fit.grad_norm[r]) == (
+            alone.loglik, alone.iterations, alone.grad_norm
+        )
+    # per-fit row weights: the Monte Carlo replicates, one of them broken
+    model, cells, _ = replicate_fits(default_mc_design(), n_rep=5, seed=1)
+    init = np.tile(model.init_params(cells), (5, 1))
+    init[3, 1] = np.nan
+    fit = maximize(model, cells, init=init)
+    assert fit.converged.tolist() == [True, True, True, False, True]
+    for r in (0, 1, 2, 4):
+        one = copy.copy(cells)
+        one.multiplicity = cells.multiplicity[r : r + 1]
+        alone = maximize(model, one, init=init[r : r + 1])
+        np.testing.assert_array_equal(fit.params[r], alone.params[0])
+        assert fit.iterations[r] == alone.iterations[0]

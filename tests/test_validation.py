@@ -41,7 +41,7 @@ def toy():
 def test_fd_exact_on_quadratic():
     A = np.array([[2.0, 0.3], [0.3, 1.0]])
     b = np.array([0.5, -1.0])
-    f = lambda x: 0.5 * x @ A @ x + b @ x
+    f = lambda x: 0.5 * np.sum((x @ A) * x, -1) + x @ b  # one value per row of a stack
     x0 = np.array([0.7, -0.2])
     np.testing.assert_allclose(fd_gradient(f, x0), A @ x0 + b, atol=1e-8)
     np.testing.assert_allclose(fd_hessian(f, x0), A, atol=1e-6)
