@@ -128,4 +128,4 @@ def aggregate_hessian(model, params, dataset) -> np.ndarray:
             [evaluate(model, theta, observation_rows(o), 2) for o in dataset.observations]
         )
         _require_finite(dataset, theta, rows, "Hessian")
-    return 0.5 * (total + np.swapaxes(total, -1, -2))
+    return 0.5 * (total + total.swapaxes(-1, -2))

@@ -43,7 +43,7 @@ def transform_age(age):
 def _sigmoid(t):
     """Logistic function, stable for any sign of t."""
     e = np.exp(-np.abs(t))
-    return np.where(np.asarray(t) >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
 def _log1pexp(t):
@@ -102,13 +102,12 @@ class CaseControlLogisticModel(ModelSpec):
         u = (Z @ params[..., None])[..., 0]
         if order == 0:
             return data.y * u - np.logaddexp(self._log_w0, self._log_w1 + u)
-        # w1 e^u / (w0 + w1 e^u); exp overflows to inf, and mu to 0, silently
-        # under likelihood.evaluate
-        mu = 1.0 / (1.0 + np.exp(-(u + self._log_w1 - self._log_w0)))
+        # w1 e^u / (w0 + w1 e^u)
+        mu = _sigmoid(u + self._log_w1 - self._log_w0)
         if order == 1:
             return (data.y - mu)[..., None] * Z
         weighted = Z * (data.multiplicity * mu * (1.0 - mu))[..., None]
-        return -np.swapaxes(weighted, -1, -2) @ Z
+        return -weighted.swapaxes(-1, -2) @ Z
 
     def init_params(self, dataset):
         init = np.zeros(self.n_params)
@@ -123,8 +122,9 @@ class DiscreteG:
     @staticmethod
     def to_g(phi_free):
         """g from phi_1..phi_{K-1}, along the last axis of ``phi_free``."""
-        phi = np.asarray(phi_free, dtype=float)
-        phi = np.concatenate([phi, np.zeros(phi.shape[:-1] + (1,))], axis=-1)
+        free = np.asarray(phi_free, dtype=float)
+        phi = np.zeros(free.shape[:-1] + (free.shape[-1] + 1,))
+        phi[..., :-1] = free
         phi = phi - phi.max(axis=-1, keepdims=True)
         e = np.exp(phi)
         return e / e.sum(axis=-1, keepdims=True)
@@ -181,9 +181,9 @@ class FullMLELogisticModel(ModelSpec):
         f = np.stack([nu, mu], axis=-2)  # f(y | v_j), (2, K)
         D = (f @ g[..., None])[..., 0]  # (2,)
         if order == 0:
-            eta_k = eta[..., k]
+            eta_k = eta.take(k, axis=-1)
             logf_k = y * eta_k - _log1pexp(eta_k)
-            return logf_k + np.log(g[..., k]) - np.log(D[..., y])
+            return logf_k + np.log(g.take(k, axis=-1)) - np.log(D.take(y, axis=-1))
         a = g * f / D[:, None]
         b = np.stack([-mu, nu])  # y - mu
         m = (a * b) @ Z  # (2, 1+p)

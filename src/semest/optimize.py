@@ -163,12 +163,12 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
     t0 = time.perf_counter()
     warnings = [[] for _ in range(R)]
     failed = np.zeros(R, dtype=bool)
-    stopped = np.zeros(R, dtype=bool)  # failed, or stalled at maximum damping
+    live = np.ones(R, dtype=bool)  # neither failed nor stalled at maximum damping
 
     def stop(rows, why):
         for r in np.flatnonzero(rows):
             warnings[r].append(why.format(x[r]))
-        stopped[rows] = True
+        live[rows] = False
         return rows
 
     def derivatives(rows):
@@ -177,9 +177,9 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
         grad = aggregate_score(model, x, dataset)
         hess = aggregate_hessian(model, x, dataset)
         gnorm = np.abs(grad).max(axis=-1)
-        bad = rows & ~(np.isfinite(gnorm) & np.isfinite(hess).all(axis=(-2, -1)))
-        if np.count_nonzero(bad):
-            failed[stop(bad & ~stopped, "non-finite gradient at params {}")] = True
+        if not np.isfinite(gnorm.sum() + hess.sum()):  # some fit has a non-finite value
+            bad = rows & ~(np.isfinite(gnorm) & np.isfinite(hess).all(axis=(-2, -1)))
+            failed[stop(bad & live, "non-finite gradient at params {}")] = True
         return grad, hess, gnorm
 
     f = log_likelihood(model, x, dataset)
@@ -187,9 +187,9 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
         failed[stop(~np.isfinite(f), "objective is not finite at params {}")] = True
     grad, hess, gnorm = derivatives(np.ones(R, dtype=bool))
     lam = np.full(R, DAMPING_INIT)
-    it = np.zeros(R, dtype=int)
-    while True:
-        act = ~stopped & (it < cfg.max_iter) & (gnorm > cfg.grad_tol)
+    it = np.zeros(R, dtype=int)  # every active fit has run every pass so far
+    for _ in range(cfg.max_iter):
+        act = live & (gnorm > cfg.grad_tol)
         if not np.count_nonzero(act):
             break
         it += act
@@ -199,20 +199,23 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
         # (a fit that is no longer active never resumes, so its lam may drift)
         lam_down = np.maximum(lam / DAMPING_FACTOR, DAMPING_INIT)
         if not np.count_nonzero(stuck):
-            lam = lam_down
+            lam, moved = lam_down, act
         else:
             stop(stuck & (lam >= DAMPING_MAX), "line search stalled at maximum damping")
             lam = np.where(stuck, np.minimum(lam * DAMPING_FACTOR, DAMPING_MAX), lam_down)
-        if np.count_nonzero(act ^ stuck):
-            # the fits that did not move get back the values they had
-            grad, hess, gnorm = derivatives(act ^ stuck)
+            moved = act ^ stuck
+            if not np.count_nonzero(moved):
+                continue
+        # the fits that did not move get back the values they had
+        grad, hess, gnorm = derivatives(moved)
 
     runtime = time.perf_counter() - t0
-    converged = ~failed & (gnorm <= cfg.grad_tol)
-    for r in np.flatnonzero(~converged & ~failed):
-        warnings[r].append(
-            f"did not reach grad_tol={cfg.grad_tol:g}: grad_norm={gnorm[r]:.3e}"
-        )
+    converged = live & (gnorm <= cfg.grad_tol)  # a stalled fit had gnorm > grad_tol
+    if not _every(converged):
+        for r in np.flatnonzero(~converged & ~failed):
+            warnings[r].append(
+                f"did not reach grad_tol={cfg.grad_tol:g}: grad_norm={gnorm[r]:.3e}"
+            )
     if np.ndim(start) > 1:
         return FitResult(x, f, it, gnorm, converged, hess, warnings, runtime)
     if failed[0]:

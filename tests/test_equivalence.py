@@ -117,7 +117,7 @@ def mc_batch():
     return design, replicate_fits(design, n_rep=40, seed=3)
 
 
-def test_batched_replicates_match_single_fits(mc_batch, leprosy):
+def test_batched_replicates_match_single_fits(mc_batch):
     """Each replicate of the batch equals the ordinary fit of its own
     dataset (the same stream drawn by ``simulate``): parameters, iteration
     count and Hessian."""
