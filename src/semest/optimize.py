@@ -52,10 +52,10 @@ class FitResult:
     runtime: float = 0.0
 
     def require_converged(self):
-        if not np.all(self.converged):
+        if not self.converged:
             raise EvaluationError(
-                f"fit did not converge (grad_norm={np.max(self.grad_norm):.3e} "
-                f"after {np.max(self.iterations)} iterations)"
+                f"fit did not converge (grad_norm={self.grad_norm:.3e} "
+                f"after {self.iterations} iterations)"
             )
         return self
 
