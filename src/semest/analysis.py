@@ -66,10 +66,11 @@ def fit_method(dataset, method, cfg=None, covariate_labels=("Scar", "Age"), weig
     information; intercept-type parameters appear in ``extra_rows`` because
     their meaning differs across methods.  Each coordinate's standard error
     and identification come from one matrix: I* for the interest block, the
-    full observed information for the nuisance block.  A coordinate that
-    loads on a null direction is not identified: an intercept-type row is
-    marked '!' and has no standard error, a slope raises
-    SingularInformationError.
+    full observed information for the nuisance block (computed only when a
+    displayed row is a nuisance coordinate, which for ``mle`` none is).  A
+    coordinate that loads on a null direction is not identified: an
+    intercept-type row is marked '!' and has no standard error, a slope
+    raises SingularInformationError.
     """
     cfg = cfg or FitConfig()
     weights = weights or compute_weights(dataset)
@@ -77,6 +78,9 @@ def fit_method(dataset, method, cfg=None, covariate_labels=("Scar", "Age"), weig
     fit = maximize(model, dataset, cfg=cfg)
     blocks = info_blocks_observed(model, fit, dataset)
     istar = efficient_information(blocks)
+    i = list(model.interest_idx)
+    shown = {j for j, label in enumerate(model.param_labels) if label in _ROW_NAMES}
+    nuisance_shown = not shown <= set(i)
     # the rank rule reads the information with the covariates standardized,
     # free of their units and origins: the slopes (parameters 1..p in every
     # method) per sd, the intercept (parameter 0) at the covariate mean
@@ -84,11 +88,12 @@ def fit_method(dataset, method, cfg=None, covariate_labels=("Scar", "Age"), weig
     mean = dataset.multiplicity @ dataset.X / dataset.n
     sd = np.sqrt(dataset.multiplicity @ (dataset.X - mean) ** 2 / dataset.n)
     sd[sd == 0.0] = 1.0
-    basis = np.eye(model.n_params)
+    basis = np.eye(model.n_params if nuisance_shown else slopes.stop)
     basis[slopes, slopes] = np.diag(1.0 / sd)
     basis[0, slopes] = -mean / sd
-    i = list(model.interest_idx)
-    se, ok, _ = standard_errors(-fit.hessian / dataset.n, dataset.n, basis)
+    se, ok = np.full(model.n_params, np.nan), np.zeros(model.n_params, dtype=bool)
+    if nuisance_shown:
+        se, ok, _ = standard_errors(-fit.hessian / dataset.n, dataset.n, basis)
     se[i], ok[i], cond = standard_errors(istar, dataset.n, basis[np.ix_(i, i)])
     if not ok[slopes].all():
         names = ", ".join(np.asarray(covariate_labels)[~ok[slopes]])

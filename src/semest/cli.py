@@ -5,7 +5,9 @@ efficiencies), ``validate`` (numerical identity suite, optionally with the
 Monte Carlo variance study), ``bench`` (median fit wall time per method,
 with the Python, numpy and BLAS versions and CPU count under ``--format json``).
 
-Exit codes: 0 success, 1 input error, 2 solver non-convergence or an
+Exit codes: 0 success, 1 input error (a numeric option out of range
+included: ``--tol`` must be finite and > 0, ``--max-iter`` and
+``--repeats`` >= 1, ``--reps`` >= 2), 2 solver non-convergence or an
 information matrix that does not identify the slopes, 3 validation
 failure.  A stdout closed early (``semest compare | head -1``) ends quietly
 with exit 1, as in Python's documented ``BrokenPipeError`` recipe.  The
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -127,6 +130,23 @@ def _emit(text, out):
         print(text)
 
 
+# numeric options: (attribute, flag, test, rule)
+_RANGES = (
+    ("tol", "--tol", lambda v: math.isfinite(v) and v > 0, "finite and > 0"),
+    ("max_iter", "--max-iter", lambda v: v >= 1, ">= 1"),
+    ("repeats", "--repeats", lambda v: v >= 1, ">= 1"),
+    ("reps", "--reps", lambda v: v >= 2, ">= 2"),
+)
+
+
+def _check_ranges(args):
+    """DataError naming the first numeric option out of its range."""
+    for attr, flag, ok, rule in _RANGES:
+        value = getattr(args, attr, None)
+        if value is not None and not ok(value):
+            raise DataError(f"{flag} must be {rule}, got {value}")
+
+
 def _cfg(args):
     return FitConfig(grad_tol=args.tol, max_iter=args.max_iter)
 
@@ -231,6 +251,7 @@ def main(argv=None):
         "fit": _cmd_fit, "compare": _cmd_compare, "validate": _cmd_validate, "bench": _cmd_bench,
     }
     try:
+        _check_ranges(args)
         code = commands[args.command](args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
         return code

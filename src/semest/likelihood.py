@@ -19,6 +19,7 @@ import numpy as np
 
 from .data import observation_rows
 from .errors import EvaluationError
+from .structured import StructuredHessian
 
 
 class ModelSpec(ABC):
@@ -31,7 +32,8 @@ class ModelSpec(ABC):
     columns ``X``, ``sample``, ``y``, ``multiplicity``, ``support`` and
     ``support_index`` of ``data`` (a MultisampleDataset) and returns, for
     ``order`` 0, 1 and 2: the per-row log-densities (N,), the per-row scores
-    (N, d), and the multiplicity-weighted sum of the per-row Hessians (d, d).
+    (N, d), and the multiplicity-weighted sum of the per-row Hessians, a
+    (d, d) array or a symmetric ``StructuredHessian``.
 
     ``stacked_orders`` lists the orders whose ``evaluate`` also takes a
     (P, d) stack of parameter vectors and gives a leading P axis: (P, N),
@@ -118,14 +120,26 @@ def aggregate_score(model, params, dataset) -> np.ndarray:
     return _total(dataset.multiplicity, rows)
 
 
-def aggregate_hessian(model, params, dataset) -> np.ndarray:
-    """Symmetrized total Hessian, (d, d) or (P, d, d); non-finite entries
+def hessian_entries(hess):
+    """The stored entries of a Hessian, dense (..., d, d) or structured,
+    flattened over all but the stack axes."""
+    if isinstance(hess, StructuredHessian):
+        return hess.entries()
+    return hess.reshape(hess.shape[:-2] + (-1,))
+
+
+def aggregate_hessian(model, params, dataset):
+    """Symmetrized total Hessian, (d, d) or (P, d, d), or the model's
+    ``StructuredHessian`` (symmetric by construction); non-finite entries
     raise naming the row or, in a stack, propagate."""
     theta = np.asarray(params, dtype=float)
     total = evaluate(model, theta, dataset, 2)
-    if theta.ndim == 1 and not np.all(np.isfinite(total)):  # find the offending row
-        rows = np.array(
-            [evaluate(model, theta, observation_rows(o), 2) for o in dataset.observations]
-        )
+    if theta.ndim == 1 and not np.all(np.isfinite(hessian_entries(total))):
+        rows = np.array([  # find the offending row
+            hessian_entries(evaluate(model, theta, observation_rows(o), 2))
+            for o in dataset.observations
+        ])
         _require_finite(dataset, theta, rows, "Hessian")
+    if isinstance(total, StructuredHessian):
+        return total
     return 0.5 * (total + total.swapaxes(-1, -2))

@@ -29,6 +29,7 @@ from .data import (
 from .errors import DataError
 from .likelihood import ModelSpec
 from .reparam import ConditionalFamily, WeightFunctionSpec
+from .structured import DiagPlusLowRank, StructuredHessian
 
 
 def transform_age(age):
@@ -59,6 +60,10 @@ def _design(x):
 def _outer(z):
     """z z^T, row by row for a stack of vectors."""
     return z[..., :, None] * z[..., None, :]
+
+
+def _t(M):
+    return np.swapaxes(M, -1, -2)
 
 
 class CaseControlLogisticModel(ModelSpec):
@@ -144,10 +149,12 @@ class FullMLELogisticModel(ModelSpec):
 
     Every per-row quantity depends on the row only through its response y
     and support point k, so the pass works on the (2, K) table of them.
-    Order 0 takes a stack of parameter vectors (the finite-difference
-    oracle evaluates all its points at once)."""
+    Every order takes a stack of parameter vectors (order 2 with one set of
+    row multiplicities).  Order 2 returns a ``StructuredHessian``: the
+    phi block is a diagonal plus a rank-2 term, never formed as a K x K
+    array."""
 
-    stacked_orders = (0,)
+    stacked_orders = (0, 1, 2)
 
     def __init__(self, support, covariate_labels):
         support = np.asarray(support, dtype=float)
@@ -163,6 +170,7 @@ class FullMLELogisticModel(ModelSpec):
         )
         self.n_theta = 1 + len(covariate_labels)
         self.interest_idx = tuple(range(self.n_theta))
+        self._rows = self._counts = None  # the last rows counted, and their counts
 
     def evaluate(self, params, data, order):
         t = params[..., : self.n_theta]
@@ -184,30 +192,37 @@ class FullMLELogisticModel(ModelSpec):
             eta_k = eta.take(k, axis=-1)
             logf_k = y * eta_k - _log1pexp(eta_k)
             return logf_k + np.log(g.take(k, axis=-1)) - np.log(D.take(y, axis=-1))
-        a = g * f / D[:, None]
-        b = np.stack([-mu, nu])  # y - mu
+        a = g[..., None, :] * f / D[..., None]
+        b = np.stack([-mu, nu], axis=-2)  # y - mu
         m = (a * b) @ Z  # (2, 1+p)
-        if order == 1:
-            grad_t = b[y, k][:, None] * Z[k] - m[y]
-            grad_phi = -a[y, :-1]
+        if order == 1:  # written in place: (N, 1+p+K-1) is the largest array of a fit
+            q = self.n_theta
+            out = np.empty(b.shape[:-2] + (len(y), q + self.K - 1))
+            out[..., :q] = b[..., y, k, None] * Z[k] - m[..., y, :]
+            np.take(-a[..., :-1], y, axis=-2, out=out[..., q:], mode="clip")
             own = np.flatnonzero(k < self.K - 1)
-            grad_phi[own, k[own]] += 1.0
-            return np.hstack([grad_t, grad_phi])
+            out[..., own, q + k[own]] += 1.0
+            return out
         # sum over rows of the per-row Hessian
         #   h_tt = -c_k z_k z_k' - sum_j a_j (b_j^2 - c_j) z_j z_j' + m m'
         #   h_tphi[:, j] = a_j (m - b_j z_j),  h_phiphi = a a' - diag(a)
-        # with M[y, k] the multiplicity of (y, k) and N_y its row sums
-        M = np.bincount(
-            y * self.K + k, weights=data.multiplicity, minlength=2 * self.K
-        ).reshape(2, self.K)
-        N = M.sum(axis=1)
+        # with M[y, k] the multiplicity of (y, k) and N_y its row sums; the
+        # phi block sums to -diag(N a) + F F' with F = (sqrt(N) a)', rank 2
+        rows = (data.X, data.sample, data.multiplicity)
+        if self._rows is None or any(a is not b for a, b in zip(rows, self._rows)):
+            M = np.bincount(
+                y * self.K + k, weights=data.multiplicity, minlength=2 * self.K
+            ).reshape(2, self.K)
+            N = M.sum(axis=1)
+            self._rows, self._counts = rows, (M.sum(axis=0), N, np.sqrt(N)[:, None])
+        per_point, N, root_N = self._counts  # a fit counts one dataset many times
         c = mu * nu
-        diag_w = -c * M.sum(axis=0) - N @ (a * (b**2 - c))
-        h_tt = (Z * diag_w[:, None]).T @ Z + (m * N[:, None]).T @ m
-        a_ = a[:, :-1]
-        h_tphi = m.T @ (a_ * N[:, None]) - Z[:-1].T * (N @ (a * b))[:-1]
-        h_phiphi = (a_ * N[:, None]).T @ a_ - np.diag(N @ a_)
-        return np.block([[h_tt, h_tphi], [h_tphi.T, h_phiphi]])
+        diag_w = -c * per_point - N @ (a * (b**2 - c[..., None, :]))
+        h_tt = _t(Z * diag_w[..., None]) @ Z + _t(m * N[:, None]) @ m
+        a_ = a[..., :-1]
+        h_tphi = _t(m) @ (a_ * N[:, None]) - Z[:-1].T * (N @ (a * b))[..., None, :-1]
+        tail = DiagPlusLowRank(-(N @ a_), _t(a_ * root_N), 1.0)
+        return StructuredHessian(0.5 * (h_tt + _t(h_tt)), h_tphi, tail)
 
     def init_params(self, dataset):
         init = np.zeros(self.n_params)

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EvaluationError
-from .likelihood import aggregate_hessian, aggregate_score, log_likelihood
+from .likelihood import aggregate_hessian, aggregate_score, hessian_entries, log_likelihood
+from .structured import StructuredHessian, solve_or_nan
 
 
 # Line search: step halvings per Newton direction, Armijo sufficient-increase
@@ -33,21 +34,23 @@ class FitConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if self.grad_tol <= 0 or self.max_iter <= 0:
+        if not self.grad_tol > 0 or self.max_iter <= 0:
             raise ValueError("tolerances and iteration caps must be positive")
 
 
 @dataclass
 class FitResult:
     """One fit, or R fits with a leading R axis on every array field;
-    ``warnings`` then holds one list per fit."""
+    ``warnings`` then holds one list per fit.  ``hessian`` is the model's
+    order-2 form at ``params``: a ``StructuredHessian`` for the joint
+    ``mle``."""
 
     params: np.ndarray
     loglik: float
     iterations: int
     grad_norm: float
     converged: bool
-    hessian: np.ndarray
+    hessian: np.ndarray | StructuredHessian
     warnings: list = field(default_factory=list)
     runtime: float = 0.0
 
@@ -80,28 +83,25 @@ def _every(rows):
     return np.count_nonzero(rows) == len(rows)
 
 
-def _solve(system, rhs):
-    """Solve each system[r] d = rhs[r]; NaN rows where one is singular."""
-    try:
-        return np.linalg.solve(system, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:  # one singular system fails the stack: one at a time
-        out = np.full_like(rhs, np.nan)
-        for r in range(len(rhs)):
-            try:
-                out[r] = np.linalg.solve(system[r], rhs[r])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+def _damped_solve(hess, grad, lam):
+    """d from (-H + lam I) d = g, one system per fit; NaN rows where one is
+    singular.  A structured Hessian is solved by block elimination."""
+    if isinstance(hess, StructuredHessian):
+        return hess.solve(-grad, -lam)
+    system = -hess
+    i = np.arange(hess.shape[-1])
+    system[:, i, i] += lam[:, None]
+    return solve_or_nan(system, grad)
 
 
-def _newton_directions(hess, grad, lam, rows, eye):
+def _newton_directions(hess, grad, lam, rows):
     """Newton direction from (-H + lam I) d = g for each of ``rows``,
     escalating a row's damping lam until its system solves and gives an
     ascent direction, or, at the cap, falling back to steepest ascent.
     Returns (directions, slopes g'd, damping)."""
     d = slope = None
     while True:
-        cand = _solve(-hess + lam[:, None, None] * eye, grad)
+        cand = _damped_solve(hess, grad, lam)
         gain = _dot(grad, cand)
         ok = rows & np.isfinite(cand).all(axis=-1) & (gain > 0)
         if _every(ok):
@@ -159,7 +159,7 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
     cfg = cfg or FitConfig()
     start = model.init_params(dataset) if init is None else np.asarray(init, float)
     x = np.array(np.atleast_2d(start), dtype=float)
-    R, eye = len(x), np.eye(x.shape[1])
+    R = len(x)
     t0 = time.perf_counter()
     warnings = [[] for _ in range(R)]
     failed = np.zeros(R, dtype=bool)
@@ -178,7 +178,8 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
         hess = aggregate_hessian(model, x, dataset)
         gnorm = np.abs(grad).max(axis=-1)
         if not np.isfinite(gnorm.sum() + hess.sum()):  # some fit has a non-finite value
-            bad = rows & ~(np.isfinite(gnorm) & np.isfinite(hess).all(axis=(-2, -1)))
+            finite = np.isfinite(hessian_entries(hess)).all(axis=-1)
+            bad = rows & ~(np.isfinite(gnorm) & finite)
             failed[stop(bad & live, "non-finite gradient at params {}")] = True
         return grad, hess, gnorm
 
@@ -193,7 +194,7 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
         if not np.count_nonzero(act):
             break
         it += act
-        d, slope, lam = _newton_directions(hess, grad, lam, act, eye)
+        d, slope, lam = _newton_directions(hess, grad, lam, act)
         x, f, stuck = _line_search(model, dataset, x, f, d, slope, act)
         # less damping after a step; without one more, or a stop at the cap
         # (a fit that is no longer active never resumes, so its lam may drift)

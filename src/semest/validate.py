@@ -44,6 +44,7 @@ from .logistic import (
 )
 from .optimize import FitConfig, maximize
 from .reparam import FStarEstimate, QVector, ReparamModel, fixed_point_q, fstar_empirical
+from .structured import dense
 
 
 @dataclass(frozen=True)
@@ -414,7 +415,7 @@ def run_suite(seed=0, mc=False, reps=500, inject_broken_score=False):
             g_fd = fd_gradient(f, x, fdcfg)
             scale_g = max(1.0, float(np.max(np.abs(g_fd))))
             worst_g = max(worst_g, float(np.max(np.abs(g - g_fd))) / scale_g)
-            h = aggregate_hessian(model, x, dataset)
+            h = dense(aggregate_hessian(model, x, dataset))
             h_fd = fd_hessian(f, x, fdcfg)
             scale_h = max(1.0, float(np.max(np.abs(h_fd))))
             worst_h = max(worst_h, float(np.max(np.abs(h - h_fd))) / scale_h)

@@ -198,6 +198,31 @@ def test_nonconvergence_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "compare", "bench"])
+@pytest.mark.parametrize("option", [("--max-iter", "0"), ("--tol", "-1")])
+def test_nonpositive_fit_option_exits_1_naming_it(capsys, command, option):
+    assert main([command, "--builtin", "leprosy", *option]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {option[0]} must be")
+
+
+def test_nan_tol_exits_1_naming_it(capsys):
+    assert main(["fit", "--builtin", "leprosy", "--tol", "nan"]) == 1
+    assert capsys.readouterr().err.startswith("error: --tol must be finite and > 0")
+
+
+def test_bench_zero_repeats_exits_1_naming_it(capsys):
+    assert main(["bench", "--builtin", "leprosy", "--repeats", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --repeats must be >= 1") and captured.out == ""
+
+
+@pytest.mark.parametrize("reps", ["0", "1"])
+def test_monte_carlo_reps_below_2_exit_1_naming_it(capsys, reps):
+    assert main(["validate", "--mc", "--reps", reps]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --reps must be >= 2") and captured.out == ""
+
+
 def test_validate_broken_score_exits_3(capsys):
     rc = main(["validate", "--seed", "3", "--inject-broken-score"])
     out = capsys.readouterr().out

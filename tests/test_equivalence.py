@@ -2,6 +2,8 @@
 one parameter vector at a time, and invariance of every estimator under row
 order and multiplicity grouping."""
 
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from semest import (
     MultisampleDataset,
+    SingularInformationError,
     aggregate_hessian,
     aggregate_score,
     build_full_mle_model,
@@ -22,8 +25,11 @@ from semest import (
     standard_errors,
 )
 from semest.analysis import METHODS, fit_method
-from semest.data import observation_rows
+from semest.data import load_casecontrol_csv, observation_rows
+from semest.inference import InfoBlocks, info_blocks_observed, low_rank_spectrum, partition, spectrum
 from semest.likelihood import evaluate
+from semest.logistic import transform_age
+from semest.structured import dense
 from semest.validate import (
     casecontrol_reparam_model,
     default_mc_design,
@@ -40,6 +46,12 @@ from oracles import (
 )
 
 MODELS = ("identifiable", "non-identifiable", "full-mle", "reparam-generic")
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+# wide-support files, 100 cells each, made by perfbench/gen.py:
+# wide_support_csv(5, 0), (63, 85) and (1, 12)
+WIDE_SUPPORT = (
+    "wide_support.csv", "wide_support_indefinite.csv", "wide_support_ridge_stall.csv"
+)
 
 
 def _model(name, dataset, weights):
@@ -64,7 +76,9 @@ def _reference(name, dataset, weights, params):
 
 
 def _rel_diff(a, b):
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    """Largest difference relative to max(1, max |b|); structured Hessians
+    are densified."""
+    a, b = dense(a).astype(float), dense(b).astype(float)
     return float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b))))
 
 
@@ -153,7 +167,7 @@ def test_own_support_index_matches_support_lookup(leprosy, rng):
     params = rng.uniform(-1.0, 1.0, size=mle.n_params)
     for order in (0, 1, 2):
         np.testing.assert_array_equal(
-            evaluate(mle, params, leprosy, order), evaluate(mle, params, copy, order)
+            dense(evaluate(mle, params, leprosy, order)), dense(evaluate(mle, params, copy, order))
         )
 
 
@@ -247,3 +261,74 @@ def test_covariate_shift(leprosy, leprosy_reports, j, shift):
         np.testing.assert_allclose(got.se, ref.se, rtol=1e-7, atol=0)
         markers = {k: v[2] for k, v in got.extra_rows.items()}
         assert markers == {k: v[2] for k, v in ref.extra_rows.items()}
+
+
+@pytest.mark.parametrize("source", ("leprosy",) + WIDE_SUPPORT)
+def test_structured_mle_solves_match_dense(leprosy, rng, source):
+    """At random points, the mle's structured Hessian gives the damped
+    Newton direction of ``np.linalg.solve`` on the row-loop oracle's dense
+    Hessian, and its I* the explicit Schur complement, both to 1e-10."""
+    if source == "leprosy":
+        dataset = leprosy
+    else:
+        dataset = load_casecontrol_csv(str(FIXTURES / source), transform=transform_age)
+    model = build_full_mle_model(dataset)
+    q = model.n_theta
+    for _ in range(2):
+        params = rng.uniform(-1.0, 1.0, size=model.n_params)
+        cols = (dataset.X, dataset.sample, dataset.multiplicity)
+        _, _, dense_h = full_mle_rows(dataset.support, *cols, params)
+        hess = aggregate_hessian(model, params, dataset)
+        grad = aggregate_score(model, params, dataset)
+        for lam in (1e-8, 1.0):  # (-H + lam I) d = g, as the Newton step solves it
+            ref = np.linalg.solve(-dense_h + lam * np.eye(model.n_params), grad)
+            assert np.abs(hess.solve(-grad, -lam) - ref).max() < 1e-10 * np.abs(ref).max()
+        info = -dense_h / dataset.n
+        ref = info[:q, :q] - info[:q, q:] @ np.linalg.solve(info[q:, q:], info[q:, :q])
+        blocks = partition(hess / -dataset.n, model.interest_idx, model.nuisance_idx)
+        assert np.abs(efficient_information(blocks) - ref).max() < 1e-10 * np.abs(ref).max()
+
+
+def _separated_fit_blocks(tmp_path):
+    """Observed information blocks of the mle fit of a completely separated
+    table: age 2.5 has no cases, age 7.5 no controls."""
+    path = tmp_path / "separated.csv"
+    path.write_text("age,scar,cases,controls\n2.5,0,0,10\n2.5,1,0,12\n7.5,0,9,0\n7.5,1,11,0\n")
+    dataset = load_casecontrol_csv(str(path), transform=transform_age)
+    model = build_full_mle_model(dataset)
+    fit = maximize(model, dataset)
+    return info_blocks_observed(model, fit, dataset)
+
+
+def _near_singular_g_blocks(leprosy, phi):
+    """Observed information blocks at a point where every phi_k is ``phi``:
+    the last support point's mass e^-phi / (1 + 13 e^-phi) nearly vanishes
+    for large phi, and I22 with it."""
+    model = build_full_mle_model(leprosy)
+    params = np.zeros(model.n_params)
+    params[0], params[model.n_theta :] = 0.5, phi
+    hess = aggregate_hessian(model, params, leprosy)
+    return partition(hess / -leprosy.n, model.interest_idx, model.nuisance_idx)
+
+
+@pytest.mark.parametrize("case", ["separated", "phi=5", "phi=20", "phi=40"])
+def test_structured_null_direction_matches_spectrum(leprosy, tmp_path, case):
+    """The structured I22 rank verdict is ``spectrum``'s on the dense block,
+    and a null direction is the same eigenvector (up to sign)."""
+    if case == "separated":
+        blocks = _separated_fit_blocks(tmp_path)
+    else:
+        blocks = _near_singular_g_blocks(leprosy, float(case[4:]))
+    I22 = blocks.I22
+    _, vectors, keep = spectrum(dense(I22), "I22")
+    null = low_rank_spectrum(I22, "I22")
+    assert (null is not None) == (not keep.all()) == (case in ("separated", "phi=20", "phi=40"))
+    if null is None:
+        return
+    assert min(np.abs(null - vectors[:, 0]).max(), np.abs(null + vectors[:, 0]).max()) < 1e-6
+    # efficient_information raises with that direction on either path
+    for b in (blocks, InfoBlocks(blocks.I11, blocks.I12, dense(I22))):
+        with pytest.raises(SingularInformationError, match="I22 is numerically singular") as exc:
+            efficient_information(b)
+        v = exc.value.null_direction
+        assert min(np.abs(v - null).max(), np.abs(v + null).max()) < 1e-6

@@ -291,6 +291,7 @@ def test_blocks_paths_converge_with_n():
     model = FullMLELogisticModel(toy.support, toy.labels)
     params = toy.mle_params()
     from semest.likelihood import aggregate_hessian
+    from semest.structured import dense
 
     gaps = []
     rng = np.random.default_rng(5)
@@ -299,7 +300,7 @@ def test_blocks_paths_converge_with_n():
         w = compute_weights(ds)
         cs = centered_scores(model, params, ds)
         mom = info_blocks_moments(cs, w)
-        obs_full = -aggregate_hessian(model, params, ds) / ds.n
+        obs_full = -dense(aggregate_hessian(model, params, ds)) / ds.n
         gaps.append(np.max(np.abs(mom.full() - obs_full)))
     assert gaps[2] < gaps[0]
 
@@ -324,3 +325,34 @@ def test_istar_lln_against_enumeration():
     blocks = info_blocks_moments(cs, compute_weights(ds))
     istar_emp = efficient_information(blocks)
     assert np.max(np.abs(istar_emp - istar_exact)) / np.max(np.abs(istar_exact)) < 0.01
+
+
+def test_mle_linear_algebra_stays_interest_sized(monkeypatch):
+    """``fit_method(..., "mle")`` on 1500 unit rows (K = 1500 support points)
+    hands numpy's dense linear algebra no matrix larger than (1+p) x (1+p),
+    the 2 x 2 capacitance aside: the nuisance block is never solved or
+    decomposed densely.  Counted by shape, not timed.  Slopes and standard
+    errors are those of ``reparam-id``."""
+    from semest import MultisampleDataset
+    from semest.analysis import fit_method
+
+    shapes = []
+    for name in ("solve", "eigh", "eigvalsh", "inv"):
+        def recording(a, *args, _original=getattr(np.linalg, name), **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    rng = np.random.default_rng(7)
+    p = 3
+    controls = rng.standard_normal((750, p))
+    cases = rng.standard_normal((750, p)) + [0.5, -0.3, 0.2]
+    dataset = MultisampleDataset.from_columns(
+        np.vstack([controls, cases]), np.repeat([1, 2], 750), np.ones(1500, dtype=int)
+    )
+    labels = ("x1", "x2", "x3")
+    _, mle, _ = fit_method(dataset, "mle", covariate_labels=labels)
+    assert shapes and max(max(s) for s in shapes) <= 1 + p
+    _, ref, _ = fit_method(dataset, "reparam-id", covariate_labels=labels)
+    np.testing.assert_allclose(mle.coef, ref.coef, rtol=0, atol=1e-6)
+    np.testing.assert_allclose(mle.se, ref.se, rtol=0, atol=1e-6)

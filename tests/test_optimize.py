@@ -18,6 +18,8 @@ def test_fit_config_validation():
         FitConfig(grad_tol=0.0)
     with pytest.raises(ValueError):
         FitConfig(max_iter=0)
+    with pytest.raises(ValueError):
+        FitConfig(grad_tol=float("nan"))
 
 
 def test_converges_quickly(leprosy, leprosy_weights):
