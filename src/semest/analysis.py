@@ -91,9 +91,10 @@ def fit_method(dataset, method, cfg=None, covariate_labels=("Scar", "Age"), weig
     basis = np.eye(model.n_params if nuisance_shown else slopes.stop)
     basis[slopes, slopes] = np.diag(1.0 / sd)
     basis[0, slopes] = -mean / sd
-    se, ok = np.full(model.n_params, np.nan), np.zeros(model.n_params, dtype=bool)
     if nuisance_shown:
         se, ok, _ = standard_errors(-fit.hessian / dataset.n, dataset.n, basis)
+    else:
+        se, ok = np.full(model.n_params, np.nan), np.zeros(model.n_params, dtype=bool)
     se[i], ok[i], cond = standard_errors(istar, dataset.n, basis[np.ix_(i, i)])
     if not ok[slopes].all():
         names = ", ".join(np.asarray(covariate_labels)[~ok[slopes]])

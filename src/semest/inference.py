@@ -10,7 +10,9 @@ different estimators of the same limit).
 Every information matrix passes one numerical-rank rule, ``spectrum``: an
 eigenvalue within ``RANK_TOL`` (relative) of zero marks a null direction,
 one below it makes the matrix indefinite, an error.  I22 must have no null
-direction.  Standard errors are taken over the non-null spectrum, read in a
+direction; the joint ``mle``'s I22, a diagonal plus a rank-2 term, gets the
+same rule from ``low_rank_spectrum`` without a dense eigendecomposition.
+Standard errors are taken over the non-null spectrum, read in a
 caller-given basis (``analysis.fit_method`` standardizes the covariates, so
 that their units and origins do not move the rule); a coordinate loading on
 a null direction is not identified.

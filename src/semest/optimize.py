@@ -83,25 +83,23 @@ def _every(rows):
     return np.count_nonzero(rows) == len(rows)
 
 
-def _damped_solve(hess, grad, lam):
+def _damped_solve(hess, grad, lam, eye):
     """d from (-H + lam I) d = g, one system per fit; NaN rows where one is
-    singular.  A structured Hessian is solved by block elimination."""
-    if isinstance(hess, StructuredHessian):
+    singular.  A structured Hessian is solved by block elimination (and
+    ``eye`` is None: no dense identity is formed)."""
+    if eye is None:
         return hess.solve(-grad, -lam)
-    system = -hess
-    i = np.arange(hess.shape[-1])
-    system[:, i, i] += lam[:, None]
-    return solve_or_nan(system, grad)
+    return solve_or_nan(-hess + lam[:, None, None] * eye, grad)
 
 
-def _newton_directions(hess, grad, lam, rows):
+def _newton_directions(hess, grad, lam, rows, eye):
     """Newton direction from (-H + lam I) d = g for each of ``rows``,
     escalating a row's damping lam until its system solves and gives an
     ascent direction, or, at the cap, falling back to steepest ascent.
     Returns (directions, slopes g'd, damping)."""
     d = slope = None
     while True:
-        cand = _damped_solve(hess, grad, lam)
+        cand = _damped_solve(hess, grad, lam, eye)
         gain = _dot(grad, cand)
         ok = rows & np.isfinite(cand).all(axis=-1) & (gain > 0)
         if _every(ok):
@@ -187,6 +185,7 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
     if not _every(np.isfinite(f)):
         failed[stop(~np.isfinite(f), "objective is not finite at params {}")] = True
     grad, hess, gnorm = derivatives(np.ones(R, dtype=bool))
+    eye = None if isinstance(hess, StructuredHessian) else np.eye(x.shape[1])
     lam = np.full(R, DAMPING_INIT)
     it = np.zeros(R, dtype=int)  # every active fit has run every pass so far
     for _ in range(cfg.max_iter):
@@ -194,7 +193,7 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
         if not np.count_nonzero(act):
             break
         it += act
-        d, slope, lam = _newton_directions(hess, grad, lam, act)
+        d, slope, lam = _newton_directions(hess, grad, lam, act, eye)
         x, f, stuck = _line_search(model, dataset, x, f, d, slope, act)
         # less damping after a step; without one more, or a stop at the cap
         # (a fit that is no longer active never resumes, so its lam may drift)

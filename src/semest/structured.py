@@ -45,27 +45,24 @@ def _diagonal(M):
 
 
 def _inverse(C):
-    """Inverse of small symmetric matrices C (..., r, r), by the adjugate
-    for r = 2; inf or NaN where one is singular."""
-    if C.shape[-1] != 2:
-        return np.linalg.inv(C)
+    """Inverse of symmetric 2 x 2 matrices C (..., 2, 2), by the adjugate;
+    inf or NaN where one is singular."""
     det = C[..., 0, 0] * C[..., 1, 1] - C[..., 0, 1] ** 2
     return C[..., ::-1, ::-1] * _ADJUGATE_SIGNS / det[..., None, None]
 
 
 @dataclass(frozen=True)
 class DiagPlusLowRank:
-    """The symmetric (m, m) matrix diag(diag) + coef F F' with a (m, r)
-    factor F, r small, and a scalar coef."""
+    """The symmetric (m, m) matrix diag(diag) + coef F F' with a (m, 2)
+    factor F (one column per sample) and a scalar coef."""
 
     diag: np.ndarray  # (..., m)
-    factor: np.ndarray  # (..., m, r)
+    factor: np.ndarray  # (..., m, 2)
     coef: float
 
     def dense(self):
-        m = self.diag.shape[-1]
         out = self.coef * (self.factor @ _t(self.factor))
-        out[..., np.arange(m), np.arange(m)] += self.diag
+        _diagonal(out)[...] += self.diag
         return out
 
     def _woodbury(self, shift):
@@ -89,23 +86,20 @@ class DiagPlusLowRank:
         """Number of eigenvalues below sigma (one matrix).  With E = D -
         sigma I and the capacitance C at -sigma, the Haynsworth inertia
         formula on [[E, F], [F', -I / coef]] gives #neg(M - sigma I) =
-        #neg(E) + #pos(C) - #neg(-I / coef) (sigma off the diagonal of D)."""
+        #neg(E) + #pos(C) - #neg(-I / coef) (sigma off the diagonal of D);
+        the signs of C's eigenvalues follow from its determinant and trace."""
         with np.errstate(divide="ignore", invalid="ignore"):
             dinv, _, C = self._woodbury(-sigma)
-        r = C.shape[-1]
-        if r == 2:  # signs of the eigenvalues from det and trace
-            det = C[0, 0] * C[1, 1] - C[0, 1] * C[1, 0]
-            up = C[0, 0] + C[1, 1] > 0
-            pos = 1 if det < 0 else 2 * int(up) if det > 0 else int(up)
-        else:
-            pos = int(np.count_nonzero(np.linalg.eigvalsh(C) > 0))
-        return int(np.count_nonzero(dinv < 0)) + pos - (r if self.coef > 0 else 0)
+        det = C[0, 0] * C[1, 1] - C[0, 1] ** 2
+        up = C[0, 0] + C[1, 1] > 0
+        pos = 1 if det < 0 else 2 * int(up) if det > 0 else int(up)
+        return int(np.count_nonzero(dinv < 0)) + pos - (2 if self.coef > 0 else 0)
 
     def extreme_brackets(self):
         """Brackets [lo, hi] of the smallest and of the largest eigenvalue
-        (one matrix): a rank-r update moves the i-th eigenvalue of diag(D)
-        at most r places along the sorted diagonal (interlacing), and by at
-        most |coef| ||F||_F^2 (Weyl)."""
+        (one matrix): a rank-r update (r = 2) moves the i-th eigenvalue of
+        diag(D) at most r places along the sorted diagonal (interlacing),
+        and by at most |coef| ||F||_F^2 (Weyl)."""
         m, r = self.factor.shape
         ds = np.sort(self.diag)
         reach = abs(self.coef) * float(np.vdot(self.factor, self.factor))
@@ -124,37 +118,31 @@ class DiagPlusLowRank:
             v = (np.arange(len(dinv)) == np.argmax(np.abs(dinv))).astype(float)
         return v / np.linalg.norm(v)
 
-    def _map(self, fn):
-        return DiagPlusLowRank(fn(self.diag), self.factor, fn(self.coef))
-
 
 @dataclass(frozen=True)
 class StructuredHessian:
     """The symmetric matrix [[head, cross], [cross', tail]] with a
     ``DiagPlusLowRank`` tail: the order-2 pass of the joint ``mle``.
 
-    Supports negation, division by a scalar, indexing of the batch axis,
-    ``dense()`` for dense oracles, ``entries()`` for finiteness checks and
-    ``solve``."""
+    Supports division by a scalar (the information is H / -n), indexing of
+    the batch axis, ``dense()`` for dense oracles, ``sum()`` and
+    ``entries()`` for finiteness checks, and ``solve``."""
 
     head: np.ndarray  # (..., q, q)
     cross: np.ndarray  # (..., q, m)
     tail: DiagPlusLowRank
 
-    def __neg__(self):
-        return self._map(np.negative)
-
     def __truediv__(self, c):
-        return self._map(lambda a: a / c)
+        t = self.tail
+        return StructuredHessian(
+            self.head / c, self.cross / c, DiagPlusLowRank(t.diag / c, t.factor, t.coef / c)
+        )
 
     def __getitem__(self, i):
         t = self.tail
         return StructuredHessian(
             self.head[i], self.cross[i], DiagPlusLowRank(t.diag[i], t.factor[i], t.coef)
         )
-
-    def _map(self, fn):
-        return StructuredHessian(fn(self.head), fn(self.cross), self.tail._map(fn))
 
     def dense(self):
         return np.block([[self.head, self.cross], [_t(self.cross), self.tail.dense()]])

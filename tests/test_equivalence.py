@@ -29,7 +29,7 @@ from semest.data import load_casecontrol_csv, observation_rows
 from semest.inference import InfoBlocks, info_blocks_observed, low_rank_spectrum, partition, spectrum
 from semest.likelihood import evaluate
 from semest.logistic import transform_age
-from semest.structured import dense
+from semest.structured import DiagPlusLowRank, StructuredHessian, dense
 from semest.validate import (
     casecontrol_reparam_model,
     default_mc_design,
@@ -261,6 +261,34 @@ def test_covariate_shift(leprosy, leprosy_reports, j, shift):
         np.testing.assert_allclose(got.se, ref.se, rtol=1e-7, atol=0)
         markers = {k: v[2] for k, v in got.extra_rows.items()}
         assert markers == {k: v[2] for k, v in ref.extra_rows.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), m=st.integers(1, 12))
+def test_diag_plus_low_rank_matches_dense(seed, m):
+    """On random diagonal-plus-rank-2 matrices of either sign of coef: the
+    eigenvalue counts, the extreme-eigenvalue brackets and the Woodbury and
+    block-elimination solves agree with the dense matrix."""
+    rng = np.random.default_rng(seed)
+    coef = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0)
+    M = DiagPlusLowRank(rng.uniform(-2.0, 2.0, m), rng.normal(size=(m, 2)), coef)
+    values = np.linalg.eigvalsh(M.dense())
+    for sigma in rng.normal(size=4):
+        assert M.count_below(sigma) == np.count_nonzero(values < sigma)
+    (lo1, hi1), (lom, him) = M.extreme_brackets()
+    slack = 1e-12 * np.abs(values).max()
+    assert lo1 - slack <= values[0] <= hi1 + slack and lom - slack <= values[-1] <= him + slack
+    shift = rng.normal()
+    rhs = rng.normal(size=(m, 3))
+    ref = np.linalg.solve(M.dense() + shift * np.eye(m), rhs)
+    cond = np.linalg.cond(M.dense() + shift * np.eye(m))
+    assert np.abs(M.solve(rhs, shift) - ref).max() <= 1e-13 * cond * np.abs(ref).max()
+    head = rng.normal(size=(3, 3))
+    H = StructuredHessian(head + head.T, rng.normal(size=(3, m)), M)
+    b = rng.normal(size=3 + m)
+    system = H.dense() + shift * np.eye(3 + m)
+    ref = np.linalg.solve(system, b)
+    assert np.abs(H.solve(b, shift) - ref).max() <= 1e-13 * np.linalg.cond(system) * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("source", ("leprosy",) + WIDE_SUPPORT)
