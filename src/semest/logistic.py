@@ -199,7 +199,8 @@ class FullMLELogisticModel(ModelSpec):
             q = self.n_theta
             out = np.empty(b.shape[:-2] + (len(y), q + self.K - 1))
             out[..., :q] = b[..., y, k, None] * Z[k] - m[..., y, :]
-            np.take(-a[..., :-1], y, axis=-2, out=out[..., q:], mode="clip")
+            out[..., q:] = -a[..., :1, :-1]  # broadcast by sample: no (N, K-1) temporary
+            out[..., y == 1, q:] = -a[..., 1:, :-1]
             own = np.flatnonzero(k < self.K - 1)
             out[..., own, q + k[own]] += 1.0
             return out
@@ -209,7 +210,7 @@ class FullMLELogisticModel(ModelSpec):
         # with M[y, k] the multiplicity of (y, k) and N_y its row sums; the
         # phi block sums to -diag(N a) + F F' with F = (sqrt(N) a)', rank 2
         rows = (data.X, data.sample, data.multiplicity)
-        if self._rows is None or any(a is not b for a, b in zip(rows, self._rows)):
+        if self._rows is None or any(new is not old for new, old in zip(rows, self._rows)):
             M = np.bincount(
                 y * self.K + k, weights=data.multiplicity, minlength=2 * self.K
             ).reshape(2, self.K)
