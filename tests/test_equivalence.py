@@ -268,27 +268,38 @@ def test_covariate_shift(leprosy, leprosy_reports, j, shift):
 def test_diag_plus_low_rank_matches_dense(seed, m):
     """On random diagonal-plus-rank-2 matrices of either sign of coef: the
     eigenvalue counts, the extreme-eigenvalue brackets and the Woodbury and
-    block-elimination solves agree with the dense matrix."""
+    block-elimination solves agree with the dense matrix.  The shifted
+    diagonal stays at least 0.3 from zero, where Woodbury divides by it."""
     rng = np.random.default_rng(seed)
     coef = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 2.0)
-    M = DiagPlusLowRank(rng.uniform(-2.0, 2.0, m), rng.normal(size=(m, 2)), coef)
+    diag = rng.uniform(0.5, 2.0, m) * rng.choice([-1.0, 1.0], m)
+    M = DiagPlusLowRank(diag, rng.normal(size=(m, 2)), coef)
     values = np.linalg.eigvalsh(M.dense())
     for sigma in rng.normal(size=4):
-        assert M.count_below(sigma) == np.count_nonzero(values < sigma)
+        gap = min(np.abs(values - sigma).min(), np.abs(diag - sigma).min())
+        if gap > 1e-8:  # a count at an eigenvalue or a pole is a tie
+            assert M.count_below(sigma) == np.count_nonzero(values < sigma)
     (lo1, hi1), (lom, him) = M.extreme_brackets()
     slack = 1e-12 * np.abs(values).max()
     assert lo1 - slack <= values[0] <= hi1 + slack and lom - slack <= values[-1] <= him + slack
-    shift = rng.normal()
+    shift = rng.uniform(-0.2, 0.2)
+    # magnitudes summed into each system: both solves' rounding scales with
+    # ||system^-1|| ||parts||, near-cancelling entries included
+    parts = abs(coef) * np.abs(M.factor) @ np.abs(M.factor).T + np.diag(np.abs(diag) + abs(shift))
+    system = M.dense() + shift * np.eye(m)
     rhs = rng.normal(size=(m, 3))
-    ref = np.linalg.solve(M.dense() + shift * np.eye(m), rhs)
-    cond = np.linalg.cond(M.dense() + shift * np.eye(m))
-    assert np.abs(M.solve(rhs, shift) - ref).max() <= 1e-13 * cond * np.abs(ref).max()
-    head = rng.normal(size=(3, 3))
-    H = StructuredHessian(head + head.T, rng.normal(size=(3, m)), M)
-    b = rng.normal(size=3 + m)
+    ref = np.linalg.solve(system, rhs)
+    kappa = np.linalg.norm(np.linalg.inv(system), 2) * np.linalg.norm(parts, 2)
+    assert np.abs(M.solve(rhs, shift) - ref).max() <= 1e-12 * kappa * np.abs(ref).max()
+    head, cross = rng.normal(size=(3, 3)), rng.normal(size=(3, m))
+    H = StructuredHessian(head + head.T, cross, M)
+    parts = np.block([[np.abs(head + head.T) + abs(shift) * np.eye(3), np.abs(cross)],
+                      [np.abs(cross).T, parts]])
     system = H.dense() + shift * np.eye(3 + m)
+    b = rng.normal(size=3 + m)
     ref = np.linalg.solve(system, b)
-    assert np.abs(H.solve(b, shift) - ref).max() <= 1e-13 * np.linalg.cond(system) * np.abs(ref).max()
+    kappa = np.linalg.norm(np.linalg.inv(system), 2) * np.linalg.norm(parts, 2)
+    assert np.abs(H.solve(b, shift) - ref).max() <= 1e-12 * kappa * np.abs(ref).max()
 
 
 @pytest.mark.parametrize("source", ("leprosy",) + WIDE_SUPPORT)
