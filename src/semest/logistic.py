@@ -246,51 +246,40 @@ def build_full_mle_model(dataset, covariate_labels=("Scar", "Age")):
 def casecontrol_weight_spec():
     """WeightFunctionSpec for case-control sampling: Q_{s|X}(x; theta) =
     f(s-1 | x; theta) with theta = (alpha, beta), a partition of the
-    outcome space.  Accepts one point x (p,) or rows X (N, p)."""
+    outcome space."""
 
-    def q_weight(x, theta):
-        mu = _sigmoid(_design(x) @ theta)
-        return np.stack([1.0 - mu, mu], axis=-1)
-
-    def q_weight_grad(x, theta):
+    def evaluate(x, theta, order):
         z = _design(x)
-        mu = _sigmoid(z @ theta)
-        cz = (mu * (1.0 - mu))[..., None] * z
-        return np.stack([-cz, cz], axis=-2)
+        mu = _sigmoid((z @ theta[..., None])[..., 0])
+        out = (np.stack([1.0 - mu, mu], axis=-1),)
+        if order >= 1:
+            c = mu * (1.0 - mu)
+            cz = c[..., None] * z
+            out += (np.stack([-cz, cz], axis=-2),)
+        if order >= 2:
+            # d2 mu = c (1 - 2 mu) z z^T
+            d2mu = (c * (1.0 - 2.0 * mu))[..., None, None] * _outer(z)
+            out += (np.stack([-d2mu, d2mu], axis=-3),)
+        return out
 
-    def q_weight_hess(x, theta):
-        z = _design(x)
-        mu = _sigmoid(z @ theta)
-        # d2 mu = c (1 - 2 mu) z z^T
-        d2mu = (mu * (1.0 - mu) * (1.0 - 2.0 * mu))[..., None, None] * _outer(z)
-        return np.stack([-d2mu, d2mu], axis=-3)
-
-    return WeightFunctionSpec(
-        n_strata=2,
-        q_weight=q_weight,
-        q_weight_grad=q_weight_grad,
-        q_weight_hess=q_weight_hess,
-    )
+    return WeightFunctionSpec(n_strata=2, evaluate=evaluate)
 
 
 def casecontrol_family():
-    """ConditionalFamily for the logistic f(y | x; (alpha, beta)); accepts
-    one point or rows, like ``casecontrol_weight_spec``."""
+    """ConditionalFamily for the logistic f(y | x; (alpha, beta))."""
 
-    def log_f(y, x, theta):
-        eta = _design(x) @ theta
-        return y * eta - _log1pexp(eta)
-
-    def log_f_grad(y, x, theta):
+    def evaluate(y, x, theta, order):
         z = _design(x)
-        return (y - _sigmoid(z @ theta))[..., None] * z
+        eta = (z @ theta[..., None])[..., 0]
+        out = (y * eta - _log1pexp(eta),)
+        if order >= 1:
+            mu = _sigmoid(eta)
+            out += ((y - mu)[..., None] * z,)
+        if order >= 2:
+            out += (-(mu * (1.0 - mu))[..., None, None] * _outer(z),)
+        return out
 
-    def log_f_hess(y, x, theta):
-        z = _design(x)
-        mu = _sigmoid(z @ theta)
-        return -(mu * (1.0 - mu))[..., None, None] * _outer(z)
-
-    return ConditionalFamily(log_f, log_f_grad, log_f_hess)
+    return ConditionalFamily(evaluate)
 
 
 # Leprosy case-control table, 14 rows (7 ages x 2 scar levels), as

@@ -35,26 +35,23 @@ from .likelihood import ModelSpec
 
 @dataclass(frozen=True)
 class WeightFunctionSpec:
-    """Per-stratum selection weight evaluators.
-
-    ``q_weight(x, theta)`` returns the vector (Q_{1|X}, ..., Q_{S|X}) at x;
-    ``q_weight_grad`` its theta-Jacobian with shape (S, d); ``q_weight_hess``
-    the stacked theta-Hessians with shape (S, d, d).
-    """
+    """Per-stratum selection weights Q_{s|X}(x; theta).  ``evaluate(x,
+    theta, order)`` returns (Q, dQ, d2Q) up to ``order``, shaped (..., S),
+    (..., S, d) and (..., S, d, d), where ``...`` is the stack axis of
+    ``theta`` (d,) or (P, d), then the row axis of ``x`` (p,) or (N, p)."""
 
     n_strata: int
-    q_weight: Callable
-    q_weight_grad: Callable
-    q_weight_hess: Callable
+    evaluate: Callable
 
 
 @dataclass(frozen=True)
 class ConditionalFamily:
-    """Differentiable conditional density f(y|x; theta) of the response."""
+    """Differentiable conditional density f(y|x; theta) of the response:
+    ``evaluate(y, x, theta, order)`` returns (log f, gradient, Hessian) up
+    to ``order``, shaped (...), (..., d) and (..., d, d) as in
+    ``WeightFunctionSpec``."""
 
-    log_f: Callable
-    log_f_grad: Callable
-    log_f_hess: Callable
+    evaluate: Callable
 
 
 @dataclass(frozen=True)
@@ -101,9 +98,9 @@ def fstar_empirical(dataset: MultisampleDataset, weights: Weights) -> FStarEstim
 
 def check_normalization(wspec, theta, q: QVector, fstar: FStarEstimate, weights):
     """sum_s w_s sum_k p*_s-mass at v_k, with fstar included.  Identically 1
-    for any admissible (theta, q) when fstar sums to 1.  ``wspec`` is called
-    once, on all support rows."""
-    Q = np.asarray(wspec.q_weight(fstar.support, theta), dtype=float)  # (K, S)
+    for any admissible (theta, q) when fstar sums to 1.  ``wspec`` is
+    evaluated once, on all support rows."""
+    (Q,) = wspec.evaluate(fstar.support, theta, 0)  # (K, S)
     denom = Q @ (weights.w / q.q)  # (K,)
     if np.any(denom <= 0.0):
         raise EvaluationError("x has zero selection mass under all strata")
@@ -116,7 +113,7 @@ def fixed_point_q(wspec, theta, fstar: FStarEstimate, weights, tol=1e-10, max_it
     by fixed-point iteration; returns the normalized QVector (last
     component 1).  Raises ConvergenceError on divergence."""
     S = wspec.n_strata
-    Qmat = np.asarray(wspec.q_weight(fstar.support, theta), dtype=float)  # (K, S)
+    (Qmat,) = wspec.evaluate(fstar.support, theta, 0)  # (K, S)
     qs = np.ones(S)
     for _ in range(max_iter):
         denom = (Qmat / qs) @ weights.w  # (K,)
@@ -140,12 +137,14 @@ class ReparamModel(ModelSpec):
     submodel.  The free nuisance coordinates are log q to keep Newton
     unconstrained; scores and Hessians apply the chain rule accordingly.
 
-    The array pass calls the ``wspec`` and ``family`` evaluators once with
-    all rows X (N, p), so they must accept rows as well as one point (as
-    ``casecontrol_weight_spec`` and ``casecontrol_family`` do): Q (N, S),
-    its Jacobian (N, S, d) and Hessians (N, S, d, d); log f (N,), its
-    gradient (N, d) and Hessian (N, d, d).
+    The array pass evaluates the ``wspec`` and ``family`` once, with all
+    rows X (N, p), at the order it needs.  Order 0 takes a (P, d) stack in
+    the same pass; a vector of the stack that is inadmissible there (a row
+    with Q_{s|X} = 0 for its own stratum, or zero selection mass) gets
+    non-finite rows instead of the EvaluationError one vector raises.
     """
+
+    stacked_orders = (0,)
 
     def __init__(self, wspec, family, fstar, weights, theta_labels):
         self.wspec = wspec
@@ -160,50 +159,52 @@ class ReparamModel(ModelSpec):
         self.interest_idx = tuple(range(self.n_theta))
 
     def split(self, params):
-        theta = np.asarray(params[: self.n_theta], dtype=float)
-        q = QVector.from_free(np.exp(params[self.n_theta :]))
-        return theta, q
+        """theta and q = (q_1, ..., q_{S-1}, 1) of one vector or a stack."""
+        free = np.exp(params[..., self.n_theta :])
+        q = np.concatenate([free, np.ones(free.shape[:-1] + (1,))], axis=-1)
+        return params[..., : self.n_theta], q
 
     def evaluate(self, params, data, order):
-        theta, q = self.split(params)
+        theta, qv = self.split(params)
         X, s, y = data.X, data.sample - 1, data.y
-        w, qv = self.weights.w, q.q
+        w = self.weights.w
         S = self.wspec.n_strata
-        Q = np.asarray(self.wspec.q_weight(X, theta), dtype=float)  # (N, S)
-        denom = Q @ (w / qv)  # (N,)
+        Q, *dQ = self.wspec.evaluate(X, theta, order)  # Q (..., N, S), dQ, d2Q
+        denom = (Q @ (w / qv)[..., None])[..., 0]  # (..., N)
         if order == 0:
-            off = Q[np.arange(len(s)), s] <= 0.0
-            if np.any(off):
+            off = Q[..., np.arange(len(s)), s] <= 0.0
+            dead = denom <= 0.0
+            if theta.ndim == 1 and np.any(off):
                 i = int(np.argmax(off))
                 raise EvaluationError(
                     f"observation inconsistent with its stratum: "
                     f"Q_{s[i] + 1}|X = 0 at x={X[i]}"
                 )
-            if np.any(denom <= 0.0):
+            if theta.ndim == 1 and np.any(dead):
                 raise EvaluationError("x has zero selection mass under all strata")
-            return self.family.log_f(y, X, theta) - np.log(denom) - np.log(qv[s])
+            (log_f,) = self.family.evaluate(y, X, theta, 0)
+            rows = log_f - np.log(denom) - np.log(qv[..., s])
+            return np.where(off | dead, np.nan, rows)  # a stack's inadmissible vectors
 
-        dQ = np.asarray(self.wspec.q_weight_grad(X, theta), dtype=float)  # (N, S, d)
-        r = np.einsum("s,nsd->nd", w / qv, dQ) / denom[:, None]  # d log denom / d theta
+        r = np.einsum("s,nsd->nd", w / qv, dQ[0]) / denom[:, None]  # d log denom / d theta
         qf, wf, Qf = qv[: S - 1], w[: S - 1], Q[:, : S - 1]
         if order == 1:
-            g_theta = self.family.log_f_grad(y, X, theta) - r
+            g_theta = self.family.evaluate(y, X, theta, 1)[1] - r
             # q-gradient (w_j Q_j / q_j^2) / denom - 1{s = j} / q_j, then the
             # chain rule to u = log q: d/du_j = q_j d/dq_j
             g_q = (wf * Qf / qf**2) / denom[:, None] - (s[:, None] == np.arange(S - 1)) / qf
             return np.hstack([g_theta, qf * g_q])
 
         m = data.multiplicity
-        d2Q = np.asarray(self.wspec.q_weight_hess(X, theta), dtype=float)  # (N, S, d, d)
         h_tt = (
-            np.einsum("n,nij->ij", m, self.family.log_f_hess(y, X, theta))
-            - np.einsum("n,s,nsij->ij", m / denom, w / qv, d2Q)
+            np.einsum("n,nij->ij", m, self.family.evaluate(y, X, theta, 2)[2])
+            - np.einsum("n,s,nsij->ij", m / denom, w / qv, dQ[1])
             + (r * m[:, None]).T @ r
         )
         # u block via B_j = (w_j Q_j / q_j) / denom: H_uu = B B^T - diag(B)
         B = (wf * Qf / qf) / denom[:, None]
         h_uu = (B * m[:, None]).T @ B - np.diag(m @ B)
         # cross block: q_j d2/(dtheta dq_j) = (w_j / q_j) (dQ_j - Q_j r) / denom
-        cross = (dQ[:, : S - 1] - Qf[:, :, None] * r[:, None, :]) / denom[:, None, None]
+        cross = (dQ[0][:, : S - 1] - Qf[:, :, None] * r[:, None, :]) / denom[:, None, None]
         h_tu = np.einsum("n,njd->dj", m, cross) * (wf / qf)
         return np.block([[h_tt, h_tu], [h_tu.T, h_uu]])

@@ -359,18 +359,20 @@ class CheckResult:
 
 
 class _BrokenScoreModel(ModelSpec):
-    """Negative-control wrapper: corrupts one score component."""
+    """Negative-control wrapper: corrupts score component 0 of every row,
+    and stacks the orders its base stacks."""
 
     def __init__(self, base):
         self.base = base
         self.param_labels = base.param_labels
         self.interest_idx = base.interest_idx
+        self.stacked_orders = base.stacked_orders
 
     def evaluate(self, params, data, order):
-        out = evaluate(self.base, params, data, order)
+        out = self.base.evaluate(params, data, order)
         if order == 1:
             out = out.copy()
-            out[:, 0] += 0.1
+            out[..., 0] += 0.1
         return out
 
 

@@ -230,6 +230,12 @@ def test_validate_broken_score_exits_3(capsys):
     assert "FAIL  fd-score[identifiable]" in out
 
 
+def test_validate_broken_score_fails_only_its_fd_score(capsys):
+    assert main(["validate", "--seed", "0", "--inject-broken-score"]) == 3
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL  fd-score[identifiable]: max rel err 2.45e+00"]
+
+
 def test_validate_passes(capsys):
     rc = main(["validate", "--seed", "1"])
     out = capsys.readouterr().out

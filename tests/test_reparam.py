@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from semest import (
     log_likelihood,
 )
 from semest.data import positions
-from semest.likelihood import aggregate_score
+from semest.likelihood import aggregate_hessian, aggregate_score, evaluate
 from semest.logistic import casecontrol_weight_spec
 from semest.reparam import ConditionalFamily, FStarEstimate, ReparamModel, WeightFunctionSpec
 from semest.validate import (
@@ -27,6 +30,7 @@ from semest.validate import (
 )
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+RECORDED = pathlib.Path(__file__).parent / "fixtures" / "reparam_generic_leprosy.json"
 
 
 def test_qvector_validation():
@@ -116,7 +120,7 @@ def test_score_q_aggregate_identity(leprosy, leprosy_weights):
     total_wform = np.zeros(1)
     w = leprosy_weights.w
     for obs in leprosy.observations:
-        Q = wspec.q_weight(obs.x, theta)
+        (Q,) = wspec.evaluate(obs.x, theta, 0)
         denom = float(np.sum(w * Q / q.q))
         wform = (w[0] * Q[0] / q.q[0] ** 2) / denom - w[0] / q.q[0]
         total_wform += obs.multiplicity * wform
@@ -125,10 +129,7 @@ def test_score_q_aggregate_identity(leprosy, leprosy_weights):
 
 def test_zero_mass_errors(leprosy_weights):
     wspec = WeightFunctionSpec(
-        n_strata=2,
-        q_weight=lambda x, t: np.zeros(2),
-        q_weight_grad=lambda x, t: np.zeros((2, 1)),
-        q_weight_hess=lambda x, t: np.zeros((2, 1, 1)),
+        n_strata=2, evaluate=lambda x, t, order: (np.zeros(np.shape(x)[:-1] + (2,)),)
     )
     fstar = FStarEstimate(np.array([[0.0]]), np.array([1.0]))
     q = QVector.from_free([1.0])
@@ -136,19 +137,22 @@ def test_zero_mass_errors(leprosy_weights):
         check_normalization(wspec, np.zeros(1), q, fstar, leprosy_weights)
 
 
+def _inconsistent_model(leprosy, weights):
+    """One parameter t, Q_{1|X} = max(t, 0) and Q_{2|X} = 1 on every row,
+    log f = 0: at t <= 0 every control (stratum 1) is inconsistent."""
+
+    def q_weight(x, t, order):
+        q1 = np.maximum(t[..., :1], 0.0)  # (..., 1): one value for all N rows
+        q1 = np.broadcast_to(q1, t.shape[:-1] + np.shape(x)[:-1])
+        return (np.stack([q1, np.ones_like(q1)], axis=-1),)
+
+    wspec = WeightFunctionSpec(n_strata=2, evaluate=q_weight)
+    family = ConditionalFamily(lambda y, x, t, order: (0.0,))
+    return ReparamModel(wspec, family, fstar_empirical(leprosy, weights), weights, ("t",))
+
+
 def test_inconsistent_stratum_error(leprosy, leprosy_weights):
-    # Q_{1|X} = 0 everywhere, so every control (stratum 1) is inconsistent
-    wspec = WeightFunctionSpec(
-        n_strata=2,
-        q_weight=lambda x, t: np.broadcast_to([0.0, 1.0], np.shape(x)[:-1] + (2,)),
-        q_weight_grad=lambda x, t: np.zeros((2, 1)),
-        q_weight_hess=lambda x, t: np.zeros((2, 1, 1)),
-    )
-    family = ConditionalFamily(
-        lambda y, x, t: 0.0, lambda y, x, t: np.zeros(1), lambda y, x, t: np.zeros((1, 1))
-    )
-    fstar = fstar_empirical(leprosy, leprosy_weights)
-    model = ReparamModel(wspec, family, fstar, leprosy_weights, ("t",))
+    model = _inconsistent_model(leprosy, leprosy_weights)
     with pytest.raises(EvaluationError, match="inconsistent with its stratum"):
         log_likelihood(model, np.zeros(2), leprosy)
 
@@ -169,10 +173,7 @@ def test_normalization_linearity_and_single_stratum(leprosy, leprosy_weights):
 
     # degenerate single-stratum design: the identity is exactly 1
     wspec1 = WeightFunctionSpec(
-        n_strata=1,
-        q_weight=lambda x, t: np.ones(np.shape(x)[:-1] + (1,)),
-        q_weight_grad=lambda x, t: np.zeros((1, 1)),
-        q_weight_hess=lambda x, t: np.zeros((1, 1, 1)),
+        n_strata=1, evaluate=lambda x, t, order: (np.ones(np.shape(x)[:-1] + (1,)),)
     )
     total1 = check_normalization(
         wspec1, np.zeros(1), QVector([1.0]), model.fstar, Weights([1.0])
@@ -192,3 +193,57 @@ def test_fixed_point_matches_direct_maximization(leprosy, leprosy_weights):
     fstar = fstar_empirical(leprosy, leprosy_weights)
     qhat = fixed_point_q(model.wspec, theta_hat, fstar, leprosy_weights)
     np.testing.assert_allclose(qhat.free, q_direct, atol=1e-8)
+
+
+def test_stacked_order0_matches_single_vectors(leprosy, leprosy_weights):
+    model = casecontrol_reparam_model(leprosy, leprosy_weights)
+    points = np.array(json.loads(RECORDED.read_text())["points"])
+    rows = evaluate(model, points, leprosy, 0)
+    totals = log_likelihood(model, points, leprosy)
+    for p, stacked_rows, total in zip(points, rows, totals):
+        np.testing.assert_array_equal(stacked_rows, evaluate(model, p, leprosy, 0))
+        single = log_likelihood(model, p, leprosy)
+        assert abs(total - single) <= 1e-14 * abs(single)
+
+
+def test_generic_model_matches_recorded_values(leprosy, leprosy_weights):
+    """Loglik, total score and Hessian at 20 points equal the values the
+    per-derivative spec callables gave, to 1e-12 relative."""
+    model = casecontrol_reparam_model(leprosy, leprosy_weights)
+    rec = json.loads(RECORDED.read_text())
+    for i, p in enumerate(np.array(rec["points"])):
+        for got, want in (
+            (log_likelihood(model, p, leprosy), rec["loglik"][i]),
+            (aggregate_score(model, p, leprosy), rec["score"][i]),
+            (aggregate_hessian(model, p, leprosy), rec["hessian"][i]),
+        ):
+            want = np.asarray(want)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+def test_stack_with_inadmissible_vector(leprosy, leprosy_weights):
+    model = _inconsistent_model(leprosy, leprosy_weights)
+    stack = np.array([[0.5, 0.1], [0.0, 0.1], [0.3, -0.2]])
+    totals = log_likelihood(model, stack, leprosy)
+    assert np.isfinite(totals).tolist() == [True, False, True]
+    for p, total in zip(stack[[0, 2]], totals[[0, 2]]):
+        assert total == pytest.approx(log_likelihood(model, p, leprosy), rel=1e-14)
+    with pytest.raises(EvaluationError, match="inconsistent with its stratum"):
+        log_likelihood(model, stack[1], leprosy)
+
+
+def test_fd_oracles_evaluate_generic_model_once_per_stack(leprosy, leprosy_weights):
+    model = casecontrol_reparam_model(leprosy, leprosy_weights)
+    calls = []
+    inner = model.evaluate
+
+    def counting(params, data, order):
+        calls.append(np.shape(params))
+        return inner(params, data, order)
+
+    model.evaluate = counting
+    x = np.array([0.2, -0.3, -1.0, 0.1])
+    f = lambda p: log_likelihood(model, p, leprosy)
+    fd_hessian(f, x, FDConfig())
+    fd_gradient(f, x, FDConfig())
+    assert calls == [(40, 4), (8, 4)]
