@@ -71,6 +71,8 @@ def run_once(checkout, workload, seed, seconds, trace):
 
 
 def quartiles(xs):
+    if len(xs) < 2:  # one seed, as in a confirmation run
+        return {"median": xs[0], "q1": None, "q3": None, "iqr": None, "runs": xs}
     q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": xs}
 
@@ -83,7 +85,7 @@ def summarize(runs):
                        for r in runs[side]] for side in SIDES}
         pairs = [(p, c) for p, c in zip(vals["parent"], vals["change"])
                  if p is not None and c is not None]
-        if len(pairs) < 2:
+        if not pairs:
             continue
         higher = name in HIGHER_IS_BETTER
         parent = quartiles([p for p, _ in pairs])
@@ -98,8 +100,8 @@ def summarize(runs):
             "ratio_of_medians": change["median"] / parent["median"],
             "pair_wins": wins,
             "pairs": len(pairs),
-            "medians_differ_by_more_than_parent_iqr":
-                abs(change["median"] - parent["median"]) > parent["iqr"],
+            "medians_differ_by_more_than_parent_iqr": None if parent["iqr"] is None
+                else abs(change["median"] - parent["median"]) > parent["iqr"],
         }
     return metrics
 
