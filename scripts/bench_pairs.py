@@ -15,8 +15,8 @@ the exit codes, whether every output check passed, the failed and attempted
 operations, and for every end-to-end metric both sides' runs, medians and
 quartiles, the ratio of medians, the pairs the change won (ties count for
 neither side) and whether the medians differ by more than the parent's
-interquartile range.  With ``--trace 1`` it goes to
-``out["traced"][workload]``: per side, the exit code, the "not traced"
+interquartile range.  With ``--trace 1`` (one run per side, on the first
+seed) it goes to ``out["traced"][workload]``: the exit code, the "not traced"
 line if the run printed one, and every per-layer metric; one traced run per
 side shows where time went, not a ratio.  Other entries of ``--out`` are
 kept, so one file collects every workload.
