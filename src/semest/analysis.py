@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import compute_weights
 from .errors import SingularInformationError
 from .inference import (
     EfficiencyReport,
@@ -48,23 +47,25 @@ _NOT_IDENTIFIED = (
 _ROW_NAMES = {"alpha": "Intercept", "log_rho1": "log_rho1", "alpha*": "Intercept*"}
 
 
-def _build(dataset, method, covariate_labels, weights):
-    if method == "mle":
-        return build_full_mle_model(dataset, covariate_labels)
-    if method == "reparam-nonid":
-        return build_nonidentifiable_model(weights, covariate_labels)
-    if method == "reparam-id":
-        return build_identifiable_model(weights, covariate_labels)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+def _build(dataset, method):
+    # built per call: a builder rebound on this module (a tracer) is the one called
+    builders = {
+        "mle": build_full_mle_model,
+        "reparam-nonid": build_nonidentifiable_model,
+        "reparam-id": build_identifiable_model,
+    }
+    if method not in builders:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return builders[method](dataset)
 
 
-def fit_method(dataset, method, cfg=None, covariate_labels=("Scar", "Age"), weights=None):
+def fit_method(dataset, method, cfg=None):
     """Fit one method on a two-stratum case-control dataset.
 
     Returns (FitResult, EfficiencyReport, model).  The report's ``labels``
-    cover the slope coefficients, with standard errors from the efficient
-    information; intercept-type parameters appear in ``extra_rows`` because
-    their meaning differs across methods.  Each coordinate's standard error
+    are the dataset's and cover the slope coefficients, with standard errors
+    from the efficient information; intercept-type parameters appear in
+    ``extra_rows`` because their meaning differs across methods.  Each coordinate's standard error
     and identification come from one matrix: I* for the interest block, the
     full observed information for the nuisance block (computed only when a
     displayed row is a nuisance coordinate, which for ``mle`` none is).  A
@@ -73,8 +74,7 @@ def fit_method(dataset, method, cfg=None, covariate_labels=("Scar", "Age"), weig
     raises SingularInformationError.
     """
     cfg = cfg or FitConfig()
-    weights = weights or compute_weights(dataset)
-    model = _build(dataset, method, covariate_labels, weights)
+    model = _build(dataset, method)
     fit = maximize(model, dataset, cfg=cfg)
     blocks = info_blocks_observed(model, fit, dataset)
     istar = efficient_information(blocks)
@@ -84,7 +84,7 @@ def fit_method(dataset, method, cfg=None, covariate_labels=("Scar", "Age"), weig
     # the rank rule reads the information with the covariates standardized,
     # free of their units and origins: the slopes (parameters 1..p in every
     # method) per sd, the intercept (parameter 0) at the covariate mean
-    slopes = slice(1, 1 + len(covariate_labels))
+    slopes = slice(1, 1 + dataset.p)
     mean = dataset.multiplicity @ dataset.X / dataset.n
     sd = np.sqrt(dataset.multiplicity @ (dataset.X - mean) ** 2 / dataset.n)
     sd[sd == 0.0] = 1.0
@@ -97,7 +97,7 @@ def fit_method(dataset, method, cfg=None, covariate_labels=("Scar", "Age"), weig
         se, ok = np.full(model.n_params, np.nan), np.zeros(model.n_params, dtype=bool)
     se[i], ok[i], cond = standard_errors(istar, dataset.n, basis[np.ix_(i, i)])
     if not ok[slopes].all():
-        names = ", ".join(np.asarray(covariate_labels)[~ok[slopes]])
+        names = ", ".join(np.asarray(dataset.labels)[~ok[slopes]])
         raise SingularInformationError(
             f"slopes {names} are not identified: they load on a null direction "
             "of the information (collinear covariates?)"
@@ -115,7 +115,7 @@ def fit_method(dataset, method, cfg=None, covariate_labels=("Scar", "Age"), weig
 
     report = EfficiencyReport(
         method=method,
-        labels=tuple(covariate_labels),
+        labels=dataset.labels,
         coef=np.asarray(fit.params[slopes], dtype=float),
         se=se[slopes],
         eff_info=istar,
@@ -130,20 +130,14 @@ def fit_method(dataset, method, cfg=None, covariate_labels=("Scar", "Age"), weig
     return fit, report, model
 
 
-def compare_methods(dataset, cfg=None, covariate_labels=("Scar", "Age")):
+def compare_methods(dataset, cfg=None):
     """Fit all methods and compute slope efficiencies relative to the MLE.
 
     Returns (reports, releff): ``reports`` maps method name to its
     EfficiencyReport, ``releff`` maps method name to the per-slope variance
     ratio (se_mle / se_method)^2.
     """
-    weights = compute_weights(dataset)
-    reports = {}
-    for method in METHODS:
-        _, report, _ = fit_method(
-            dataset, method, cfg=cfg, covariate_labels=covariate_labels, weights=weights
-        )
-        reports[method] = report
+    reports = {method: fit_method(dataset, method, cfg=cfg)[1] for method in METHODS}
     releff = {
         method: relative_efficiency(reports[method], reports["mle"])
         for method in METHODS
@@ -202,15 +196,14 @@ def comparison_json(reports, releff):
     )
 
 
-def bench_methods(dataset, cfg=None, repeats=5, covariate_labels=("Scar", "Age")):
+def bench_methods(dataset, cfg=None, repeats=5):
     """Median-of-``repeats`` fit wall time per method, with parameter
     counts; used by the CLI ``bench`` subcommand."""
     import time
 
-    weights = compute_weights(dataset)
     out = {}
     for method in METHODS:
-        model = _build(dataset, method, covariate_labels, weights)
+        model = _build(dataset, method)
         times = []
         iters = 0
         for _ in range(repeats):

@@ -7,7 +7,8 @@ with the Python, numpy and BLAS versions and CPU count under ``--format json``).
 
 Exit codes: 0 success, 1 input error (a numeric option out of range
 included: ``--tol`` must be finite and > 0, ``--max-iter`` and
-``--repeats`` >= 1, ``--reps`` >= 2), 2 solver non-convergence or an
+``--repeats`` >= 1, ``--reps`` >= 2, ``--seed`` >= 0; an ``--out`` that
+cannot be written included), 2 solver non-convergence or an
 information matrix that does not identify the slopes, 3 validation
 failure.  A stdout closed early (``semest compare | head -1``) ends quietly
 with exit 1, as in Python's documented ``BrokenPipeError`` recipe.  The
@@ -116,18 +117,17 @@ def _load_dataset(args):
     return load_casecontrol_csv(args.input, transform=transform_age)
 
 
-def _covariate_labels(args, dataset):
-    if args.input is None or args.schema == "casecontrol":
-        return ("Scar", "Age")
-    return tuple(f"x{i + 1}" for i in range(dataset.p))
-
-
 def _emit(text, out):
-    if out:
+    """Print ``text``, or write it to ``out``; DataError names a path that
+    cannot be written (a directory, a missing parent, no permission)."""
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise DataError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 # numeric options: (attribute, flag, test, rule)
@@ -136,6 +136,7 @@ _RANGES = (
     ("max_iter", "--max-iter", lambda v: v >= 1, ">= 1"),
     ("repeats", "--repeats", lambda v: v >= 1, ">= 1"),
     ("reps", "--reps", lambda v: v >= 2, ">= 2"),
+    ("seed", "--seed", lambda v: v >= 0, ">= 0"),
 )
 
 
@@ -153,12 +154,8 @@ def _cfg(args):
 
 def _cmd_fit(args):
     dataset = _load_dataset(args)
-    labels = _covariate_labels(args, dataset)
     methods = METHODS if args.method == "all" else (args.method,)
-    reports = [
-        fit_method(dataset, m, cfg=_cfg(args), covariate_labels=labels)[1]
-        for m in methods
-    ]
+    reports = [fit_method(dataset, m, cfg=_cfg(args))[1] for m in methods]
     if args.format == "json":
         if len(reports) == 1:
             text = reports[0].to_json()
@@ -175,9 +172,7 @@ def _cmd_fit(args):
 
 
 def _cmd_compare(args):
-    dataset = _load_dataset(args)
-    labels = _covariate_labels(args, dataset)
-    reports, releff = compare_methods(dataset, cfg=_cfg(args), covariate_labels=labels)
+    reports, releff = compare_methods(_load_dataset(args), cfg=_cfg(args))
     if args.format == "json":
         text = comparison_json(reports, releff)
     else:
@@ -208,14 +203,9 @@ def _cmd_validate(args):
 
 
 def _cmd_bench(args):
-    dataset = _load_dataset(args)
-    labels = _covariate_labels(args, dataset)
-    stats = bench_methods(
-        dataset, cfg=_cfg(args), repeats=args.repeats, covariate_labels=labels
-    )
+    stats = bench_methods(_load_dataset(args), cfg=_cfg(args), repeats=args.repeats)
     if args.format == "json":
         import json
-        import os
         import platform
 
         import numpy
@@ -260,7 +250,7 @@ def main(argv=None):
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (DataError, FileNotFoundError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ConvergenceError, EvaluationError) as exc:

@@ -113,6 +113,9 @@ class MultisampleDataset:
     observations : sequence of Observation
         The rows as objects: the ones given to the constructor, or a view
         that builds each one when read (datasets made by ``from_columns``).
+    labels : tuple of str
+        One name per covariate column: ``x1..xp`` unless given to
+        ``from_columns`` (the case-control loaders name theirs Scar, Age).
     n_samples : int
         Number of samples S (the largest sample index present).
     sample_sizes : ndarray, shape (S,)
@@ -146,24 +149,28 @@ class MultisampleDataset:
         self.observations = obs
 
     @classmethod
-    def from_columns(cls, X, sample, multiplicity, n_samples=None):
-        """Dataset from a covariate matrix (N, p) and per-row sample indices
-        and multiplicities."""
+    def from_columns(cls, X, sample, multiplicity, n_samples=None, labels=None):
+        """Dataset from a covariate matrix (N, p), per-row sample indices
+        and multiplicities, and optionally one label per covariate column."""
         self = cls.__new__(cls)
         self._set_columns(
             np.asarray(X, dtype=float), np.asarray(sample, dtype=int),
-            np.asarray(multiplicity, dtype=int), n_samples,
+            np.asarray(multiplicity, dtype=int), n_samples, labels,
         )
         self.observations = ObservationView(self)
         return self
 
-    def _set_columns(self, X, sample, multiplicity, n_samples):
+    def _set_columns(self, X, sample, multiplicity, n_samples, labels=None):
         if X.ndim != 2 or not len(X) == len(sample) == len(multiplicity):
             raise DataError("X must be (N, p), with a sample and a multiplicity per row")
         if not len(X):
             raise DataError("no observations")
         if not X.shape[1]:
             raise DataError("X must have at least one covariate column")
+        if labels is None:
+            labels = [f"x{i + 1}" for i in range(X.shape[1])]
+        if len(labels) != X.shape[1] or len(set(labels)) != len(labels):
+            raise DataError(f"expected {X.shape[1]} distinct covariate labels, got {labels!r}")
         if np.any(multiplicity < 1):
             raise DataError(f"multiplicity must be >= 1, got {multiplicity.min()}")
         if np.any(sample < 1):
@@ -184,6 +191,7 @@ class MultisampleDataset:
         self.sample_sizes = sizes
         self.n = int(sizes.sum())
         self.p = X.shape[1]
+        self.labels = tuple(labels)
 
     @cached_property
     def _support_table(self):
@@ -293,20 +301,15 @@ def _check_rows(lines, bad, message):
         raise DataError(f"line {lines[int(np.argmax(bad))]}: {message}")
 
 
-def load_long_csv(path, sample_base=1):
-    """Load the long schema ``sample,y,x1,...,xp``.
-
-    ``sample_base`` is 0 or 1 depending on how the file indexes samples;
-    internally samples are always 1-based.  ``y`` must be the stratum
-    indicator the models use: the internal sample index minus 1.
+def load_long_csv(path):
+    """Load the long schema ``sample,y,x1,...,xp``: samples are 1-based, and
+    ``y`` must be the stratum indicator the models use, the sample index
+    minus 1.  The covariates are labelled ``x1..xp``.
     """
-    if sample_base not in (0, 1):
-        raise DataError(f"sample_base must be 0 or 1, got {sample_base}")
     header, body = _read_csv(path)
     if len(header) < 3 or header[0] != "sample" or header[1] != "y":
         raise DataError("expected header 'sample,y,x1,...,xp', got " + ",".join(header))
     lines, (sample, y, *xs) = _columns(body, [int] + [float] * (len(header) - 1))
-    sample = sample + (1 - sample_base)
     X = np.column_stack(xs)
     _check_rows(lines, sample < 1, "sample index must be >= 1")
     _check_rows(lines, ~np.all(np.isfinite(X), axis=1), "non-finite covariate")
@@ -333,7 +336,9 @@ def _casecontrol_dataset(age, scar, counts, transform=None):
     line_idx, stratum = np.nonzero(counts > 0)
     if not len(line_idx):
         raise DataError("no observations")
-    return MultisampleDataset.from_columns(X[line_idx], stratum + 1, counts[line_idx, stratum])
+    return MultisampleDataset.from_columns(
+        X[line_idx], stratum + 1, counts[line_idx, stratum], labels=("Scar", "Age")
+    )
 
 
 def load_casecontrol_csv(path, transform=None):
@@ -342,7 +347,8 @@ def load_casecontrol_csv(path, transform=None):
     Controls become sample 1 (y=0), cases sample 2 (y=1).  ``transform``
     maps raw age to the covariate actually used (identity if None); it is
     called once, on the array of all ages, and must return an array of the
-    same length.  The stored covariate order is (scar, transformed age).
+    same length.  The stored covariates are (scar, transformed age),
+    labelled Scar and Age.
     Counts must be nonnegative; a zero count contributes no row.
     """
     return _casecontrol_dataset(*_casecontrol_columns(path), transform=transform)

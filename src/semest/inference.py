@@ -290,14 +290,6 @@ class EfficiencyReport:
             indent=2,
         )
 
-    @staticmethod
-    def from_json(text):
-        d = json.loads(text)
-        d.update({k: np.array(d[k], dtype=float) for k in ("coef", "se", "eff_info")})
-        d["labels"] = tuple(d["labels"])
-        d["extra_rows"] = {k: tuple(v) for k, v in d.get("extra_rows", {}).items()}
-        return EfficiencyReport(**d)
-
     def coef_by_label(self):
         return dict(zip(self.labels, self.coef))
 

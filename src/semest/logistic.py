@@ -13,8 +13,10 @@ rows at once:
   alpha_star = alpha + log rho1, which is identifiable and is algebraically
   a prospective logistic fit with a fixed intercept offset.
 
-Strata: sample 1 = controls (y = 0), sample 2 = cases (y = 1).  Covariates
-are stored as (scar, transformed age) for the bundled leprosy data.
+Each builder takes a two-sample dataset alone: the sample weights
+w_s = n_s / n and the covariate labels come from it.  Strata: sample 1 =
+controls (y = 0), sample 2 = cases (y = 1).  Covariates are stored as
+(scar, transformed age) for the bundled leprosy data.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from importlib import resources
 import numpy as np
 
 from .data import (
-    MultisampleDataset, Weights, _casecontrol_columns, _casecontrol_dataset, support_positions,
+    MultisampleDataset, Weights, _casecontrol_columns, _casecontrol_dataset, compute_weights,
+    support_positions,
 )
 from .errors import DataError
 from .likelihood import ModelSpec
@@ -82,20 +85,17 @@ class CaseControlLogisticModel(ModelSpec):
 
     stacked_orders = (0, 1, 2)
 
-    def __init__(self, weights: Weights, covariate_labels, identifiable=True):
-        if len(weights) != 2:
-            kind = "identifiable" if identifiable else "non-identifiable"
-            raise DataError(f"{kind} case-control model requires S=2")
+    def __init__(self, weights: Weights, labels, identifiable=True):
         self.weights = weights
         self.identifiable = identifiable
         self._log_w0 = np.log(weights.w[0])
         self._log_w1 = np.log(weights.w[1])
         self._X = self._Z = None  # the last covariate array seen, and its design
         if identifiable:
-            self.param_labels = ("alpha*",) + tuple(covariate_labels)
+            self.param_labels = ("alpha*",) + tuple(labels)
             self.interest_idx = tuple(range(1, len(self.param_labels)))
         else:
-            self.param_labels = ("alpha",) + tuple(covariate_labels) + ("log_rho1",)
+            self.param_labels = ("alpha",) + tuple(labels) + ("log_rho1",)
             self.interest_idx = tuple(range(len(self.param_labels) - 1))
 
     def evaluate(self, params, data, order):
@@ -156,7 +156,7 @@ class FullMLELogisticModel(ModelSpec):
 
     stacked_orders = (0, 1, 2)
 
-    def __init__(self, support, covariate_labels):
+    def __init__(self, support, labels):
         support = np.asarray(support, dtype=float)
         if len(support) < 2:
             raise DataError("need at least 2 support points to profile g")
@@ -165,10 +165,10 @@ class FullMLELogisticModel(ModelSpec):
         self._Z = np.column_stack([np.ones(self.K), support])  # (K, 1+p)
         self.param_labels = (
             ("alpha",)
-            + tuple(covariate_labels)
+            + tuple(labels)
             + tuple(f"phi{k + 1}" for k in range(self.K - 1))
         )
-        self.n_theta = 1 + len(covariate_labels)
+        self.n_theta = 1 + len(labels)
         self.interest_idx = tuple(range(self.n_theta))
         self._rows = self._counts = None  # the last rows counted, and their counts
 
@@ -231,16 +231,28 @@ class FullMLELogisticModel(ModelSpec):
         return init
 
 
-def build_identifiable_model(weights, covariate_labels=("Scar", "Age")):
-    return CaseControlLogisticModel(weights, covariate_labels, identifiable=True)
+def _two_sample_weights(dataset):
+    """w_s = n_s / n of a dataset with the S = 2 samples a case-control
+    model needs (controls, cases); DataError names S otherwise."""
+    weights = compute_weights(dataset)
+    if len(weights) != 2:
+        raise DataError(f"case-control models need S=2 samples, got S={len(weights)}")
+    return weights
 
 
-def build_nonidentifiable_model(weights, covariate_labels=("Scar", "Age")):
-    return CaseControlLogisticModel(weights, covariate_labels, identifiable=False)
+def build_identifiable_model(dataset):
+    weights = _two_sample_weights(dataset)
+    return CaseControlLogisticModel(weights, dataset.labels, identifiable=True)
 
 
-def build_full_mle_model(dataset, covariate_labels=("Scar", "Age")):
-    return FullMLELogisticModel(dataset.support, covariate_labels)
+def build_nonidentifiable_model(dataset):
+    weights = _two_sample_weights(dataset)
+    return CaseControlLogisticModel(weights, dataset.labels, identifiable=False)
+
+
+def build_full_mle_model(dataset):
+    _two_sample_weights(dataset)
+    return FullMLELogisticModel(dataset.support, dataset.labels)
 
 
 def casecontrol_weight_spec():

@@ -32,6 +32,8 @@ from .data import MultisampleDataset, Weights
 from .errors import ConvergenceError, DataError, EvaluationError
 from .likelihood import ModelSpec
 
+FIXED_POINT_MAX_ITER = 500
+
 
 @dataclass(frozen=True)
 class WeightFunctionSpec:
@@ -108,14 +110,14 @@ def check_normalization(wspec, theta, q: QVector, fstar: FStarEstimate, weights)
     return float((Q.T @ ghat) @ (weights.w / q.q))
 
 
-def fixed_point_q(wspec, theta, fstar: FStarEstimate, weights, tol=1e-10, max_iter=500):
+def fixed_point_q(wspec, theta, fstar: FStarEstimate, weights, tol=1e-10):
     """Solve the self-consistency equations Q_s = sum_k Q_{s|X}(v_k) g(v_k)
     by fixed-point iteration; returns the normalized QVector (last
     component 1).  Raises ConvergenceError on divergence."""
     S = wspec.n_strata
     (Qmat,) = wspec.evaluate(fstar.support, theta, 0)  # (K, S)
     qs = np.ones(S)
-    for _ in range(max_iter):
+    for _ in range(FIXED_POINT_MAX_ITER):
         denom = (Qmat / qs) @ weights.w  # (K,)
         if np.any(denom <= 0.0):
             raise EvaluationError("x has zero selection mass under all strata")
@@ -128,7 +130,7 @@ def fixed_point_q(wspec, theta, fstar: FStarEstimate, weights, tol=1e-10, max_it
         if delta < tol:
             return QVector(qs / qs[-1])
     raise ConvergenceError(
-        f"fixed-point iteration did not converge in {max_iter} iterations"
+        f"fixed-point iteration did not converge in {FIXED_POINT_MAX_ITER} iterations"
     )
 
 

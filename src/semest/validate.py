@@ -39,34 +39,33 @@ from .likelihood import (
 from .logistic import (
     DiscreteG,
     FullMLELogisticModel,
+    build_full_mle_model,
+    build_identifiable_model,
+    build_nonidentifiable_model,
     casecontrol_family,
     casecontrol_weight_spec,
+    leprosy_dataset,
 )
 from .optimize import FitConfig, maximize
-from .reparam import FStarEstimate, QVector, ReparamModel, fixed_point_q, fstar_empirical
+from .reparam import (
+    FStarEstimate, QVector, ReparamModel, check_normalization, fixed_point_q, fstar_empirical,
+)
 from .structured import dense
 
 
-@dataclass(frozen=True)
-class FDConfig:
-    """Central finite differences; steps are scaled by max(1, |x_i|)."""
-
-    step: float = 1e-6
-    hess_step: float = 1e-4
-
-    def __post_init__(self):
-        if self.step <= 0 or self.hess_step <= 0:
-            raise ValueError("steps must be positive")
+FD_STEP = 1e-6  # central-difference step of fd_gradient, times max(1, |x_i|)
+FD_HESS_STEP = 1e-4  # the same for fd_hessian
+MAX_OUTCOMES = 10_000  # the most (stratum, support point) outcomes brute_force_info enumerates
+MAX_FAILURE_RATE = 0.01  # the share of failed Monte Carlo replicate fits that aborts the study
 
 
-def fd_gradient(f, x, cfg: FDConfig | None = None):
+def fd_gradient(f, x):
     """Central-difference gradient of ``f`` at ``x``.  ``f`` maps a stack of
     points (P, d) to their values (P,); it is called once, on all 2d points
     x +- h_i e_i."""
-    cfg = cfg or FDConfig()
     x = np.asarray(x, dtype=float)
     d = len(x)
-    h = cfg.step * np.maximum(1.0, np.abs(x))
+    h = FD_STEP * np.maximum(1.0, np.abs(x))
     pts = np.tile(x, (2 * d, 1))  # rows 2i, 2i + 1: x + h_i e_i, x - h_i e_i
     i = np.repeat(np.arange(d), 2)
     pts[np.arange(2 * d), i] += np.tile([1.0, -1.0], d) * h[i]
@@ -76,13 +75,12 @@ def fd_gradient(f, x, cfg: FDConfig | None = None):
     return (vals[:, 0] - vals[:, 1]) / (2.0 * h)
 
 
-def fd_hessian(f, x, cfg: FDConfig | None = None):
+def fd_hessian(f, x):
     """Central-difference Hessian of ``f`` at ``x`` from the four points
     x +- h_i e_i +- h_j e_j of every pair i <= j; ``f`` is called once, on
     all of them (see ``fd_gradient``)."""
-    cfg = cfg or FDConfig()
     x = np.asarray(x, dtype=float)
-    steps = cfg.hess_step * np.maximum(1.0, np.abs(x))
+    steps = FD_HESS_STEP * np.maximum(1.0, np.abs(x))
     i, j = np.triu_indices(len(x))
     si = np.tile([1.0, 1.0, -1.0, -1.0], len(i))
     sj = np.tile([1.0, -1.0, 1.0, -1.0], len(i))
@@ -172,17 +170,17 @@ class ToyInstance:
         return np.concatenate([self.theta, DiscreteG.from_g(self.g)])
 
 
-def brute_force_info(toy: ToyInstance, params=None, max_outcomes=10_000):
+def brute_force_info(toy: ToyInstance, params=None):
     """Exact population information blocks for the discrete-g model on the
     toy instance, by enumeration of every (stratum, support point) outcome,
     with I* from an explicit Schur complement.
 
     Returns (InfoBlocks, I*)."""
+    S, K = 2, len(toy.support)
+    if S * K > MAX_OUTCOMES:
+        raise ValueError(f"enumeration too large: {S * K} outcomes")
     model = FullMLELogisticModel(toy.support, toy.labels)
     params = toy.mle_params() if params is None else np.asarray(params, dtype=float)
-    S, K = 2, len(toy.support)
-    if S * K > max_outcomes:
-        raise ValueError(f"enumeration too large: {S * K} outcomes")
     d = model.n_params
     full = np.zeros((d, d))
     for s in (1, 2):
@@ -239,7 +237,7 @@ def simulate(toy: ToyInstance, sizes, rng) -> MultisampleDataset:
     counts = _draw_counts(rng, sizes, (toy.cond_probs(1), toy.cond_probs(2)))
     stratum, k = np.nonzero(counts)
     return MultisampleDataset.from_columns(
-        toy.support[k], stratum + 1, counts[stratum, k], n_samples=2
+        toy.support[k], stratum + 1, counts[stratum, k], n_samples=2, labels=toy.labels
     )
 
 
@@ -279,8 +277,6 @@ def replicate_fits(toy: ToyInstance, sizes=(260, 260), n_rep=500, seed=0, cfg=No
     point) cells, where an empty cell contributes nothing.  Returns
     (model, cells, fit): ``cells`` has the cell columns and the per-replicate
     multiplicities (n_rep, 2K), ``fit`` a leading n_rep axis."""
-    from .logistic import build_identifiable_model
-
     seeds = np.random.SeedSequence(seed).spawn(n_rep)
     probs = (toy.cond_probs(1), toy.cond_probs(2))
     counts = np.array([_draw_counts(np.random.default_rng(s), sizes, probs) for s in seeds])
@@ -292,8 +288,9 @@ def replicate_fits(toy: ToyInstance, sizes=(260, 260), n_rep=500, seed=0, cfg=No
         multiplicity=counts.reshape(n_rep, 2 * K),
         sample_sizes=np.asarray(sizes),
         n=int(np.sum(sizes)),
+        labels=toy.labels,
     )
-    model = build_identifiable_model(Weights(cells.sample_sizes / cells.n), toy.labels)
+    model = build_identifiable_model(cells)
     init = np.tile(model.init_params(cells), (n_rep, 1))
     return model, cells, maximize(model, cells, init=init, cfg=cfg)
 
@@ -304,7 +301,6 @@ def monte_carlo_variance(
     n_rep=500,
     seed=0,
     cfg: FitConfig | None = None,
-    max_failure_rate=0.01,
 ) -> MonteCarloReport:
     """Replicate the identifiable-reparametrization fit on simulated
     case-control data and compare the empirical spread of the slope
@@ -315,7 +311,7 @@ def monte_carlo_variance(
     converged replicates are taken as stacks."""
     model, cells, fit = replicate_fits(toy, sizes, n_rep, seed, cfg)
     failures = [(int(r), fit.warnings[r][-1]) for r in np.flatnonzero(~fit.converged)]
-    if len(failures) > max_failure_rate * n_rep:
+    if len(failures) > MAX_FAILURE_RATE * n_rep:
         raise ConvergenceError(
             f"{len(failures)}/{n_rep} replicate fits failed; first: {failures[:3]}"
         )
@@ -335,15 +331,16 @@ def monte_carlo_variance(
     )
 
 
-def casecontrol_reparam_model(dataset, weights=None):
+def casecontrol_reparam_model(dataset):
     """Generic reparametrized model (theta = (alpha, beta), nuisance
-    q = (q_1, 1)) for a two-stratum case-control dataset."""
-    weights = weights or compute_weights(dataset)
-    wspec = casecontrol_weight_spec()
-    family = casecontrol_family()
+    q = (q_1, 1)) for a two-stratum case-control dataset, with the sample
+    weights and covariate labels of the dataset."""
+    weights = compute_weights(dataset)
     fstar = fstar_empirical(dataset, weights)
-    labels = ("alpha",) + tuple(f"x{i+1}" for i in range(dataset.p))
-    return ReparamModel(wspec, family, fstar, weights, labels)
+    return ReparamModel(
+        casecontrol_weight_spec(), casecontrol_family(), fstar, weights,
+        ("alpha",) + dataset.labels,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -384,25 +381,16 @@ def run_suite(seed=0, mc=False, reps=500, inject_broken_score=False):
     """Run the full identity/oracle suite on the bundled dataset.  Returns
     a list of CheckResult; the optional Monte Carlo stage appends its
     variance report as a final entry."""
-    from .logistic import (
-        build_full_mle_model,
-        build_identifiable_model,
-        build_nonidentifiable_model,
-        leprosy_dataset,
-    )
-    from .reparam import check_normalization
-
     rng = np.random.default_rng(seed)
     results = []
     dataset = leprosy_dataset()
     weights = compute_weights(dataset)
-    fdcfg = FDConfig()
 
     models = {
-        "identifiable": build_identifiable_model(weights),
-        "non-identifiable": build_nonidentifiable_model(weights),
+        "identifiable": build_identifiable_model(dataset),
+        "non-identifiable": build_nonidentifiable_model(dataset),
         "full-mle": build_full_mle_model(dataset),
-        "reparam-generic": casecontrol_reparam_model(dataset, weights),
+        "reparam-generic": casecontrol_reparam_model(dataset),
     }
     if inject_broken_score:
         models["identifiable"] = _BrokenScoreModel(models["identifiable"])
@@ -414,11 +402,11 @@ def run_suite(seed=0, mc=False, reps=500, inject_broken_score=False):
             x = _random_admissible(rng, model.n_params, scale=0.5)
             f = lambda p: log_likelihood(model, p, dataset)
             g = aggregate_score(model, x, dataset)
-            g_fd = fd_gradient(f, x, fdcfg)
+            g_fd = fd_gradient(f, x)
             scale_g = max(1.0, float(np.max(np.abs(g_fd))))
             worst_g = max(worst_g, float(np.max(np.abs(g - g_fd))) / scale_g)
             h = dense(aggregate_hessian(model, x, dataset))
-            h_fd = fd_hessian(f, x, fdcfg)
+            h_fd = fd_hessian(f, x)
             scale_h = max(1.0, float(np.max(np.abs(h_fd))))
             worst_h = max(worst_h, float(np.max(np.abs(h - h_fd))) / scale_h)
         results.append(
@@ -445,7 +433,7 @@ def run_suite(seed=0, mc=False, reps=500, inject_broken_score=False):
     )
 
     # 3. nuisance stationarity on a 5-point theta grid
-    fit_id = maximize(models["identifiable"] if not inject_broken_score else build_identifiable_model(weights), dataset)
+    fit_id = maximize(build_identifiable_model(dataset), dataset)
     theta_hat = fit_id.params  # (alpha*, beta): a sensible center for (alpha, beta)
     worst = 0.0
     for delta in (-0.2, -0.1, 0.0, 0.1, 0.2):
@@ -556,8 +544,6 @@ def default_mc_design() -> ToyInstance:
     coefficient on the inverse-square age covariate empties the young-age
     case cells and skews the slope sampling distribution at n = 520, which
     is small-sample behavior rather than a variance-formula property."""
-    from .logistic import leprosy_dataset
-
     dataset = leprosy_dataset()
     return ToyInstance(
         support=dataset.support,

@@ -264,14 +264,13 @@ def _reject_first(lines, bad, message):
             raise Rejected(f"line {lineno}: {message}")
 
 
-def long_csv_reference(path, sample_base=1):
+def long_csv_reference(path):
     """(X, sample, multiplicity) of a ``sample,y,x1,...,xp`` file, read row
     by row with the csv module and int()/float() per field."""
     header, rows = _reference_rows(path)
     if len(header) < 3 or header[0] != "sample" or header[1] != "y":
         raise Rejected("expected header 'sample,y,x1,...,xp', got " + ",".join(header))
     lines, (sample, y, *xs) = _reference_columns(rows, [int] + [float] * (len(header) - 1))
-    sample = sample + (1 - sample_base)
     X = np.column_stack(xs)
     _reject_first(lines, sample < 1, "sample index must be >= 1")
     _reject_first(lines, ~np.all(np.isfinite(X), axis=1), "non-finite covariate")

@@ -352,3 +352,33 @@ def test_closed_stdout_exits_1_without_traceback():
     os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "schema, text",
+    [
+        ("casecontrol", "age,scar,cases,controls\n2.5,0,0,5\n7.5,1,0,4\n"),
+        ("long", "sample,y,x1\n1,0,0.5\n1,0,1.5\n"),
+    ],
+    ids=["casecontrol", "long"],
+)
+def test_one_sample_exits_1_naming_s(tmp_path, capsys, schema, text):
+    f = tmp_path / "one.csv"
+    f.write_text(text)
+    for argv in (["fit", "--method", "mle"], ["fit", "--method", "reparam-nonid"],
+                 ["fit", "--method", "reparam-id"], ["compare"]):
+        assert main(argv + ["--input", str(f), "--schema", schema]) == 1, argv
+        assert capsys.readouterr().err == "error: case-control models need S=2 samples, got S=1\n"
+
+
+def test_negative_seed_exits_1_naming_it(capsys):
+    assert main(["validate", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
+
+def test_unwritable_out_exits_1_naming_the_path(tmp_path, capsys):
+    for out in (tmp_path, tmp_path / "missing" / "report.json"):
+        assert main(["fit", "--builtin", "leprosy", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "missing").exists()

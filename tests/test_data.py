@@ -81,7 +81,7 @@ def test_support_computed_once_and_only_when_read(tmp_path, monkeypatch):
     f.write_text("sample,y,x1,x2\n" + "\n".join(rows) + "\n")
     ds = load_long_csv(f)
     for method in ("reparam-id", "reparam-nonid"):
-        fit_method(ds, method, covariate_labels=("x1", "x2"))
+        fit_method(ds, method)
     assert len(calls) == 0
     want = support_reference(X)
     for _ in range(2):
@@ -137,13 +137,34 @@ def test_load_long_csv(tmp_path):
     assert ds.n_samples == 2
 
 
+def test_labels_travel_with_the_dataset(tmp_path, leprosy):
+    X = [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]
+    assert MultisampleDataset.from_columns(X, [1, 2], [1, 1]).labels == ("x1", "x2", "x3")
+    named = MultisampleDataset.from_columns(X, [1, 2], [1, 1], labels=["a", "b", "c"])
+    assert named.labels == ("a", "b", "c")
+    assert MultisampleDataset([Observation(1, [0.0]), Observation(2, [1.0])]).labels == ("x1",)
+    assert leprosy.labels == ("Scar", "Age")
+    f = tmp_path / "cc.csv"
+    f.write_text("age,scar,cases,controls\n2.5,0,1,24\n7.5,1,11,22\n")
+    assert load_casecontrol_csv(f, transform=transform_age).labels == ("Scar", "Age")
+    f.write_text("sample,y,x1,x2,x3\n1,0,1.0,2.0,3.0\n2,1,0.5,1.0,1.5\n")
+    assert load_long_csv(f).labels == ("x1", "x2", "x3")
+
+
+def test_from_columns_rejects_labels_of_wrong_length():
+    X = np.zeros((2, 3))
+    for labels in (("a", "b"), ("a", "b", "c", "d"), (), ("a", "b", "a")):
+        with pytest.raises(DataError, match="expected 3 distinct covariate labels, got"):
+            MultisampleDataset.from_columns(X, [1, 2], [1, 1], labels=labels)
+
+
 def test_load_long_csv_zero_based(tmp_path):
+    """Samples are 1-based: a file that numbers them from 0 is rejected at
+    its first row."""
     f = tmp_path / "d.csv"
     f.write_text("sample,y,x1\n0,0,1.0\n1,1,2.0\n")
-    ds = load_long_csv(f, sample_base=0)
-    assert ds.n_samples == 2
-    with pytest.raises(DataError):
-        load_long_csv(f, sample_base=2)
+    with pytest.raises(DataError, match="line 2: sample index must be >= 1"):
+        load_long_csv(f)
 
 
 def test_load_long_csv_errors(tmp_path):
@@ -211,9 +232,9 @@ def test_long_y_must_match_sample(tmp_path):
     f.write_text("sample,y,x1\n1,0,1.0\n2,0,2.0\n")
     with pytest.raises(DataError, match="line 3: y must be"):
         load_long_csv(f)
-    f.write_text("sample,y,x1\n0,0,1.0\n1,1,2.0\n0,1,3.0\n")
+    f.write_text("sample,y,x1\n1,0,1.0\n2,1,2.0\n1,1,3.0\n")
     with pytest.raises(DataError, match="line 4: y must be"):
-        load_long_csv(f, sample_base=0)
+        load_long_csv(f)
 
 
 def _outcome(load):

@@ -14,21 +14,21 @@ from semest import (
     SingularInformationError,
     aggregate_hessian,
     aggregate_score,
-    build_full_mle_model,
-    build_identifiable_model,
-    build_nonidentifiable_model,
-    compute_weights,
     efficient_information,
-    info_blocks_observed,
     log_likelihood,
     maximize,
     standard_errors,
 )
-from semest.analysis import METHODS, fit_method
-from semest.data import load_casecontrol_csv, observation_rows
+from semest.analysis import METHODS, compare_methods, fit_method
+from semest.data import load_casecontrol_csv, load_long_csv, observation_rows
 from semest.inference import InfoBlocks, info_blocks_observed, low_rank_spectrum, partition, spectrum
 from semest.likelihood import evaluate
-from semest.logistic import transform_age
+from semest.logistic import (
+    build_full_mle_model,
+    build_identifiable_model,
+    build_nonidentifiable_model,
+    transform_age,
+)
 from semest.structured import DiagPlusLowRank, StructuredHessian, dense
 from semest.validate import (
     casecontrol_reparam_model,
@@ -54,14 +54,14 @@ WIDE_SUPPORT = (
 )
 
 
-def _model(name, dataset, weights):
+def _model(name, dataset):
     if name == "identifiable":
-        return build_identifiable_model(weights)
+        return build_identifiable_model(dataset)
     if name == "non-identifiable":
-        return build_nonidentifiable_model(weights)
+        return build_nonidentifiable_model(dataset)
     if name == "full-mle":
         return build_full_mle_model(dataset)
-    return casecontrol_reparam_model(dataset, weights)
+    return casecontrol_reparam_model(dataset)
 
 
 def _reference(name, dataset, weights, params):
@@ -84,7 +84,7 @@ def _rel_diff(a, b):
 
 @pytest.mark.parametrize("name", MODELS)
 def test_array_pass_matches_row_loop(name, leprosy, leprosy_weights, rng):
-    model = _model(name, leprosy, leprosy_weights)
+    model = _model(name, leprosy)
     for _ in range(5):
         params = rng.uniform(-1.0, 1.0, size=model.n_params)
         loglik, scores, hess = _reference(name, leprosy, leprosy_weights, params)
@@ -100,13 +100,13 @@ def test_array_pass_matches_row_loop(name, leprosy, leprosy_weights, rng):
         assert _rel_diff(rows, scores) < 1e-12
 
 
-def test_stacked_loglik_matches_each_fd_point(leprosy, leprosy_weights):
+def test_stacked_loglik_matches_each_fd_point(leprosy):
     """At every point the validate suite's finite differences evaluate (its
     20 random points per model, seed 0), the one stacked log-likelihood call
     gives each point's own value."""
     rng = np.random.default_rng(0)
     for name in MODELS:
-        model = _model(name, leprosy, leprosy_weights)
+        model = _model(name, leprosy)
         stacks = []
 
         def f(points):
@@ -140,7 +140,7 @@ def test_batched_replicates_match_single_fits(mc_batch):
     seeds = np.random.SeedSequence(3).spawn(40)
     for r in range(40):
         dataset = simulate(design, (260, 260), np.random.default_rng(seeds[r]))
-        alone = maximize(build_identifiable_model(compute_weights(dataset), design.labels), dataset)
+        alone = maximize(build_identifiable_model(dataset), dataset)
         assert fit.iterations[r] == alone.iterations
         assert _rel_diff(fit.params[r], alone.params) <= 1e-12
         assert _rel_diff(fit.hessian[r], alone.hessian) <= 1e-12
@@ -187,8 +187,7 @@ def _regrouped(dataset, seed):
 
 
 def _generic_fit(dataset):
-    weights = compute_weights(dataset)
-    model = casecontrol_reparam_model(dataset, weights)
+    model = casecontrol_reparam_model(dataset)
     fit = maximize(model, dataset).require_converged()
     istar = efficient_information(info_blocks_observed(model, fit, dataset))
     se, _, _ = standard_errors(istar, dataset.n)
@@ -197,14 +196,14 @@ def _generic_fit(dataset):
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
-def test_row_order_and_grouping_invariance(leprosy, leprosy_weights, seed):
+def test_row_order_and_grouping_invariance(leprosy, seed):
     other = _regrouped(leprosy, seed)
     assert other.n == leprosy.n
     np.testing.assert_array_equal(other.support, leprosy.support)
     params_rng = np.random.default_rng(seed)
     for name in MODELS:
-        a = _model(name, leprosy, leprosy_weights)
-        b = _model(name, other, compute_weights(other))
+        a = _model(name, leprosy)
+        b = _model(name, other)
         params = params_rng.uniform(-1.0, 1.0, size=a.n_params)
         for quantity in (log_likelihood, aggregate_score, aggregate_hessian):
             assert _rel_diff(quantity(b, params, other), quantity(a, params, leprosy)) < 1e-10
@@ -371,3 +370,26 @@ def test_structured_null_direction_matches_spectrum(leprosy, tmp_path, case):
             efficient_information(b)
         v = exc.value.null_direction
         assert min(np.abs(v - null).max(), np.abs(v + null).max()) < 1e-6
+
+
+@pytest.mark.parametrize("p", [1, 3])
+def test_methods_fit_long_data_of_any_width(tmp_path, p):
+    """``fit_method`` and ``compare_methods`` on a long file with p != 2
+    covariates label the slopes x1..xp, and the three methods agree."""
+    rng = np.random.default_rng(p)
+    beta = np.array([0.5, -0.3, 0.2])[:p]
+    X = np.vstack([rng.standard_normal((120, p)), rng.standard_normal((120, p)) + beta])
+    sample = np.repeat([1, 2], 120)
+    labels = tuple(f"x{i + 1}" for i in range(p))
+    rows = [f"{s},{s - 1}," + ",".join(map(repr, x)) for s, x in zip(sample, X.tolist())]
+    f = tmp_path / "long.csv"
+    f.write_text("\n".join(["sample,y," + ",".join(labels), *rows]) + "\n")
+    dataset = load_long_csv(f)
+    fits = {m: fit_method(dataset, m)[1] for m in METHODS}
+    reports, releff = compare_methods(dataset)
+    for m in METHODS:
+        assert fits[m].labels == reports[m].labels == labels
+        np.testing.assert_allclose(fits[m].coef, fits["mle"].coef, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(fits[m].se, fits["mle"].se, rtol=0, atol=1e-6)
+        np.testing.assert_array_equal(reports[m].coef, fits[m].coef)
+    assert all(tuple(eff) == labels for eff in releff.values())

@@ -1,21 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
 from semest import (
     EfficiencyReport,
-    InfoBlocks,
     SingularInformationError,
-    build_identifiable_model,
-    centered_scores,
     efficient_information,
+    maximize,
+    standard_errors,
+)
+from semest.inference import (
+    RANK_TOL,
+    InfoBlocks,
+    centered_scores,
     efficient_score,
     info_blocks_moments,
     info_blocks_observed,
-    maximize,
     relative_efficiency,
-    standard_errors,
 )
-from semest.inference import RANK_TOL
 from semest.validate import schur_identity_gap
 
 
@@ -170,14 +173,18 @@ def test_standard_errors_in_a_standardizing_basis():
 
 
 def test_report_json_roundtrip(leprosy_id_fit):
+    """The report's JSON text reads back to its fields."""
     _, report, _ = leprosy_id_fit
-    back = EfficiencyReport.from_json(report.to_json())
-    assert back.method == report.method
-    assert back.labels == report.labels
-    np.testing.assert_allclose(back.coef, report.coef, atol=1e-15)
-    np.testing.assert_allclose(back.se, report.se, atol=1e-15)
-    np.testing.assert_array_equal(back.eff_info, report.eff_info)
-    assert back.extra_rows.keys() == report.extra_rows.keys()
+    back = json.loads(report.to_json())
+    assert back["method"] == report.method
+    assert tuple(back["labels"]) == report.labels == ("Scar", "Age")
+    np.testing.assert_allclose(back["coef"], report.coef, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(back["se"], report.se, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(back["eff_info"], report.eff_info)
+    assert back["extra_rows"] == {k: list(v) for k, v in report.extra_rows.items()}
+    assert (back["loglik"], back["iterations"], back["n"]) == (
+        report.loglik, report.iterations, report.n
+    )
 
 
 def test_render_table_mentions_labels(leprosy_id_fit):
@@ -278,8 +285,9 @@ def test_moment_blocks_single_sample_unit_variance():
 def test_blocks_paths_converge_with_n():
     """Moment and observed-Hessian blocks are different estimators of the
     same limit: their gap must shrink along n = 500, 5000, 50000."""
-    from semest import ToyInstance, Weights, simulate, compute_weights
+    from semest import Weights, compute_weights
     from semest.logistic import FullMLELogisticModel
+    from semest.validate import ToyInstance, simulate
 
     toy = ToyInstance(
         support=[[0.0], [1.0]],
@@ -308,8 +316,9 @@ def test_blocks_paths_converge_with_n():
 def test_istar_lln_against_enumeration():
     """Empirical efficient information on a huge simulated sample matches
     the exactly enumerated population value within 1%."""
-    from semest import ToyInstance, Weights, brute_force_info, simulate, compute_weights
+    from semest import Weights, compute_weights
     from semest.logistic import FullMLELogisticModel
+    from semest.validate import ToyInstance, brute_force_info, simulate
 
     toy = ToyInstance(
         support=[[0.0], [1.0]],
@@ -350,9 +359,9 @@ def test_mle_linear_algebra_stays_interest_sized(monkeypatch):
     dataset = MultisampleDataset.from_columns(
         np.vstack([controls, cases]), np.repeat([1, 2], 750), np.ones(1500, dtype=int)
     )
-    labels = ("x1", "x2", "x3")
-    _, mle, _ = fit_method(dataset, "mle", covariate_labels=labels)
+    _, mle, _ = fit_method(dataset, "mle")
     assert shapes and max(max(s) for s in shapes) <= 1 + p
-    _, ref, _ = fit_method(dataset, "reparam-id", covariate_labels=labels)
+    _, ref, _ = fit_method(dataset, "reparam-id")
+    assert mle.labels == ref.labels == ("x1", "x2", "x3")
     np.testing.assert_allclose(mle.coef, ref.coef, rtol=0, atol=1e-6)
     np.testing.assert_allclose(mle.se, ref.se, rtol=0, atol=1e-6)

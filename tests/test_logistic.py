@@ -5,17 +5,21 @@ from hypothesis import strategies as st
 
 from semest import (
     DataError,
+    MultisampleDataset,
     Weights,
-    build_full_mle_model,
-    build_identifiable_model,
-    build_nonidentifiable_model,
     log_likelihood,
     transform_age,
 )
 from semest.data import observation_rows
 from semest.likelihood import evaluate
-from semest.logistic import DiscreteG
-from semest.validate import FDConfig, fd_gradient
+from semest.logistic import (
+    CaseControlLogisticModel,
+    DiscreteG,
+    build_full_mle_model,
+    build_identifiable_model,
+    build_nonidentifiable_model,
+)
+from semest.validate import fd_gradient
 
 finite = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
 
@@ -30,10 +34,10 @@ def test_transform_age_values():
 
 @settings(max_examples=50, deadline=None)
 @given(c=finite, alpha=finite, b1=finite)
-def test_ridge_invariance(leprosy, leprosy_weights, c, alpha, b1):
+def test_ridge_invariance(leprosy, c, alpha, b1):
     """The non-identifiable likelihood is exactly flat along
     (alpha + c, log_rho1 - c)."""
-    model = build_nonidentifiable_model(leprosy_weights)
+    model = build_nonidentifiable_model(leprosy)
     base = np.array([alpha, b1, -2.0, 0.4])
     shifted = base + np.array([c, 0.0, 0.0, -c])
     f0 = log_likelihood(model, base, leprosy)
@@ -45,7 +49,7 @@ def test_identifiable_equals_prospective_offset(leprosy):
     """With weights (w0, w1) the identifiable log-density is the prospective
     logistic log-density with intercept offset log(w1/w0), minus log w0."""
     w = Weights([0.6, 0.4])
-    model = build_identifiable_model(w)
+    model = CaseControlLogisticModel(w, leprosy.labels, identifiable=True)
     params = np.array([0.7, -0.2, -3.0])
     offset = np.log(w.w[1] / w.w[0])
     for obs in leprosy.observations[:6]:
@@ -78,10 +82,10 @@ def test_full_mle_requires_two_support_points():
         FullMLELogisticModel(np.array([[1.0]]), ("x1",))
 
 
-def test_model_scores_match_fd(leprosy, leprosy_weights, rng):
+def test_model_scores_match_fd(leprosy, rng):
     models = {
-        "id": build_identifiable_model(leprosy_weights),
-        "nonid": build_nonidentifiable_model(leprosy_weights),
+        "id": build_identifiable_model(leprosy),
+        "nonid": build_nonidentifiable_model(leprosy),
         "mle": build_full_mle_model(leprosy),
     }
     from semest.likelihood import aggregate_score
@@ -89,18 +93,20 @@ def test_model_scores_match_fd(leprosy, leprosy_weights, rng):
     for model in models.values():
         params = rng.uniform(-0.5, 0.5, size=model.n_params)
         g = aggregate_score(model, params, leprosy)
-        g_fd = fd_gradient(
-            lambda p: log_likelihood(model, p, leprosy), params, FDConfig()
-        )
+        g_fd = fd_gradient(lambda p: log_likelihood(model, p, leprosy), params)
         scale = max(1.0, np.max(np.abs(g_fd)))
         assert np.max(np.abs(g - g_fd)) / scale < 1e-6
 
 
 def test_builders_validate_strata():
-    with pytest.raises(DataError):
-        build_identifiable_model(Weights([0.3, 0.3, 0.4]))
-    with pytest.raises(DataError):
-        build_nonidentifiable_model(Weights([0.3, 0.3, 0.4]))
+    """Every builder needs the two samples of a case-control design, and
+    says how many it got."""
+    for samples in ([1, 1, 1], [1, 2, 3]):
+        dataset = MultisampleDataset.from_columns([[0.0], [1.0], [2.0]], samples, [1, 1, 1])
+        builders = (build_identifiable_model, build_nonidentifiable_model, build_full_mle_model)
+        for build in builders:
+            with pytest.raises(DataError, match=f"need S=2 samples, got S={max(samples)}"):
+                build(dataset)
 
 
 def test_leprosy_dataset_integrity(leprosy):

@@ -3,14 +3,8 @@ import copy
 import numpy as np
 import pytest
 
-from semest import (
-    EvaluationError,
-    FitConfig,
-    build_identifiable_model,
-    build_nonidentifiable_model,
-    log_likelihood,
-    maximize,
-)
+from semest import EvaluationError, FitConfig, log_likelihood, maximize
+from semest.logistic import build_identifiable_model, build_nonidentifiable_model
 
 
 def test_fit_config_validation():
@@ -22,8 +16,8 @@ def test_fit_config_validation():
         FitConfig(grad_tol=float("nan"))
 
 
-def test_converges_quickly(leprosy, leprosy_weights):
-    model = build_identifiable_model(leprosy_weights)
+def test_converges_quickly(leprosy):
+    model = build_identifiable_model(leprosy)
     fit = maximize(model, leprosy)
     assert fit.converged
     assert fit.iterations < 20
@@ -31,8 +25,8 @@ def test_converges_quickly(leprosy, leprosy_weights):
     assert fit.hessian.shape == (3, 3)
 
 
-def test_deterministic(leprosy, leprosy_weights):
-    model = build_identifiable_model(leprosy_weights)
+def test_deterministic(leprosy):
+    model = build_identifiable_model(leprosy)
     a = maximize(model, leprosy)
     b = maximize(model, leprosy)
     assert np.array_equal(a.params, b.params)
@@ -40,16 +34,16 @@ def test_deterministic(leprosy, leprosy_weights):
     assert a.iterations == b.iterations
 
 
-def test_objective_never_decreases(leprosy, leprosy_weights):
-    model = build_identifiable_model(leprosy_weights)
+def test_objective_never_decreases(leprosy):
+    model = build_identifiable_model(leprosy)
     init = model.init_params(leprosy)
     f0 = log_likelihood(model, init, leprosy)
     fit = maximize(model, leprosy, init=init)
     assert fit.loglik >= f0
 
 
-def test_nonconvergence_reported(leprosy, leprosy_weights):
-    model = build_identifiable_model(leprosy_weights)
+def test_nonconvergence_reported(leprosy):
+    model = build_identifiable_model(leprosy)
     fit = maximize(model, leprosy, cfg=FitConfig(max_iter=1, grad_tol=1e-12))
     assert not fit.converged
     assert fit.warnings
@@ -57,8 +51,8 @@ def test_nonconvergence_reported(leprosy, leprosy_weights):
         fit.require_converged()
 
 
-def test_flat_ridge_still_converges(leprosy, leprosy_weights):
-    model = build_nonidentifiable_model(leprosy_weights)
+def test_flat_ridge_still_converges(leprosy):
+    model = build_nonidentifiable_model(leprosy)
     fit = maximize(model, leprosy)
     assert fit.converged
     # shifting along the ridge leaves the optimum value unchanged
@@ -68,26 +62,26 @@ def test_flat_ridge_still_converges(leprosy, leprosy_weights):
     )
 
 
-def test_nonfinite_start_is_error(leprosy, leprosy_weights):
-    model = build_identifiable_model(leprosy_weights)
+def test_nonfinite_start_is_error(leprosy):
+    model = build_identifiable_model(leprosy)
     with pytest.raises((EvaluationError, FloatingPointError)):
         maximize(model, leprosy, init=np.array([np.inf, 0.0, 0.0]))
 
 
-def test_custom_init_respected(leprosy, leprosy_weights):
-    model = build_identifiable_model(leprosy_weights)
+def test_custom_init_respected(leprosy):
+    model = build_identifiable_model(leprosy)
     fit = maximize(model, leprosy, init=np.array([1.2, -0.3, -4.3]))
     assert fit.converged
     ref = maximize(model, leprosy)
     np.testing.assert_allclose(fit.params, ref.params, atol=1e-7)
 
 
-def test_batch_isolates_a_failed_fit(leprosy, leprosy_weights):
+def test_batch_isolates_a_failed_fit(leprosy):
     """In a batch, the fit whose start is not finite fails alone; every other
     fit is bit-identical to the same fit run by itself."""
     from semest.validate import default_mc_design, replicate_fits
 
-    model = build_nonidentifiable_model(leprosy_weights)
+    model = build_nonidentifiable_model(leprosy)
     init = np.array([[0.0, 0.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 0.0], [2.0, -1.0, -3.0, -1.0]])
     fit = maximize(model, leprosy, init=init)
     assert fit.converged.tolist() == [True, False, True]

@@ -9,20 +9,19 @@ from hypothesis import strategies as st
 from semest import (
     DataError,
     EvaluationError,
-    QVector,
-    ToyInstance,
     Weights,
     check_normalization,
     fixed_point_q,
-    fstar_empirical,
     log_likelihood,
 )
 from semest.data import positions
 from semest.likelihood import aggregate_hessian, aggregate_score, evaluate
 from semest.logistic import casecontrol_weight_spec
-from semest.reparam import ConditionalFamily, FStarEstimate, ReparamModel, WeightFunctionSpec
+from semest.reparam import (
+    ConditionalFamily, FStarEstimate, QVector, ReparamModel, WeightFunctionSpec, fstar_empirical,
+)
 from semest.validate import (
-    FDConfig,
+    ToyInstance,
     casecontrol_reparam_model,
     check_stationarity,
     fd_gradient,
@@ -59,26 +58,26 @@ def test_fstar_is_pooled_frequency(leprosy, leprosy_weights):
     logq=st.floats(min_value=-1.5, max_value=1.5, allow_nan=False),
 )
 def test_normalization_identity(leprosy, leprosy_weights, alpha, b1, b2, logq):
-    model = casecontrol_reparam_model(leprosy, leprosy_weights)
+    model = casecontrol_reparam_model(leprosy)
     theta = np.array([alpha, b1, b2])
     q = QVector.from_free([np.exp(logq)])
     total = check_normalization(model.wspec, theta, q, model.fstar, leprosy_weights)
     assert abs(total - 1.0) < 1e-12
 
 
-def test_reparam_derivatives_match_fd(leprosy, leprosy_weights, rng):
-    model = casecontrol_reparam_model(leprosy, leprosy_weights)
+def test_reparam_derivatives_match_fd(leprosy, rng):
+    model = casecontrol_reparam_model(leprosy)
     from semest.likelihood import aggregate_hessian, aggregate_score
 
     for _ in range(5):
         params = rng.uniform(-0.8, 0.8, size=model.n_params)
         f = lambda p: log_likelihood(model, p, leprosy)
         g = aggregate_score(model, params, leprosy)
-        g_fd = fd_gradient(f, params, FDConfig())
+        g_fd = fd_gradient(f, params)
         scale = max(1.0, np.max(np.abs(g_fd)))
         assert np.max(np.abs(g - g_fd)) / scale < 1e-6
         h = aggregate_hessian(model, params, leprosy)
-        h_fd = fd_hessian(f, params, FDConfig())
+        h_fd = fd_hessian(f, params)
         scale = max(1.0, np.max(np.abs(h_fd)))
         assert np.max(np.abs(h - h_fd)) / scale < 1e-5
 
@@ -101,8 +100,8 @@ def test_fixed_point_matches_enumeration():
     np.testing.assert_allclose(qhat.q, expected, atol=1e-10)
 
 
-def test_stationarity_after_inner_profile(leprosy, leprosy_weights):
-    model = casecontrol_reparam_model(leprosy, leprosy_weights)
+def test_stationarity_after_inner_profile(leprosy):
+    model = casecontrol_reparam_model(leprosy)
     resid = check_stationarity(model, np.array([1.0, -0.3, -4.0]), leprosy)
     assert resid < 1e-8
 
@@ -110,7 +109,7 @@ def test_stationarity_after_inner_profile(leprosy, leprosy_weights):
 def test_score_q_aggregate_identity(leprosy, leprosy_weights):
     # the model's per-observation indicator form and the weight form agree
     # in the sample aggregate because w_j = n_j / n exactly
-    model = casecontrol_reparam_model(leprosy, leprosy_weights)
+    model = casecontrol_reparam_model(leprosy)
     wspec = model.wspec
     theta = np.array([0.8, -0.4, -2.0])
     q = QVector.from_free([0.6])
@@ -164,7 +163,7 @@ def test_lookup_unknown_covariate(leprosy):
 
 def test_normalization_linearity_and_single_stratum(leprosy, leprosy_weights):
     # a deliberately broken plug-in that sums to 0.9 is detected linearly
-    model = casecontrol_reparam_model(leprosy, leprosy_weights)
+    model = casecontrol_reparam_model(leprosy)
     broken = FStarEstimate(model.fstar.support, 0.9 * model.fstar.values)
     theta = np.array([0.4, -0.3, -2.0])
     q = QVector.from_free([0.8])
@@ -184,9 +183,9 @@ def test_normalization_linearity_and_single_stratum(leprosy, leprosy_weights):
 def test_fixed_point_matches_direct_maximization(leprosy, leprosy_weights):
     """Profiling q by direct likelihood maximization and by the
     self-consistency fixed point must agree at the fitted theta."""
-    from semest import fstar_empirical, maximize
+    from semest import maximize
 
-    model = casecontrol_reparam_model(leprosy, leprosy_weights)
+    model = casecontrol_reparam_model(leprosy)
     fit = maximize(model, leprosy).require_converged()
     theta_hat = fit.params[: model.n_theta]
     q_direct = np.exp(fit.params[model.n_theta :])
@@ -195,8 +194,8 @@ def test_fixed_point_matches_direct_maximization(leprosy, leprosy_weights):
     np.testing.assert_allclose(qhat.free, q_direct, atol=1e-8)
 
 
-def test_stacked_order0_matches_single_vectors(leprosy, leprosy_weights):
-    model = casecontrol_reparam_model(leprosy, leprosy_weights)
+def test_stacked_order0_matches_single_vectors(leprosy):
+    model = casecontrol_reparam_model(leprosy)
     points = np.array(json.loads(RECORDED.read_text())["points"])
     rows = evaluate(model, points, leprosy, 0)
     totals = log_likelihood(model, points, leprosy)
@@ -206,10 +205,10 @@ def test_stacked_order0_matches_single_vectors(leprosy, leprosy_weights):
         assert abs(total - single) <= 1e-14 * abs(single)
 
 
-def test_generic_model_matches_recorded_values(leprosy, leprosy_weights):
+def test_generic_model_matches_recorded_values(leprosy):
     """Loglik, total score and Hessian at 20 points equal the values the
     per-derivative spec callables gave, to 1e-12 relative."""
-    model = casecontrol_reparam_model(leprosy, leprosy_weights)
+    model = casecontrol_reparam_model(leprosy)
     rec = json.loads(RECORDED.read_text())
     for i, p in enumerate(np.array(rec["points"])):
         for got, want in (
@@ -232,8 +231,8 @@ def test_stack_with_inadmissible_vector(leprosy, leprosy_weights):
         log_likelihood(model, stack[1], leprosy)
 
 
-def test_fd_oracles_evaluate_generic_model_once_per_stack(leprosy, leprosy_weights):
-    model = casecontrol_reparam_model(leprosy, leprosy_weights)
+def test_fd_oracles_evaluate_generic_model_once_per_stack(leprosy):
+    model = casecontrol_reparam_model(leprosy)
     calls = []
     inner = model.evaluate
 
@@ -244,6 +243,6 @@ def test_fd_oracles_evaluate_generic_model_once_per_stack(leprosy, leprosy_weigh
     model.evaluate = counting
     x = np.array([0.2, -0.3, -1.0, 0.1])
     f = lambda p: log_likelihood(model, p, leprosy)
-    fd_hessian(f, x, FDConfig())
-    fd_gradient(f, x, FDConfig())
+    fd_hessian(f, x)
+    fd_gradient(f, x)
     assert calls == [(40, 4), (8, 4)]

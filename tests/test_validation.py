@@ -4,24 +4,20 @@ import pathlib
 import numpy as np
 import pytest
 
-from semest import (
-    ConvergenceError,
-    FDConfig,
-    FitConfig,
-    ToyInstance,
-    Weights,
-    brute_force_info,
-    fd_gradient,
-    fd_hessian,
-    monte_carlo_variance,
-    simulate,
-)
+from semest import ConvergenceError, FitConfig, Weights
 from semest.inference import efficient_information, info_blocks_moments
 from semest.validate import (
+    MAX_OUTCOMES,
+    ToyInstance,
+    brute_force_info,
     casecontrol_reparam_model,
     check_stationarity,
     default_mc_design,
     enumerated_centered_scores,
+    fd_gradient,
+    fd_hessian,
+    monte_carlo_variance,
+    simulate,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -45,8 +41,6 @@ def test_fd_exact_on_quadratic():
     x0 = np.array([0.7, -0.2])
     np.testing.assert_allclose(fd_gradient(f, x0), A @ x0 + b, atol=1e-8)
     np.testing.assert_allclose(fd_hessian(f, x0), A, atol=1e-6)
-    with pytest.raises(ValueError):
-        FDConfig(step=0.0)
 
 
 def test_toy_probabilities(toy):
@@ -76,9 +70,17 @@ def test_enumerated_moments_path_agrees(toy):
     assert np.max(np.abs(istar - istar_bf)) < 1e-12
 
 
-def test_brute_force_size_guard(toy):
-    with pytest.raises(ValueError, match="too large"):
-        brute_force_info(toy, max_outcomes=2)
+def test_brute_force_size_guard():
+    K = MAX_OUTCOMES // 2 + 1  # one support point more than the guard allows
+    big = ToyInstance(
+        support=np.arange(K, dtype=float)[:, None],
+        g=np.full(K, 1.0 / K),
+        alpha=0.0,
+        beta=[0.0],
+        weights=Weights([0.5, 0.5]),
+    )
+    with pytest.raises(ValueError, match=f"too large: {2 * K} outcomes"):
+        brute_force_info(big)
 
 
 def test_simulate_deterministic_and_sized(toy):
@@ -92,9 +94,9 @@ def test_simulate_deterministic_and_sized(toy):
         assert np.array_equal(oa.x, ob.x)
 
 
-def test_stationarity_negative_control(leprosy, leprosy_weights):
+def test_stationarity_negative_control(leprosy):
     """A sloppy profile of q must be caught by the likelihood's q-score."""
-    model = casecontrol_reparam_model(leprosy, leprosy_weights)
+    model = casecontrol_reparam_model(leprosy)
     theta = np.array([1.0, -0.3, -4.0])
     tight = check_stationarity(model, theta, leprosy)
     # a tolerance so loose that the fixed point stops after its first
