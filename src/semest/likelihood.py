@@ -1,8 +1,8 @@
 """ModelSpec contract and aggregation of per-row quantities.
 
 A ModelSpec evaluates all rows of a column-stored dataset in one array
-pass.  Aggregation is a multiplicity-weighted sum, so results are
-deterministic.
+pass.  The aggregates read the model's totals: by default the
+multiplicity-weighted sum of those rows, so results are deterministic.
 
 Every aggregate also takes a (P, d) stack of parameter vectors and returns
 one result per vector.  The dataset's ``multiplicity`` may then be (P, N),
@@ -39,6 +39,10 @@ class ModelSpec(ABC):
     (P, d) stack of parameter vectors and gives a leading P axis: (P, N),
     (P, N, d) or (P, d, d), reading ``multiplicity`` (N,) or (P, N).
     ``likelihood.evaluate`` hands the other orders one vector at a time.
+
+    ``totals(params, data, order)`` gives what the aggregates below read:
+    by default the multiplicity-weighted sums of ``evaluate``'s rows.  A
+    model may override it with a cheaper closed form.
     """
 
     param_labels: tuple[str, ...] = ()
@@ -57,6 +61,20 @@ class ModelSpec(ABC):
     @abstractmethod
     def evaluate(self, params, data, order): ...
 
+    def totals(self, params, data, order):
+        """Total log-likelihood, () or (P,), total score, (d,) or (P, d), or
+        the order-2 result of ``evaluate``: the multiplicity-weighted sum
+        of the per-row values (``likelihood.evaluate`` without its
+        warning filter, which the aggregates set around this call)."""
+        rows = _evaluate(self, params, data, order)
+        if order == 2:
+            return rows
+        if order == 1:
+            return _total(data.multiplicity, rows)
+        if np.ndim(params) == 1:
+            return data.multiplicity @ rows
+        return _total(data.multiplicity, rows[..., None])[..., 0]
+
     def init_params(self, dataset) -> np.ndarray:
         return np.zeros(self.n_params)
 
@@ -67,11 +85,15 @@ def evaluate(model, params, dataset, order):
     stack goes to the model in one call for its ``stacked_orders``, and one
     vector at a time otherwise."""
     with np.errstate(all="ignore"):
-        if np.ndim(params) == 1 or order in model.stacked_orders:
-            return model.evaluate(params, dataset, order)
-        if order == 2 and np.ndim(dataset.multiplicity) == 2:
-            raise ValueError("per-vector multiplicities need a model that stacks order 2")
-        return np.array([model.evaluate(p, dataset, order) for p in params])
+        return _evaluate(model, params, dataset, order)
+
+
+def _evaluate(model, params, dataset, order):
+    if np.ndim(params) == 1 or order in model.stacked_orders:
+        return model.evaluate(params, dataset, order)
+    if order == 2 and np.ndim(dataset.multiplicity) == 2:
+        raise ValueError("per-vector multiplicities need a model that stacks order 2")
+    return np.array([model.evaluate(p, dataset, order) for p in params])
 
 
 def _total(multiplicity, rows):
@@ -93,31 +115,40 @@ def _require_finite(dataset, theta, rows, what):
     )
 
 
+def _totals(model, params, dataset, order):
+    """``model.totals`` with floating-point warnings silenced (see
+    ``evaluate``)."""
+    with np.errstate(all="ignore"):
+        return model.totals(params, dataset, order)
+
+
 def log_likelihood(model, params, dataset):
     """Multiplicity-weighted total log-likelihood: a float for one vector
     (d,), a (P,) array for a stack (P, d).
 
     For one vector, raises EvaluationError (carrying the offending
-    observation) if any per-observation log-density is non-finite.  In a
+    observation) if any per-observation log-density is non-finite: the rows
+    are evaluated one by one only when the total is not finite.  In a
     stack such a vector gets a non-finite total instead, for the caller to
     check, so one inadmissible vector does not stop the others.
     """
     theta = np.asarray(params, dtype=float)
-    vals = evaluate(model, theta, dataset, 0)
+    total = _totals(model, theta, dataset, 0)
     if theta.ndim == 2:
-        return _total(dataset.multiplicity, vals[..., None])[..., 0]
-    _require_finite(dataset, theta, vals, "log-density")
-    return float(dataset.multiplicity @ vals)
+        return total
+    if not np.isfinite(total):
+        _require_finite(dataset, theta, evaluate(model, theta, dataset, 0), "log-density")
+    return float(total)
 
 
 def aggregate_score(model, params, dataset) -> np.ndarray:
     """Multiplicity-weighted total score, (d,) or (P, d); non-finite rows
     raise or, in a stack, propagate, as in ``log_likelihood``."""
     theta = np.asarray(params, dtype=float)
-    rows = evaluate(model, theta, dataset, 1)
-    if theta.ndim == 1:
-        _require_finite(dataset, theta, rows, "score")
-    return _total(dataset.multiplicity, rows)
+    total = _totals(model, theta, dataset, 1)
+    if theta.ndim == 1 and not np.isfinite(total).all():
+        _require_finite(dataset, theta, evaluate(model, theta, dataset, 1), "score")
+    return total
 
 
 def hessian_entries(hess):
@@ -133,7 +164,7 @@ def aggregate_hessian(model, params, dataset):
     ``StructuredHessian`` (symmetric by construction); non-finite entries
     raise naming the row or, in a stack, propagate."""
     theta = np.asarray(params, dtype=float)
-    total = evaluate(model, theta, dataset, 2)
+    total = _totals(model, theta, dataset, 2)
     if theta.ndim == 1 and not np.all(np.isfinite(hessian_entries(total))):
         rows = np.array([  # find the offending row
             hessian_entries(evaluate(model, theta, observation_rows(o), 2))

@@ -69,6 +69,12 @@ def _t(M):
     return np.swapaxes(M, -1, -2)
 
 
+def _row_dot(u, v):
+    """u . v for each vector u of a stack (..., K), as a (1, K) @ (K, 1)
+    product per stack item."""
+    return (u[..., None, :] @ v[:, None])[..., 0, 0]
+
+
 class CaseControlLogisticModel(ModelSpec):
     """Reparametrized case-control logistic model.  Estimation-mode
     log-density y u - log(w0 + w1 e^u) with u = z' params.
@@ -80,7 +86,8 @@ class CaseControlLogisticModel(ModelSpec):
 
     Every order takes a stack of parameter vectors, with per-vector row
     multiplicities at order 2 (the Monte Carlo replicates fitted as one
-    batch).
+    batch).  The linear predictor u and the fitted probabilities of the
+    last point evaluated are kept for the next call at the same point.
     """
 
     stacked_orders = (0, 1, 2)
@@ -91,6 +98,7 @@ class CaseControlLogisticModel(ModelSpec):
         self._log_w0 = np.log(weights.w[0])
         self._log_w1 = np.log(weights.w[1])
         self._X = self._Z = None  # the last covariate array seen, and its design
+        self._key = self._u = self._mu = None  # the last point on it, and its u and mu
         if identifiable:
             self.param_labels = ("alpha*",) + tuple(labels)
             self.interest_idx = tuple(range(1, len(self.param_labels)))
@@ -102,13 +110,17 @@ class CaseControlLogisticModel(ModelSpec):
         if data.X is not self._X:  # a fit evaluates one dataset many times
             Z = _design(data.X)
             self._Z = Z if self.identifiable else np.hstack([Z, Z[:, :1]])
-            self._X = data.X
+            self._X, self._key = data.X, None
         Z = self._Z
-        u = (Z @ params[..., None])[..., 0]
+        key = (params.shape, params.tobytes())
+        if key != self._key:  # a Newton step evaluates one point at orders 0, 1, 2
+            self._key, self._u, self._mu = key, (Z @ params[..., None])[..., 0], None
+        u = self._u
         if order == 0:
             return data.y * u - np.logaddexp(self._log_w0, self._log_w1 + u)
-        # w1 e^u / (w0 + w1 e^u)
-        mu = _sigmoid(u + self._log_w1 - self._log_w0)
+        if self._mu is None:  # w1 e^u / (w0 + w1 e^u)
+            self._mu = _sigmoid(u + self._log_w1 - self._log_w0)
+        mu = self._mu
         if order == 1:
             return (data.y - mu)[..., None] * Z
         weighted = Z * (data.multiplicity * mu * (1.0 - mu))[..., None]
@@ -148,10 +160,13 @@ class FullMLELogisticModel(ModelSpec):
     log-density log f(y|v_k) + log g_k - log sum_j f(y|v_j) g_j.
 
     Every per-row quantity depends on the row only through its response y
-    and support point k, so the pass works on the (2, K) table of them.
-    Every order takes a stack of parameter vectors (order 2 with one set of
-    row multiplicities).  Order 2 returns a ``StructuredHessian``: the
-    phi block is a diagonal plus a rank-2 term, never formed as a K x K
+    and support point k, so the pass works on the (2, K) table of them:
+    ``totals`` sums over rows with the table's counts, never forming a
+    per-row array, and the (2, K) intermediates of the last point evaluated
+    are kept for the next call at the same point.  Every order takes a
+    stack of parameter vectors (order 2 with one set of row
+    multiplicities).  Order 2 returns a ``StructuredHessian``: the phi
+    block is a diagonal plus a rank-2 term, never formed as a K x K
     array."""
 
     stacked_orders = (0, 1, 2)
@@ -171,52 +186,82 @@ class FullMLELogisticModel(ModelSpec):
         self.n_theta = 1 + len(labels)
         self.interest_idx = tuple(range(self.n_theta))
         self._rows = self._counts = None  # the last rows counted, and their counts
+        self._key = self._point = self._slopes = None  # the last point, and its intermediates
 
-    def evaluate(self, params, data, order):
-        t = params[..., : self.n_theta]
-        g = DiscreteG.to_g(params[..., self.n_theta :])
-        y = data.sample - 1
-        k = support_positions(self.support, data)
+    def _table(self, data):
+        """M[y, k], the multiplicity of response y at support point k, its
+        column sums (K,), row sums N (2,) and sqrt(N) (2, 1)."""
+        rows = (data.X, data.sample, data.multiplicity)
+        if self._rows is None or any(new is not old for new, old in zip(rows, self._rows)):
+            k = support_positions(self.support, data)
+            M = np.bincount(
+                (data.sample - 1) * self.K + k, weights=data.multiplicity,
+                minlength=2 * self.K,
+            ).reshape(2, self.K)
+            N = M.sum(axis=1)
+            self._rows, self._counts = rows, (M, M.sum(axis=0), N, np.sqrt(N)[:, None])
+        return self._counts  # a fit counts one dataset many times
+
+    def _at(self, params):
+        """g, eta, mu = f(1 | v_j), nu = 1 - mu, f (2, K) and D (2,) at
+        ``params``; recomputed only when ``params`` changes."""
+        key = (params.shape, params.tobytes())
+        if key != self._key:  # a Newton step evaluates one point at orders 0, 1, 2
+            g = DiscreteG.to_g(params[..., self.n_theta :])
+            eta = (self._Z @ params[..., : self.n_theta, None])[..., 0]
+            # mu and nu from one exp(-|eta|): the complement keeps its
+            # relative precision where mu rounds to 1 (large alpha on the
+            # flat intercept ridge), so the score can still reach grad_tol
+            e = np.exp(-np.abs(eta))
+            up = eta >= 0
+            mu = np.where(up, 1.0, e) / (1.0 + e)
+            nu = np.where(up, e, 1.0) / (1.0 + e)
+            f = np.stack([nu, mu], axis=-2)  # f(y | v_j), (2, K)
+            D = (f @ g[..., None])[..., 0]  # (2,)
+            self._key, self._point, self._slopes = key, (g, eta, mu, nu, f, D), None
+        return self._point
+
+    def _slopes_at(self, params):
+        """a = g f / D (2, K), b = y - mu (2, K) and m = (a b) Z (2, 1+p) at
+        ``params``, computed once per point."""
+        g, _, mu, nu, f, D = self._at(params)
+        if self._slopes is None:
+            a = g[..., None, :] * f / D[..., None]
+            b = np.stack([-mu, nu], axis=-2)
+            self._slopes = (a, b, (a * b) @ self._Z)
+        return self._slopes
+
+    def totals(self, params, data, order):
+        """The totals over the rows of ``data`` from its count table; per-vector
+        row multiplicities (P, N) are summed row by row at orders 0 and 1."""
+        if order < 2 and np.ndim(data.multiplicity) == 2:
+            return super().totals(params, data, order)
+        M, per_point, N, root_N = self._table(data)
         Z = self._Z
-        eta = (Z @ t[..., None])[..., 0]
-        # mu = f(1 | v_j) and nu = 1 - mu from one exp(-|eta|): the complement
-        # keeps its relative precision where mu rounds to 1 (large alpha on
-        # the flat intercept ridge), so the score can still reach grad_tol
-        e = np.exp(-np.abs(eta))
-        up = eta >= 0
-        mu = np.where(up, 1.0, e) / (1.0 + e)
-        nu = np.where(up, e, 1.0) / (1.0 + e)
-        f = np.stack([nu, mu], axis=-2)  # f(y | v_j), (2, K)
-        D = (f @ g[..., None])[..., 0]  # (2,)
-        if order == 0:
-            eta_k = eta.take(k, axis=-1)
-            logf_k = y * eta_k - _log1pexp(eta_k)
-            return logf_k + np.log(g.take(k, axis=-1)) - np.log(D.take(y, axis=-1))
-        a = g[..., None, :] * f / D[..., None]
-        b = np.stack([-mu, nu], axis=-2)  # y - mu
-        m = (a * b) @ Z  # (2, 1+p)
-        if order == 1:  # written in place: (N, 1+p+K-1) is the largest array of a fit
+        # products with the counts are row-vector products, (1, K) @ (K, .)
+        # per stack item, so a vector gets the same bits alone as in a stack
+        if order == 0:  # sum M log f + per_point log g - N log D
+            g, eta, *_, D = self._at(params)
+            return (
+                _row_dot(eta, M[1])
+                + _row_dot(np.log(g) - _log1pexp(eta), per_point)
+                - _row_dot(np.log(D), N)
+            )
+        a, b, m = self._slopes_at(params)
+        if order == 1:  # theta: (b r) Z, phi: r summed over y, r = M - N a
+            # (the residual counts first: less cancellation than (M b) Z - N m)
+            r = M - N[:, None] * a
             q = self.n_theta
-            out = np.empty(b.shape[:-2] + (len(y), q + self.K - 1))
-            out[..., :q] = b[..., y, k, None] * Z[k] - m[..., y, :]
-            out[..., q:] = -a[..., :1, :-1]  # broadcast by sample: no (N, K-1) temporary
-            out[..., y == 1, q:] = -a[..., 1:, :-1]
-            own = np.flatnonzero(k < self.K - 1)
-            out[..., own, q + k[own]] += 1.0
+            out = np.empty(b.shape[:-2] + (q + self.K - 1,))
+            out[..., :q] = ((b * r).sum(axis=-2)[..., None, :] @ Z)[..., 0, :]
+            out[..., q:] = r.sum(axis=-2)[..., :-1]
             return out
         # sum over rows of the per-row Hessian
         #   h_tt = -c_k z_k z_k' - sum_j a_j (b_j^2 - c_j) z_j z_j' + m m'
         #   h_tphi[:, j] = a_j (m - b_j z_j),  h_phiphi = a a' - diag(a)
         # with M[y, k] the multiplicity of (y, k) and N_y its row sums; the
         # phi block sums to -diag(N a) + F F' with F = (sqrt(N) a)', rank 2
-        rows = (data.X, data.sample, data.multiplicity)
-        if self._rows is None or any(new is not old for new, old in zip(rows, self._rows)):
-            M = np.bincount(
-                y * self.K + k, weights=data.multiplicity, minlength=2 * self.K
-            ).reshape(2, self.K)
-            N = M.sum(axis=1)
-            self._rows, self._counts = rows, (M.sum(axis=0), N, np.sqrt(N)[:, None])
-        per_point, N, root_N = self._counts  # a fit counts one dataset many times
+        mu, nu = self._at(params)[2:4]
         c = mu * nu
         diag_w = -c * per_point - N @ (a * (b**2 - c[..., None, :]))
         h_tt = _t(Z * diag_w[..., None]) @ Z + _t(m * N[:, None]) @ m
@@ -224,6 +269,27 @@ class FullMLELogisticModel(ModelSpec):
         h_tphi = _t(m) @ (a_ * N[:, None]) - Z[:-1].T * (N @ (a * b))[..., None, :-1]
         tail = DiagPlusLowRank(-(N @ a_), _t(a_ * root_N), 1.0)
         return StructuredHessian(0.5 * (h_tt + _t(h_tt)), h_tphi, tail)
+
+    def evaluate(self, params, data, order):
+        if order == 2:  # a sum over rows already: the count table gives it
+            return self.totals(params, data, 2)
+        y = data.sample - 1
+        k = support_positions(self.support, data)
+        if order == 0:
+            g, eta, *_, D = self._at(params)
+            eta_k = eta.take(k, axis=-1)
+            logf_k = y * eta_k - _log1pexp(eta_k)
+            return logf_k + np.log(g.take(k, axis=-1)) - np.log(D.take(y, axis=-1))
+        a, b, m = self._slopes_at(params)
+        # written in place: (N, 1+p+K-1) is the largest array of this model
+        q = self.n_theta
+        out = np.empty(b.shape[:-2] + (len(y), q + self.K - 1))
+        out[..., :q] = b[..., y, k, None] * self._Z[k] - m[..., y, :]
+        out[..., q:] = -a[..., :1, :-1]  # broadcast by sample: no (N, K-1) temporary
+        out[..., y == 1, q:] = -a[..., 1:, :-1]
+        own = np.flatnonzero(k < self.K - 1)
+        out[..., own, q + k[own]] += 1.0
+        return out
 
     def init_params(self, dataset):
         init = np.zeros(self.n_params)

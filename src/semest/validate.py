@@ -12,6 +12,7 @@ variance formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,7 +35,6 @@ from .likelihood import (
     aggregate_hessian,
     aggregate_score,
     evaluate,
-    log_likelihood,
 )
 from .logistic import (
     DiscreteG,
@@ -59,6 +59,29 @@ MAX_OUTCOMES = 10_000  # the most (stratum, support point) outcomes brute_force_
 MAX_FAILURE_RATE = 0.01  # the share of failed Monte Carlo replicate fits that aborts the study
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+@lru_cache(maxsize=16)
+def _fd_gradient_pattern(d):
+    """Row, coordinate and sign of each of the 2d points x +- h_i e_i:
+    rows 2i and 2i + 1 move coordinate i by +h_i and -h_i."""
+    return _read_only(np.arange(2 * d), np.repeat(np.arange(d), 2), np.tile([1.0, -1.0], d))
+
+
+@lru_cache(maxsize=16)
+def _fd_hessian_pattern(d):
+    """The pairs i <= j, and for each of their four points x +- h_i e_i +-
+    h_j e_j (rows 4p .. 4p + 3 for pair p): its row, i, j and the signs."""
+    i, j = np.triu_indices(d)
+    si = np.tile([1.0, 1.0, -1.0, -1.0], len(i))
+    sj = np.tile([1.0, -1.0, 1.0, -1.0], len(i))
+    return _read_only(i, j, np.arange(4 * len(i)), np.repeat(i, 4), np.repeat(j, 4), si, sj)
+
+
 def fd_gradient(f, x):
     """Central-difference gradient of ``f`` at ``x``.  ``f`` maps a stack of
     points (P, d) to their values (P,); it is called once, on all 2d points
@@ -66,9 +89,9 @@ def fd_gradient(f, x):
     x = np.asarray(x, dtype=float)
     d = len(x)
     h = FD_STEP * np.maximum(1.0, np.abs(x))
-    pts = np.tile(x, (2 * d, 1))  # rows 2i, 2i + 1: x + h_i e_i, x - h_i e_i
-    i = np.repeat(np.arange(d), 2)
-    pts[np.arange(2 * d), i] += np.tile([1.0, -1.0], d) * h[i]
+    rows, i, sign = _fd_gradient_pattern(d)
+    pts = np.tile(x, (2 * d, 1))
+    pts[rows, i] += sign * h[i]
     vals = np.asarray(f(pts), dtype=float).reshape(d, 2)
     if not np.all(np.isfinite(vals)):
         raise EvaluationError(f"non-finite sample in finite differences at {x}")
@@ -81,11 +104,7 @@ def fd_hessian(f, x):
     all of them (see ``fd_gradient``)."""
     x = np.asarray(x, dtype=float)
     steps = FD_HESS_STEP * np.maximum(1.0, np.abs(x))
-    i, j = np.triu_indices(len(x))
-    si = np.tile([1.0, 1.0, -1.0, -1.0], len(i))
-    sj = np.tile([1.0, -1.0, 1.0, -1.0], len(i))
-    ii, jj = np.repeat(i, 4), np.repeat(j, 4)
-    rows = np.arange(len(ii))
+    i, j, rows, ii, jj, si, sj = _fd_hessian_pattern(len(x))
     pts = np.tile(x, (len(ii), 1))
     pts[rows, ii] += si * steps[ii]  # two updates, so that i == j moves twice
     pts[rows, jj] += sj * steps[jj]
@@ -373,6 +392,14 @@ class _BrokenScoreModel(ModelSpec):
         return out
 
 
+def _row_sum_loglik(model, params, dataset):
+    """Total log-likelihood of a stack (P, d) as the multiplicity-weighted
+    sum of the per-row log-densities (the default ``ModelSpec.totals``), so
+    that the finite differences check a model's closed-form totals too."""
+    with np.errstate(all="ignore"):
+        return ModelSpec.totals(model, params, dataset, 0)
+
+
 def _random_admissible(rng, dim, scale=1.0):
     return scale * rng.uniform(-1.0, 1.0, size=dim)
 
@@ -400,7 +427,7 @@ def run_suite(seed=0, mc=False, reps=500, inject_broken_score=False):
         worst_g, worst_h = 0.0, 0.0
         for _ in range(20):
             x = _random_admissible(rng, model.n_params, scale=0.5)
-            f = lambda p: log_likelihood(model, p, dataset)
+            f = lambda p: _row_sum_loglik(model, p, dataset)
             g = aggregate_score(model, x, dataset)
             g_fd = fd_gradient(f, x)
             scale_g = max(1.0, float(np.max(np.abs(g_fd))))

@@ -1,3 +1,6 @@
+import copy
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,17 @@ from semest import (
     aggregate_score,
     log_likelihood,
 )
+from semest.data import load_casecontrol_csv
+from semest.logistic import (
+    build_full_mle_model,
+    build_identifiable_model,
+    build_nonidentifiable_model,
+    transform_age,
+)
+from semest.structured import StructuredHessian, dense
+from semest.validate import default_mc_design, replicate_fits
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 class GaussianLocation(ModelSpec):
@@ -107,3 +121,136 @@ def test_nuisance_idx_complement():
 
 def test_evaluate_is_the_one_contract():
     assert ModelSpec.__abstractmethods__ == frozenset({"evaluate"})
+
+
+def _long_dataset(rows, seed=3):
+    """``rows`` unit rows, half controls and half cases, two covariates."""
+    rng = np.random.default_rng(seed)
+    sample = np.repeat([1, 2], rows // 2)
+    X = rng.standard_normal((rows, 2)) + 0.5 * (sample[:, None] - 1)
+    return MultisampleDataset.from_columns(X, sample, np.ones(rows, dtype=int))
+
+
+def _mle_datasets(leprosy):
+    stall = load_casecontrol_csv(
+        str(FIXTURES / "wide_support_ridge_stall.csv"), transform=transform_age
+    )
+    return {"leprosy": leprosy, "ridge-stall": stall, "long-200": _long_dataset(200)}
+
+
+@pytest.mark.parametrize("name", ["leprosy", "ridge-stall", "long-200"])
+def test_mle_totals_match_row_sums(leprosy, name):
+    """The mle's totals from its (2, K) count table equal the
+    multiplicity-weighted sums of its per-row values (the default
+    ``ModelSpec.totals``), for one vector and for a stack; a vector of the
+    stack gets the same bits as alone."""
+    dataset = _mle_datasets(leprosy)[name]
+    model = build_full_mle_model(dataset)
+    rng = np.random.default_rng(11)
+    stack = rng.uniform(-0.5, 0.5, size=(4, model.n_params))
+    stack[0] = model.init_params(dataset)
+    for params in (*stack, stack):
+        for order in (0, 1):
+            got = model.totals(params, dataset, order)
+            want = ModelSpec.totals(model, params, dataset, order)
+            assert np.shape(got) == np.shape(want)
+            scale = np.abs(want).max(axis=-1) if order == 1 else np.abs(want)
+            np.testing.assert_array_less(
+                np.abs(got - want).max(axis=-1) if order == 1 else np.abs(got - want),
+                1e-12 * scale + 1e-300,
+            )
+    for order in (0, 1):
+        stacked = model.totals(stack, dataset, order)
+        for params, total in zip(stack, stacked):
+            np.testing.assert_array_equal(model.totals(params, dataset, order), total)
+
+
+def test_mle_nonfinite_row_names_the_observation(leprosy):
+    """A one-vector total that is not finite is re-evaluated row by row, and
+    the error names the first row whose value is not finite."""
+    model = build_full_mle_model(leprosy)
+    rows = np.flatnonzero(leprosy.support_index == 3)
+    params = model.init_params(leprosy)
+    params[model.n_theta + 3] = -1e4  # g_4 underflows to 0: log g_4 = -inf
+    with pytest.raises(EvaluationError) as exc:
+        log_likelihood(model, params, leprosy)
+    want = leprosy.observations[rows[0]]
+    got = exc.value.observation
+    assert (got.sample, got.x.tolist()) == (want.sample, want.x.tolist())
+    params = model.init_params(leprosy)
+    params[0] = 1e5  # f(0 | v) underflows at every v: the control rows are 0 / 0
+    with pytest.raises(EvaluationError) as exc:
+        aggregate_score(model, params, leprosy)
+    assert exc.value.observation.sample == 1
+    assert "score" in str(exc.value)
+
+
+BUILDERS = {
+    "mle": build_full_mle_model,
+    "reparam-id": build_identifiable_model,
+    "reparam-nonid": build_nonidentifiable_model,
+}
+
+
+def _hessian_bits(hess):
+    return dense(hess) if isinstance(hess, StructuredHessian) else hess
+
+
+@pytest.mark.parametrize("method", sorted(BUILDERS))
+def test_intermediate_cache_keeps_shapes(leprosy, method):
+    """The same parameter bytes as one vector (d,) and as a stack (1, d) give
+    results of their own shape."""
+    build = BUILDERS[method]
+    model = build(leprosy)
+    x = model.init_params(leprosy) + 0.1
+    log_likelihood(model, x[None], leprosy)
+    score = aggregate_score(model, x, leprosy)
+    hess = aggregate_hessian(model, x[None], leprosy)
+    fresh = build(leprosy)
+    np.testing.assert_array_equal(score, aggregate_score(fresh, x, leprosy))
+    assert score.shape == (model.n_params,)
+    np.testing.assert_array_equal(
+        _hessian_bits(hess), _hessian_bits(aggregate_hessian(build(leprosy), x[None], leprosy))
+    )
+    assert _hessian_bits(hess).shape == (1, model.n_params, model.n_params)
+    score = aggregate_score(model, x[None], leprosy)
+    assert score.shape == (1, model.n_params)
+    assert _hessian_bits(aggregate_hessian(model, x, leprosy)).shape == (
+        model.n_params, model.n_params
+    )
+
+
+@pytest.mark.parametrize("method", sorted(BUILDERS))
+def test_intermediate_cache_sees_mutation_and_new_data(leprosy, method):
+    """Parameters changed in place after the score, and a second dataset
+    at the same point, give the Hessian of a freshly built model."""
+    build = BUILDERS[method]
+    model = build(leprosy)
+    x = model.init_params(leprosy) + 0.1
+    aggregate_score(model, x, leprosy)
+    x[1] -= 0.25
+    np.testing.assert_array_equal(
+        _hessian_bits(aggregate_hessian(model, x, leprosy)),
+        _hessian_bits(aggregate_hessian(build(leprosy), x, leprosy)),
+    )
+    order = np.arange(len(leprosy.sample))[::-1]
+    other = MultisampleDataset.from_columns(
+        leprosy.X[order], leprosy.sample[order], 2 * leprosy.multiplicity[order]
+    )
+    for quantity in (log_likelihood, aggregate_score, aggregate_hessian):
+        got, want = quantity(model, x, other), quantity(build(leprosy), x, other)
+        np.testing.assert_array_equal(_hessian_bits(got), _hessian_bits(want))
+
+
+def test_intermediate_cache_on_the_monte_carlo_batch():
+    """The batch fit's Hessians, taken at per-replicate multiplicities
+    (R, N), equal those of a freshly built model."""
+    model, cells, fit = replicate_fits(default_mc_design(), n_rep=6, seed=2)
+    fresh = build_identifiable_model(cells)
+    np.testing.assert_array_equal(fit.hessian, aggregate_hessian(fresh, fit.params, cells))
+    first = copy.copy(cells)  # the same covariate rows, other multiplicities
+    first.multiplicity = cells.multiplicity[:3]
+    np.testing.assert_array_equal(
+        aggregate_hessian(model, fit.params[:3], first),
+        aggregate_hessian(build_identifiable_model(cells), fit.params[:3], first),
+    )

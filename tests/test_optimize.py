@@ -1,10 +1,13 @@
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from semest import EvaluationError, FitConfig, log_likelihood, maximize
-from semest.logistic import build_identifiable_model, build_nonidentifiable_model
+from semest import EvaluationError, FitConfig, MultisampleDataset, log_likelihood, maximize
+from semest.logistic import (
+    build_full_mle_model, build_identifiable_model, build_nonidentifiable_model,
+)
 
 
 def test_fit_config_validation():
@@ -105,3 +108,23 @@ def test_batch_isolates_a_failed_fit(leprosy):
         alone = maximize(model, one, init=init[r : r + 1])
         np.testing.assert_array_equal(fit.params[r], alone.params[0])
         assert fit.iterations[r] == alone.iterations[0]
+
+
+def test_mle_fit_memory_does_not_grow_with_rows_times_support():
+    """The mle fit of 2000 unit rows (K = 2000 support points, 2002
+    parameters) needs no per-row score array, (N, d) = 32 MB: its traced
+    peak stays below 4 MB."""
+    rng = np.random.default_rng(5)
+    sample = np.repeat([1, 2], 1000)
+    X = rng.standard_normal((2000, 2)) + 0.5 * (sample[:, None] - 1)
+    dataset = MultisampleDataset.from_columns(X, sample, np.ones(2000, dtype=int))
+    model = build_full_mle_model(dataset)
+    assert model.K == 2000
+    tracemalloc.start()
+    try:
+        fit = maximize(model, dataset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.converged
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"

@@ -1,4 +1,4 @@
-"""The spans a traced benchmark run reads from every ``reparam-*`` fit.
+"""The spans a traced benchmark run reads from every fit, and their count.
 
 ``perfbench/tracing.py`` rebinds package functions by module attribute, and
 its per-layer metrics need, inside each ``reparam-*`` fit, a span of each
@@ -9,6 +9,7 @@ unmeasured, and the traced run fails.
 
 import pathlib
 import sys
+from collections import Counter
 
 import pytest
 
@@ -16,6 +17,8 @@ import semest.cli
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 METHODS = ("reparam-id", "reparam-nonid")
+AGGREGATES = ("likelihood.log_likelihood", "likelihood.aggregate_score",
+              "likelihood.aggregate_hessian")
 
 
 @pytest.fixture
@@ -27,10 +30,12 @@ def tracing(monkeypatch):
     sys.modules.pop("tracing", None)
 
 
-def test_reparam_fits_record_the_traced_spans(tracing, tmp_path):
+def _traced_fits(tracing, tmp_path, methods):
+    """Span counts and the ``maximize`` span of a traced leprosy fit of each
+    method."""
     tracer = tracing.Tracer()
     assert tracer.missing == []
-    for op, method in enumerate(METHODS):
+    for op, method in enumerate(methods):
         argv = ["fit", "--builtin", "leprosy", "--method", method, "--format", "json",
                 "--out", str(tmp_path / f"{method}.json")]
         tracer.install(op)
@@ -38,11 +43,27 @@ def test_reparam_fits_record_the_traced_spans(tracing, tmp_path):
             assert semest.cli.main(argv) == 0
         finally:
             tracer.uninstall()
-    for op, method in enumerate(METHODS):
+    for op, method in enumerate(methods):
         spans = [s for s in tracer.spans if s.op == op]
-        names = {s.name for s in spans}
-        for name in ("likelihood.log_likelihood", "likelihood.aggregate_score",
-                     "likelihood.aggregate_hessian", "optimize.maximize"):
-            assert name in names, f"{method}: no {name} span"
         fits = [s for s in spans if s.name == "optimize.maximize"]
+        yield method, Counter(s.name for s in spans), fits
+
+
+def test_reparam_fits_record_the_traced_spans(tracing, tmp_path):
+    for method, counts, fits in _traced_fits(tracing, tmp_path, METHODS):
+        for name in AGGREGATES + ("optimize.maximize",):
+            assert counts[name], f"{method}: no {name} span"
         assert all(isinstance(s.result, int) for s in fits), method
+        # likelihood.calls of a traced run: 21
+        assert [counts[name] for name in AGGREGATES] == [7, 7, 7], method
+
+
+def test_mle_fit_takes_one_derivative_pass_per_step(tracing, tmp_path):
+    """One score and one Hessian span per accepted Newton step, and one at
+    the start.  Every step of the leprosy fit is accepted at full length,
+    so the objective too is evaluated once per step."""
+    ((_, counts, fits),) = _traced_fits(tracing, tmp_path, ("mle",))
+    (fit,) = fits
+    assert fit.result == 7
+    for name in AGGREGATES:
+        assert counts[name] == fit.result + 1, name
