@@ -111,8 +111,9 @@ class MultisampleDataset:
         response ``sample - 1`` (the stratum indicator), and the number of
         identical units the row stands for.
     observations : sequence of Observation
-        The rows as objects: the ones given to the constructor, or a view
-        that builds each one when read (datasets made by ``from_columns``).
+        The rows as objects: the ones given to the constructor (where a
+        given ``y`` must be ``sample - 1``), or a view that builds each one
+        when read (datasets made by ``from_columns``).
     labels : tuple of str
         One name per covariate column: ``x1..xp`` unless given to
         ``from_columns`` (the case-control loaders name theirs Scar, Age).
@@ -140,6 +141,12 @@ class MultisampleDataset:
         dims = sorted({o.x.shape[0] for o in obs})
         if len(dims) > 1:
             raise DataError(f"covariate dimension mismatch: dimensions {dims}")
+        i = next((i for i, o in enumerate(obs) if o.y is not None and o.y != o.sample - 1), None)
+        if i is not None:
+            raise DataError(
+                f"row {i}: y must be the sample index minus 1 ({obs[i].sample - 1}), "
+                f"got {obs[i].y}"
+            )
         self._set_columns(
             np.array([o.x for o in obs]),
             np.array([o.sample for o in obs], dtype=int),

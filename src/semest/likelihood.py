@@ -33,12 +33,10 @@ class ModelSpec(ABC):
     ``support_index`` of ``data`` (a MultisampleDataset) and returns, for
     ``order`` 0, 1 and 2: the per-row log-densities (N,), the per-row scores
     (N, d), and the multiplicity-weighted sum of the per-row Hessians, a
-    (d, d) array or a symmetric ``StructuredHessian``.
-
-    ``stacked_orders`` lists the orders whose ``evaluate`` also takes a
-    (P, d) stack of parameter vectors and gives a leading P axis: (P, N),
-    (P, N, d) or (P, d, d), reading ``multiplicity`` (N,) or (P, N).
-    ``likelihood.evaluate`` hands the other orders one vector at a time.
+    (d, d) array or a symmetric ``StructuredHessian``.  The aggregates
+    also hand it a (P, d) stack of parameter vectors, for which it gives a
+    leading P axis: (P, N), (P, N, d) or (P, d, d), reading
+    ``multiplicity`` (N,) or (P, N).
 
     ``totals(params, data, order)`` gives what the aggregates below read:
     by default the multiplicity-weighted sums of ``evaluate``'s rows.  A
@@ -47,7 +45,6 @@ class ModelSpec(ABC):
 
     param_labels: tuple[str, ...] = ()
     interest_idx: tuple[int, ...] = ()
-    stacked_orders: tuple[int, ...] = ()
 
     @property
     def n_params(self):
@@ -64,9 +61,9 @@ class ModelSpec(ABC):
     def totals(self, params, data, order):
         """Total log-likelihood, () or (P,), total score, (d,) or (P, d), or
         the order-2 result of ``evaluate``: the multiplicity-weighted sum
-        of the per-row values (``likelihood.evaluate`` without its
-        warning filter, which the aggregates set around this call)."""
-        rows = _evaluate(self, params, data, order)
+        of ``evaluate``'s per-row values (the aggregates set the warning
+        filter of ``likelihood.evaluate`` around this call)."""
+        rows = self.evaluate(params, data, order)
         if order == 2:
             return rows
         if order == 1:
@@ -81,19 +78,9 @@ class ModelSpec(ABC):
 
 def evaluate(model, params, dataset, order):
     """``model.evaluate`` with floating-point warnings silenced: callers
-    check the result and name the first non-finite row instead.  A (P, d)
-    stack goes to the model in one call for its ``stacked_orders``, and one
-    vector at a time otherwise."""
+    check the result and name the first non-finite row instead."""
     with np.errstate(all="ignore"):
-        return _evaluate(model, params, dataset, order)
-
-
-def _evaluate(model, params, dataset, order):
-    if np.ndim(params) == 1 or order in model.stacked_orders:
         return model.evaluate(params, dataset, order)
-    if order == 2 and np.ndim(dataset.multiplicity) == 2:
-        raise ValueError("per-vector multiplicities need a model that stacks order 2")
-    return np.array([model.evaluate(p, dataset, order) for p in params])
 
 
 def _total(multiplicity, rows):

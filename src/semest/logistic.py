@@ -31,7 +31,7 @@ from .data import (
 )
 from .errors import DataError
 from .likelihood import ModelSpec
-from .reparam import ConditionalFamily, WeightFunctionSpec
+from .reparam import ConditionalFamily, WeightFunctionSpec, _design
 from .structured import DiagPlusLowRank, StructuredHessian
 
 
@@ -50,19 +50,17 @@ def _sigmoid(t):
     return np.where(t >= 0, 1.0, e) / (1.0 + e)
 
 
+def _sigmoid_pair(t):
+    """mu = 1 / (1 + e^-t) and its complement 1 - mu, both from one
+    exp(-|t|): each keeps its relative precision where the other rounds
+    to 1, for any sign of t.  ``_sigmoid`` gives mu alone for less."""
+    e = np.exp(-np.abs(t))
+    up, d = t >= 0, 1.0 + e
+    return np.where(up, 1.0, e) / d, np.where(up, e, 1.0) / d
+
+
 def _log1pexp(t):
     return np.logaddexp(0.0, t)
-
-
-def _design(x):
-    """Design (1, x): shape (1 + p,) for one point, (N, 1 + p) for N rows."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
-
-
-def _outer(z):
-    """z z^T, row by row for a stack of vectors."""
-    return z[..., :, None] * z[..., None, :]
 
 
 def _t(M):
@@ -89,8 +87,6 @@ class CaseControlLogisticModel(ModelSpec):
     batch).  The linear predictor u and the fitted probabilities of the
     last point evaluated are kept for the next call at the same point.
     """
-
-    stacked_orders = (0, 1, 2)
 
     def __init__(self, weights: Weights, labels, identifiable=True):
         self.weights = weights
@@ -169,7 +165,7 @@ class FullMLELogisticModel(ModelSpec):
     block is a diagonal plus a rank-2 term, never formed as a K x K
     array."""
 
-    stacked_orders = (0, 1, 2)
+    init_params = CaseControlLogisticModel.init_params  # alpha at log(n_2 / n_1)
 
     def __init__(self, support, labels):
         support = np.asarray(support, dtype=float)
@@ -177,7 +173,7 @@ class FullMLELogisticModel(ModelSpec):
             raise DataError("need at least 2 support points to profile g")
         self.support = support
         self.K = len(support)
-        self._Z = np.column_stack([np.ones(self.K), support])  # (K, 1+p)
+        self._Z = _design(support)  # (K, 1+p)
         self.param_labels = (
             ("alpha",)
             + tuple(labels)
@@ -209,13 +205,10 @@ class FullMLELogisticModel(ModelSpec):
         if key != self._key:  # a Newton step evaluates one point at orders 0, 1, 2
             g = DiscreteG.to_g(params[..., self.n_theta :])
             eta = (self._Z @ params[..., : self.n_theta, None])[..., 0]
-            # mu and nu from one exp(-|eta|): the complement keeps its
-            # relative precision where mu rounds to 1 (large alpha on the
-            # flat intercept ridge), so the score can still reach grad_tol
-            e = np.exp(-np.abs(eta))
-            up = eta >= 0
-            mu = np.where(up, 1.0, e) / (1.0 + e)
-            nu = np.where(up, e, 1.0) / (1.0 + e)
+            # nu keeps its relative precision where mu rounds to 1 (large
+            # alpha on the flat intercept ridge), so the score can still
+            # reach grad_tol
+            mu, nu = _sigmoid_pair(eta)
             f = np.stack([nu, mu], axis=-2)  # f(y | v_j), (2, K)
             D = (f @ g[..., None])[..., 0]  # (2,)
             self._key, self._point, self._slopes = key, (g, eta, mu, nu, f, D), None
@@ -291,11 +284,6 @@ class FullMLELogisticModel(ModelSpec):
         out[..., own, q + k[own]] += 1.0
         return out
 
-    def init_params(self, dataset):
-        init = np.zeros(self.n_params)
-        init[0] = np.log(dataset.sample_sizes[1] / dataset.sample_sizes[0])
-        return init
-
 
 def _two_sample_weights(dataset):
     """w_s = n_s / n of a dataset with the S = 2 samples a case-control
@@ -324,37 +312,33 @@ def build_full_mle_model(dataset):
 def casecontrol_weight_spec():
     """WeightFunctionSpec for case-control sampling: Q_{s|X}(x; theta) =
     f(s-1 | x; theta) with theta = (alpha, beta), a partition of the
-    outcome space."""
+    outcome space: (1 - mu, mu) with mu the logistic function of eta."""
 
-    def evaluate(x, theta, order):
-        z = _design(x)
-        mu = _sigmoid((z @ theta[..., None])[..., 0])
-        out = (np.stack([1.0 - mu, mu], axis=-1),)
+    def evaluate(eta, order):
+        mu, nu = _sigmoid_pair(eta)
+        out = (np.stack([nu, mu], axis=-1),)
         if order >= 1:
-            c = mu * (1.0 - mu)
-            cz = c[..., None] * z
-            out += (np.stack([-cz, cz], axis=-2),)
+            c = mu * nu  # d mu / d eta
+            out += (np.stack([-c, c], axis=-1),)
         if order >= 2:
-            # d2 mu = c (1 - 2 mu) z z^T
-            d2mu = (c * (1.0 - 2.0 * mu))[..., None, None] * _outer(z)
-            out += (np.stack([-d2mu, d2mu], axis=-3),)
+            c2 = c * (nu - mu)  # d2 mu / d eta2 = c (1 - 2 mu)
+            out += (np.stack([-c2, c2], axis=-1),)
         return out
 
-    return WeightFunctionSpec(n_strata=2, evaluate=evaluate)
+    return WeightFunctionSpec(evaluate)
 
 
 def casecontrol_family():
-    """ConditionalFamily for the logistic f(y | x; (alpha, beta))."""
+    """ConditionalFamily for the logistic f(y | x; (alpha, beta)):
+    log f = y eta - log(1 + e^eta)."""
 
-    def evaluate(y, x, theta, order):
-        z = _design(x)
-        eta = (z @ theta[..., None])[..., 0]
+    def evaluate(y, eta, order):
         out = (y * eta - _log1pexp(eta),)
         if order >= 1:
-            mu = _sigmoid(eta)
-            out += ((y - mu)[..., None] * z,)
+            mu, nu = _sigmoid_pair(eta)
+            out += (y - mu,)
         if order >= 2:
-            out += (-(mu * (1.0 - mu))[..., None, None] * _outer(z),)
+            out += (-mu * nu,)
         return out
 
     return ConditionalFamily(evaluate)

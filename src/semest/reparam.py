@@ -35,23 +35,28 @@ from .likelihood import ModelSpec
 FIXED_POINT_MAX_ITER = 500
 
 
+def _design(x):
+    """Design (1, x): shape (1 + p,) for one point, (N, 1 + p) for N rows."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    return np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
+
+
 @dataclass(frozen=True)
 class WeightFunctionSpec:
-    """Per-stratum selection weights Q_{s|X}(x; theta).  ``evaluate(x,
-    theta, order)`` returns (Q, dQ, d2Q) up to ``order``, shaped (..., S),
-    (..., S, d) and (..., S, d, d), where ``...`` is the stack axis of
-    ``theta`` (d,) or (P, d), then the row axis of ``x`` (p,) or (N, p)."""
+    """Per-stratum selection weights Q_{s|X}(x; theta), through the linear
+    predictor eta = z' theta with z = (1, x): ``evaluate(eta, order)``
+    returns (Q, dQ/deta, d2Q/deta2) up to ``order``, each shaped (..., S)
+    for eta shaped (...).  S is the number of sample weights."""
 
-    n_strata: int
     evaluate: Callable
 
 
 @dataclass(frozen=True)
 class ConditionalFamily:
-    """Differentiable conditional density f(y|x; theta) of the response:
-    ``evaluate(y, x, theta, order)`` returns (log f, gradient, Hessian) up
-    to ``order``, shaped (...), (..., d) and (..., d, d) as in
-    ``WeightFunctionSpec``."""
+    """Differentiable conditional density f(y|x; theta) of the response,
+    through eta as in ``WeightFunctionSpec``: ``evaluate(y, eta, order)``
+    returns (log f, d/deta, d2/deta2) up to ``order``, each shaped (...)
+    like eta."""
 
     evaluate: Callable
 
@@ -102,7 +107,7 @@ def check_normalization(wspec, theta, q: QVector, fstar: FStarEstimate, weights)
     """sum_s w_s sum_k p*_s-mass at v_k, with fstar included.  Identically 1
     for any admissible (theta, q) when fstar sums to 1.  ``wspec`` is
     evaluated once, on all support rows."""
-    (Q,) = wspec.evaluate(fstar.support, theta, 0)  # (K, S)
+    (Q,) = wspec.evaluate(_design(fstar.support) @ theta, 0)  # (K, S)
     denom = Q @ (weights.w / q.q)  # (K,)
     if np.any(denom <= 0.0):
         raise EvaluationError("x has zero selection mass under all strata")
@@ -114,9 +119,8 @@ def fixed_point_q(wspec, theta, fstar: FStarEstimate, weights, tol=1e-10):
     """Solve the self-consistency equations Q_s = sum_k Q_{s|X}(v_k) g(v_k)
     by fixed-point iteration; returns the normalized QVector (last
     component 1).  Raises ConvergenceError on divergence."""
-    S = wspec.n_strata
-    (Qmat,) = wspec.evaluate(fstar.support, theta, 0)  # (K, S)
-    qs = np.ones(S)
+    (Qmat,) = wspec.evaluate(_design(fstar.support) @ theta, 0)  # (K, S)
+    qs = np.ones(len(weights))
     for _ in range(FIXED_POINT_MAX_ITER):
         denom = (Qmat / qs) @ weights.w  # (K,)
         if np.any(denom <= 0.0):
@@ -139,24 +143,25 @@ class ReparamModel(ModelSpec):
     submodel.  The free nuisance coordinates are log q to keep Newton
     unconstrained; scores and Hessians apply the chain rule accordingly.
 
-    The array pass evaluates the ``wspec`` and ``family`` once, with all
-    rows X (N, p), at the order it needs.  Order 0 takes a (P, d) stack in
-    the same pass; a vector of the stack that is inadmissible there (a row
-    with Q_{s|X} = 0 for its own stratum, or zero selection mass) gets
-    non-finite rows instead of the EvaluationError one vector raises.
+    One pass builds the design Z = (1, X) of all rows and the linear
+    predictor eta = Z theta, and evaluates the ``wspec`` and ``family``
+    once each, at eta and at the order it needs: a theta derivative is the
+    eta derivative times z, so the Hessian's theta block is Z' diag(h) Z
+    and no per-row d x d array is formed.  Every order takes a (P, d)
+    stack, and order 2 per-vector multiplicities (P, N).  At order 0 a
+    vector of a stack that is inadmissible (a row with Q_{s|X} = 0 for its
+    own stratum, or zero selection mass) gets non-finite rows instead of
+    the EvaluationError one vector raises.
     """
-
-    stacked_orders = (0,)
 
     def __init__(self, wspec, family, fstar, weights, theta_labels):
         self.wspec = wspec
         self.family = family
         self.fstar = fstar
         self.weights = weights
-        S = wspec.n_strata
         self.n_theta = len(theta_labels)
         self.param_labels = tuple(theta_labels) + tuple(
-            f"log_q{j + 1}" for j in range(S - 1)
+            f"log_q{j + 1}" for j in range(len(weights) - 1)
         )
         self.interest_idx = tuple(range(self.n_theta))
 
@@ -168,11 +173,13 @@ class ReparamModel(ModelSpec):
 
     def evaluate(self, params, data, order):
         theta, qv = self.split(params)
-        X, s, y = data.X, data.sample - 1, data.y
-        w = self.weights.w
-        S = self.wspec.n_strata
-        Q, *dQ = self.wspec.evaluate(X, theta, order)  # Q (..., N, S), dQ, d2Q
-        denom = (Q @ (w / qv)[..., None])[..., 0]  # (..., N)
+        X, s = data.X, data.sample - 1
+        Z = _design(X)
+        eta = (Z @ theta[..., None])[..., 0]  # (..., N)
+        a = self.weights.w / qv  # (..., S)
+        Q, *dQ = self.wspec.evaluate(eta, order)  # each (..., N, S)
+        denom = (Q @ a[..., None])[..., 0]  # (..., N)
+        log_f, *df = self.family.evaluate(data.y, eta, order)
         if order == 0:
             off = Q[..., np.arange(len(s)), s] <= 0.0
             dead = denom <= 0.0
@@ -184,29 +191,31 @@ class ReparamModel(ModelSpec):
                 )
             if theta.ndim == 1 and np.any(dead):
                 raise EvaluationError("x has zero selection mass under all strata")
-            (log_f,) = self.family.evaluate(y, X, theta, 0)
             rows = log_f - np.log(denom) - np.log(qv[..., s])
             return np.where(off | dead, np.nan, rows)  # a stack's inadmissible vectors
 
-        r = np.einsum("s,nsd->nd", w / qv, dQ[0]) / denom[:, None]  # d log denom / d theta
-        qf, wf, Qf = qv[: S - 1], w[: S - 1], Q[:, : S - 1]
+        rho = (dQ[0] @ a[..., None])[..., 0] / denom  # d log denom / d eta
+        # B_j = (w_j Q_j / q_j) / denom is the derivative of -log denom in
+        # u_j = log q_j, j < S; the u-score is B_j - 1{s = j}
+        wq = a[..., None, :-1] / denom[..., None]  # (..., N, S - 1)
+        B = Q[..., :-1] * wq
         if order == 1:
-            g_theta = self.family.evaluate(y, X, theta, 1)[1] - r
-            # q-gradient (w_j Q_j / q_j^2) / denom - 1{s = j} / q_j, then the
-            # chain rule to u = log q: d/du_j = q_j d/dq_j
-            g_q = (wf * Qf / qf**2) / denom[:, None] - (s[:, None] == np.arange(S - 1)) / qf
-            return np.hstack([g_theta, qf * g_q])
+            own = s[:, None] == np.arange(B.shape[-1])
+            return np.concatenate([(df[0] - rho)[..., None] * Z, B - own], axis=-1)
 
-        m = data.multiplicity
-        h_tt = (
-            np.einsum("n,nij->ij", m, self.family.evaluate(y, X, theta, 2)[2])
-            - np.einsum("n,s,nsij->ij", m / denom, w / qv, dQ[1])
-            + (r * m[:, None]).T @ r
-        )
-        # u block via B_j = (w_j Q_j / q_j) / denom: H_uu = B B^T - diag(B)
-        B = (wf * Qf / qf) / denom[:, None]
-        h_uu = (B * m[:, None]).T @ B - np.diag(m @ B)
-        # cross block: q_j d2/(dtheta dq_j) = (w_j / q_j) (dQ_j - Q_j r) / denom
-        cross = (dQ[0][:, : S - 1] - Qf[:, :, None] * r[:, None, :]) / denom[:, None, None]
-        h_tu = np.einsum("n,njd->dj", m, cross) * (wf / qf)
-        return np.block([[h_tt, h_tu], [h_tu.T, h_uu]])
+        m = data.multiplicity  # (N,) or (P, N)
+        # d2/deta2 of log f - log denom, each row times its multiplicity
+        h = m * (df[1] - (dQ[1] @ a[..., None])[..., 0] / denom + rho**2)
+        # d B_j / d eta = (w_j dQ_j / q_j) / denom - B_j rho, and
+        # d B_j / d u_k = B_j B_k - 1{j = k} B_j
+        C = m[..., None] * (dQ[0][..., :-1] * wq - B * rho[..., None])
+        mB = m[..., None] * B
+        k = self.n_theta
+        out = np.empty(eta.shape[:-1] + (self.n_params, self.n_params))
+        out[..., :k, :k] = (Z * h[..., None]).swapaxes(-1, -2) @ Z
+        out[..., :k, k:] = Z.T @ C
+        out[..., k:, :k] = out[..., :k, k:].swapaxes(-1, -2)
+        out[..., k:, k:] = mB.swapaxes(-1, -2) @ B
+        j = np.arange(k, self.n_params)
+        out[..., j, j] -= (m[..., None, :] @ B)[..., 0, :]
+        return out

@@ -127,7 +127,7 @@ def check_stationarity(model: ReparamModel, theta, dataset, tol=1e-10):
     from the model's likelihood: a model whose q-profile is not the
     self-consistency point shows a nonzero score.  Vacuously 0 when there
     is no free q (S = 1)."""
-    if model.wspec.n_strata == 1:
+    if len(model.weights) == 1:
         return 0.0
     theta = np.asarray(theta, dtype=float)
     q = fixed_point_q(model.wspec, theta, model.fstar, model.weights, tol=tol)
@@ -375,14 +375,12 @@ class CheckResult:
 
 
 class _BrokenScoreModel(ModelSpec):
-    """Negative-control wrapper: corrupts score component 0 of every row,
-    and stacks the orders its base stacks."""
+    """Negative-control wrapper: corrupts score component 0 of every row."""
 
     def __init__(self, base):
         self.base = base
         self.param_labels = base.param_labels
         self.interest_idx = base.interest_idx
-        self.stacked_orders = base.stacked_orders
 
     def evaluate(self, params, data, order):
         out = self.base.evaluate(params, data, order)

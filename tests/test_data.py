@@ -101,6 +101,18 @@ def test_dimension_mismatch_rejected():
         MultisampleDataset([Observation(1, [1.0]), Observation(1, [1.0, 2.0])])
 
 
+def test_observation_y_must_match_sample():
+    """A given y is the stratum indicator sample - 1, never replaced
+    silently: the dataset's y column and its observations agree."""
+    with pytest.raises(DataError, match=r"row 1: y must be the sample index minus 1 \(0\)"):
+        MultisampleDataset([Observation(2, [0.0], y=1.0), Observation(1, [0.0], y=1.0)])
+    with pytest.raises(DataError, match="row 0: y must be"):
+        MultisampleDataset([Observation(1, [0.0], y=float("nan")), Observation(2, [1.0])])
+    d = MultisampleDataset([Observation(1, [0.0], y=0.0), Observation(2, [1.0])])
+    assert d.y.tolist() == [0.0, 1.0]
+    assert [o.y for o in d.observations] == [0.0, None]
+
+
 def test_weights_validation():
     with pytest.raises(DataError):
         Weights([0.5, 0.6])

@@ -1,3 +1,4 @@
+import copy
 import json
 import pathlib
 
@@ -16,7 +17,9 @@ from semest import (
 )
 from semest.data import positions
 from semest.likelihood import aggregate_hessian, aggregate_score, evaluate
-from semest.logistic import casecontrol_weight_spec
+from semest.logistic import (
+    build_nonidentifiable_model, casecontrol_family, casecontrol_weight_spec,
+)
 from semest.reparam import (
     ConditionalFamily, FStarEstimate, QVector, ReparamModel, WeightFunctionSpec, fstar_empirical,
 )
@@ -24,9 +27,12 @@ from semest.validate import (
     ToyInstance,
     casecontrol_reparam_model,
     check_stationarity,
+    default_mc_design,
     fd_gradient,
     fd_hessian,
+    replicate_fits,
 )
+from oracles import casecontrol_reparam_rows
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 RECORDED = pathlib.Path(__file__).parent / "fixtures" / "reparam_generic_leprosy.json"
@@ -119,7 +125,7 @@ def test_score_q_aggregate_identity(leprosy, leprosy_weights):
     total_wform = np.zeros(1)
     w = leprosy_weights.w
     for obs in leprosy.observations:
-        (Q,) = wspec.evaluate(obs.x, theta, 0)
+        (Q,) = wspec.evaluate(np.concatenate([[1.0], obs.x]) @ theta, 0)
         denom = float(np.sum(w * Q / q.q))
         wform = (w[0] * Q[0] / q.q[0] ** 2) / denom - w[0] / q.q[0]
         total_wform += obs.multiplicity * wform
@@ -127,33 +133,32 @@ def test_score_q_aggregate_identity(leprosy, leprosy_weights):
 
 
 def test_zero_mass_errors(leprosy_weights):
-    wspec = WeightFunctionSpec(
-        n_strata=2, evaluate=lambda x, t, order: (np.zeros(np.shape(x)[:-1] + (2,)),)
-    )
+    wspec = WeightFunctionSpec(lambda eta, order: (np.zeros(np.shape(eta) + (2,)),))
     fstar = FStarEstimate(np.array([[0.0]]), np.array([1.0]))
     q = QVector.from_free([1.0])
     with pytest.raises(EvaluationError, match="zero selection mass"):
-        check_normalization(wspec, np.zeros(1), q, fstar, leprosy_weights)
+        check_normalization(wspec, np.zeros(2), q, fstar, leprosy_weights)
 
 
 def _inconsistent_model(leprosy, weights):
-    """One parameter t, Q_{1|X} = max(t, 0) and Q_{2|X} = 1 on every row,
-    log f = 0: at t <= 0 every control (stratum 1) is inconsistent."""
+    """theta = (t, b1, b2), Q_{1|X} = max(eta, 0) and Q_{2|X} = 1, log f =
+    0: with b = 0, eta = t on every row, and at t <= 0 every control
+    (stratum 1) is inconsistent."""
 
-    def q_weight(x, t, order):
-        q1 = np.maximum(t[..., :1], 0.0)  # (..., 1): one value for all N rows
-        q1 = np.broadcast_to(q1, t.shape[:-1] + np.shape(x)[:-1])
+    def q_weight(eta, order):
+        q1 = np.maximum(eta, 0.0)
         return (np.stack([q1, np.ones_like(q1)], axis=-1),)
 
-    wspec = WeightFunctionSpec(n_strata=2, evaluate=q_weight)
-    family = ConditionalFamily(lambda y, x, t, order: (0.0,))
-    return ReparamModel(wspec, family, fstar_empirical(leprosy, weights), weights, ("t",))
+    wspec = WeightFunctionSpec(q_weight)
+    family = ConditionalFamily(lambda y, eta, order: (0.0,))
+    labels = ("t", "b1", "b2")
+    return ReparamModel(wspec, family, fstar_empirical(leprosy, weights), weights, labels)
 
 
 def test_inconsistent_stratum_error(leprosy, leprosy_weights):
     model = _inconsistent_model(leprosy, leprosy_weights)
     with pytest.raises(EvaluationError, match="inconsistent with its stratum"):
-        log_likelihood(model, np.zeros(2), leprosy)
+        log_likelihood(model, np.zeros(4), leprosy)
 
 
 def test_lookup_unknown_covariate(leprosy):
@@ -171,11 +176,9 @@ def test_normalization_linearity_and_single_stratum(leprosy, leprosy_weights):
     assert total == pytest.approx(0.9, abs=1e-12)
 
     # degenerate single-stratum design: the identity is exactly 1
-    wspec1 = WeightFunctionSpec(
-        n_strata=1, evaluate=lambda x, t, order: (np.ones(np.shape(x)[:-1] + (1,)),)
-    )
+    wspec1 = WeightFunctionSpec(lambda eta, order: (np.ones(np.shape(eta) + (1,)),))
     total1 = check_normalization(
-        wspec1, np.zeros(1), QVector([1.0]), model.fstar, Weights([1.0])
+        wspec1, np.zeros(3), QVector([1.0]), model.fstar, Weights([1.0])
     )
     assert total1 == pytest.approx(1.0, abs=1e-14)
 
@@ -222,7 +225,7 @@ def test_generic_model_matches_recorded_values(leprosy):
 
 def test_stack_with_inadmissible_vector(leprosy, leprosy_weights):
     model = _inconsistent_model(leprosy, leprosy_weights)
-    stack = np.array([[0.5, 0.1], [0.0, 0.1], [0.3, -0.2]])
+    stack = np.array([[0.5, 0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.1], [0.3, 0.0, 0.0, -0.2]])
     totals = log_likelihood(model, stack, leprosy)
     assert np.isfinite(totals).tolist() == [True, False, True]
     for p, total in zip(stack[[0, 2]], totals[[0, 2]]):
@@ -245,4 +248,49 @@ def test_fd_oracles_evaluate_generic_model_once_per_stack(leprosy):
     f = lambda p: log_likelihood(model, p, leprosy)
     fd_hessian(f, x)
     fd_gradient(f, x)
-    assert calls == [(40, 4), (8, 4)]
+    stack = np.array([x, x + 0.1, x - 0.2])
+    aggregate_score(model, stack, leprosy)
+    aggregate_hessian(model, stack, leprosy)
+    assert calls == [(40, 4), (8, 4), (3, 4), (3, 4)]
+
+
+def test_stacked_orders_1_and_2_match_single_vectors(leprosy):
+    model = casecontrol_reparam_model(leprosy)
+    points = np.array(json.loads(RECORDED.read_text())["points"])
+    for order in (1, 2):
+        stacked = evaluate(model, points, leprosy, order)
+        assert stacked.shape[0] == len(points)
+        for p, got in zip(points, stacked):
+            np.testing.assert_array_equal(got, evaluate(model, p, leprosy, order))
+
+
+def test_order2_takes_per_vector_multiplicities():
+    """A stack at order 2 reads one set of row multiplicities per vector,
+    (P, N), laid out as the Monte Carlo cells hold the replicates: each
+    Hessian has the bits of its vector alone with its own multiplicities,
+    and matches the per-row oracle."""
+    toy = default_mc_design()
+    _, cells, _ = replicate_fits(toy, n_rep=4, seed=3)
+    model = ReparamModel(
+        casecontrol_weight_spec(), casecontrol_family(), toy.population_fstar(),
+        Weights(cells.sample_sizes / cells.n), ("alpha",) + toy.labels,
+    )
+    stack = np.random.default_rng(4).uniform(-0.5, 0.5, size=(4, model.n_params))
+    hessians = evaluate(model, stack, cells, 2)
+    assert hessians.shape == (4, model.n_params, model.n_params)
+    for p, got, m in zip(stack, hessians, cells.multiplicity):
+        one = copy.copy(cells)
+        one.multiplicity = m
+        np.testing.assert_array_equal(got, evaluate(model, p, one, 2))
+        want = casecontrol_reparam_rows(cells.X, cells.sample, m, model.weights.w, p)[2]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+
+def test_large_eta_matches_the_specialised_model(leprosy):
+    """At eta = 40 on every row, Q_{1|X} = 1 - mu is about 4e-18: taken as
+    1.0 - mu it rounds to 0 and every control looks inconsistent with its
+    stratum."""
+    x = np.array([40.0, 0.0, 0.0, 0.0])
+    generic = log_likelihood(casecontrol_reparam_model(leprosy), x, leprosy)
+    specialised = log_likelihood(build_nonidentifiable_model(leprosy), x, leprosy)
+    assert abs(generic - specialised) <= 1e-12 * abs(specialised)

@@ -67,3 +67,19 @@ def test_mle_fit_takes_one_derivative_pass_per_step(tracing, tmp_path):
     assert fit.result == 7
     for name in AGGREGATES:
         assert counts[name] == fit.result + 1, name
+
+
+def test_traced_validate_reaches_the_generic_model(tracing, capsys):
+    """A traced ``validate`` run, as the benchmark's traced ``leprosy``
+    workload makes it, sees every target, builds the generic model through
+    ``casecontrol_reparam_model`` and takes likelihood spans of it."""
+    tracer = tracing.Tracer()
+    assert tracer.missing == []
+    tracer.install(0)
+    try:
+        assert semest.cli.main(["validate", "--seed", "0"]) == 0
+    finally:
+        tracer.uninstall()
+    assert "all checks passed" in capsys.readouterr().out
+    assert tracer.generic_models
+    assert any(s.layer == "likelihood" and tracer.is_generic(s.model) for s in tracer.spans)
