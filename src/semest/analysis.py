@@ -47,7 +47,8 @@ _NOT_IDENTIFIED = (
 _ROW_NAMES = {"alpha": "Intercept", "log_rho1": "log_rho1", "alpha*": "Intercept*"}
 
 
-def _build(dataset, method):
+def build_method(dataset, method, basis=None):
+    """The model of ``method``, in z with (intercept, slopes) = basis @ z."""
     # built per call: a builder rebound on this module (a tracer) is the one called
     builders = {
         "mle": build_full_mle_model,
@@ -56,59 +57,75 @@ def _build(dataset, method):
     }
     if method not in builders:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    return builders[method](dataset)
+    return builders[method](dataset, basis)
+
+
+def standardizing_basis(dataset):
+    """B with (intercept, slopes) = B z, parameters 0..p of every method: z
+    holds the slopes per sd of their covariate and the intercept at the
+    covariate mean (a covariate with sd 0 keeps its units)."""
+    mean = dataset.multiplicity @ dataset.X / dataset.n
+    sd = np.sqrt(dataset.multiplicity @ (dataset.X - mean) ** 2 / dataset.n)
+    sd[sd == 0.0] = 1.0
+    B = np.eye(1 + dataset.p)
+    B[0, 1:], B[1:, 1:] = -mean / sd, np.diag(1.0 / sd)
+    return B
 
 
 def fit_method(dataset, method, cfg=None):
     """Fit one method on a two-stratum case-control dataset.
 
-    Returns (FitResult, EfficiencyReport, model).  The report's ``labels``
-    are the dataset's and cover the slope coefficients, with standard errors
-    from the efficient information; intercept-type parameters appear in
-    ``extra_rows`` because their meaning differs across methods.  Each coordinate's standard error
-    and identification come from one matrix: I* for the interest block, the
-    full observed information for the nuisance block (computed only when a
-    displayed row is a nuisance coordinate, which for ``mle`` none is).  A
-    coordinate that loads on a null direction is not identified: an
-    intercept-type row is marked '!' and has no standard error, a slope
-    raises SingularInformationError.
+    Returns (FitResult, EfficiencyReport, model).  The fit and the model are
+    in the standardized coordinates z of ``standardizing_basis``, where the
+    Newton steps and ``cfg.grad_tol`` are free of the covariates' units and
+    origins; the report is in the method's parameters, (intercept, slopes) =
+    B z.  The report's ``labels`` are the dataset's and cover the slope
+    coefficients, with standard errors from the efficient information;
+    intercept-type parameters appear in ``extra_rows`` because their meaning
+    differs across methods.  Each coordinate's standard error and
+    identification come from one matrix, read in z: I* for the interest
+    block, the full observed information for the nuisance block (computed
+    only when a displayed row is a nuisance coordinate, which for ``mle``
+    none is).  A coordinate that loads on a null direction is not
+    identified: an intercept-type row is marked '!' and has no standard
+    error, a slope raises SingularInformationError.
     """
     cfg = cfg or FitConfig()
-    model = _build(dataset, method)
+    B = standardizing_basis(dataset)
+    model = build_method(dataset, method, B)
     fit = maximize(model, dataset, cfg=cfg)
+    q = len(B)
+    params = fit.params.copy()
+    params[:q] = B @ fit.params[:q]
     blocks = info_blocks_observed(model, fit, dataset)
     istar = efficient_information(blocks)
     i = list(model.interest_idx)
     shown = {j for j, label in enumerate(model.param_labels) if label in _ROW_NAMES}
-    nuisance_shown = not shown <= set(i)
-    # the rank rule reads the information with the covariates standardized,
-    # free of their units and origins: the slopes (parameters 1..p in every
-    # method) per sd, the intercept (parameter 0) at the covariate mean
-    slopes = slice(1, 1 + dataset.p)
-    mean = dataset.multiplicity @ dataset.X / dataset.n
-    sd = np.sqrt(dataset.multiplicity @ (dataset.X - mean) ** 2 / dataset.n)
-    sd[sd == 0.0] = 1.0
-    basis = np.eye(model.n_params if nuisance_shown else slopes.stop)
-    basis[slopes, slopes] = np.diag(1.0 / sd)
-    basis[0, slopes] = -mean / sd
-    if nuisance_shown:
+    if not shown <= set(i):  # a nuisance row is shown
+        basis = np.eye(model.n_params)
+        basis[:q, :q] = B
         se, ok, _ = standard_errors(-fit.hessian / dataset.n, dataset.n, basis)
     else:
         se, ok = np.full(model.n_params, np.nan), np.zeros(model.n_params, dtype=bool)
-    se[i], ok[i], cond = standard_errors(istar, dataset.n, basis[np.ix_(i, i)])
+    se[i], ok[i], _ = standard_errors(istar, dataset.n, B[np.ix_(i, i)])
+    slopes = slice(1, q)
     if not ok[slopes].all():
         names = ", ".join(np.asarray(dataset.labels)[~ok[slopes]])
         raise SingularInformationError(
             f"slopes {names} are not identified: they load on a null direction "
             "of the information (collinear covariates?)"
         )
+    # I* and its condition number in the method's own parameters
+    back = np.linalg.inv(B[np.ix_(i, i)])
+    eff_info = back.T @ istar @ back
+    sub = np.linalg.eigvalsh(eff_info[np.ix_(ok[i], ok[i])])
     # the original intercept alpha is not recoverable from alpha*, so its
     # row stays empty unless the model has it
     extra = {"Intercept": (None, None, "")}
     for j, label in enumerate(model.param_labels):
         if label in _ROW_NAMES:
             se_j = float(se[j]) if ok[j] else None
-            extra[_ROW_NAMES[label]] = (float(fit.params[j]), se_j, "" if ok[j] else "!")
+            extra[_ROW_NAMES[label]] = (float(params[j]), se_j, "" if ok[j] else "!")
     warnings = list(fit.warnings)
     if any(marker for _, _, marker in extra.values()):
         warnings.append(_NOT_IDENTIFIED)
@@ -116,10 +133,10 @@ def fit_method(dataset, method, cfg=None):
     report = EfficiencyReport(
         method=method,
         labels=dataset.labels,
-        coef=np.asarray(fit.params[slopes], dtype=float),
+        coef=params[slopes],
         se=se[slopes],
-        eff_info=istar,
-        cond_number=cond,
+        eff_info=eff_info,
+        cond_number=float(sub[-1] / sub[0]),
         loglik=fit.loglik,
         iterations=fit.iterations,
         runtime_ms=fit.runtime * 1e3,
@@ -197,13 +214,14 @@ def comparison_json(reports, releff):
 
 
 def bench_methods(dataset, cfg=None, repeats=5):
-    """Median-of-``repeats`` fit wall time per method, with parameter
-    counts; used by the CLI ``bench`` subcommand."""
+    """Median-of-``repeats`` wall time of ``fit_method``'s fit per method,
+    with parameter counts; used by the CLI ``bench`` subcommand."""
     import time
 
     out = {}
+    B = standardizing_basis(dataset)
     for method in METHODS:
-        model = _build(dataset, method)
+        model = build_method(dataset, method, B)
         times = []
         iters = 0
         for _ in range(repeats):

@@ -55,7 +55,8 @@ def _add_data_args(p):
 
 
 def _add_fit_args(p):
-    p.add_argument("--tol", type=float, default=1e-8, help="gradient sup-norm tolerance")
+    p.add_argument("--tol", type=float, default=1e-8, help="gradient sup-norm tolerance, "
+                   "in standardized coordinates (slopes per sd, intercept at the mean)")
     p.add_argument("--max-iter", type=int, default=200, help="Newton iteration cap")
 
 

@@ -12,10 +12,11 @@ eigenvalue within ``RANK_TOL`` (relative) of zero marks a null direction,
 one below it makes the matrix indefinite, an error.  I22 must have no null
 direction; the joint ``mle``'s I22, a diagonal plus a rank-2 term, gets the
 same rule from ``low_rank_spectrum`` without a dense eigendecomposition.
-Standard errors are taken over the non-null spectrum, read in a
-caller-given basis (``analysis.fit_method`` standardizes the covariates, so
-that their units and origins do not move the rule); a coordinate loading on
-a null direction is not identified.
+Standard errors are taken over the non-null spectrum of the information in
+the coordinates the fit stepped in, mapped to the reported coordinates by a
+caller-given basis (``analysis.fit_method`` fits with the covariates
+standardized, so that their units and origins do not move the rule); a
+coordinate loading on a null direction is not identified.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from .data import Weights
 from .errors import SingularInformationError
 from .likelihood import evaluate
-from .structured import DiagPlusLowRank, StructuredHessian, dense
+from .structured import DiagPlusLowRank, StructuredHessian, _t, dense
 
 # Relative eigenvalue and null-direction loading tolerance, about sqrt(eps).
 # Over 240 wide-support mle fits, in standardized coordinates, the null
@@ -117,10 +118,6 @@ def info_blocks_moments(cs: CenteredScores, weights: Weights) -> InfoBlocks:
         full += weights.w[s - 1] * block
     full = 0.5 * (full + full.T)
     return partition(full, cs.interest_idx, cs.nuisance_idx)
-
-
-def _t(M):
-    return np.swapaxes(M, -1, -2)
 
 
 def spectrum(M, what):
@@ -222,14 +219,14 @@ def efficient_score(cs: CenteredScores, blocks: InfoBlocks) -> np.ndarray:
 
 
 def standard_errors(info, n, basis=None):
-    """se_i = sqrt((info^-)_ii / n), the inverse taken over the non-null
-    spectrum of ``info`` in the coordinates t of theta = basis @ t (default:
-    theta itself), where it reads basis^T info basis.  A basis that
-    standardizes the covariates makes the rule free of their units and
+    """se_i = sqrt((info^-)_ii / n) for the coordinates theta = basis @ t
+    (default: t itself), with ``info`` the information in t and its inverse
+    taken over its non-null spectrum.  Information in coordinates that
+    standardize the covariates makes the rule free of their units and
     origins.  Returns (se, identified, cond): a coordinate whose row of
     ``basis`` loads on a null direction (by more than ``RANK_TOL``, relative
     to the row's norm) is not identified and its se is NaN; ``cond`` is the
-    condition number of ``info`` over its identified coordinates."""
+    condition number of ``info`` over the identified coordinates."""
     info = np.atleast_2d(np.asarray(info, dtype=float))
     variance, identified = spectral_variance(info, basis)
     se = np.where(identified, np.sqrt(variance / n), np.nan)
@@ -238,11 +235,11 @@ def standard_errors(info, n, basis=None):
 
 
 def spectral_variance(info, basis=None):
-    """The diagonal of the inverse of ``info`` over its non-null spectrum,
-    read in ``basis`` as in ``standard_errors``, and which coordinates are
-    identified; for one matrix (k, k) or a stack (..., k, k)."""
+    """The diagonal of basis (info^-) basis', the inverse over the non-null
+    spectrum of ``info``, and which coordinates are identified, as in
+    ``standard_errors``; for one matrix (k, k) or a stack (..., k, k)."""
     basis = np.eye(info.shape[-1]) if basis is None else basis
-    values, vectors, keep = spectrum(basis.T @ info @ basis, "information matrix")
+    values, vectors, keep = spectrum(info, "information matrix")
     rows = basis @ vectors
     kept = keep[..., None, :]
     reach = np.linalg.norm(basis, axis=1)

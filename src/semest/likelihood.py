@@ -33,10 +33,13 @@ class ModelSpec(ABC):
     ``support_index`` of ``data`` (a MultisampleDataset) and returns, for
     ``order`` 0, 1 and 2: the per-row log-densities (N,), the per-row scores
     (N, d), and the multiplicity-weighted sum of the per-row Hessians, a
-    (d, d) array or a symmetric ``StructuredHessian``.  The aggregates
-    also hand it a (P, d) stack of parameter vectors, for which it gives a
-    leading P axis: (P, N), (P, N, d) or (P, d, d), reading
-    ``multiplicity`` (N,) or (P, N).
+    (d, d) array or a symmetric ``StructuredHessian``.
+
+    The stack contract: the aggregates also hand ``evaluate`` a (P, d) stack
+    of parameter vectors as it is, and it gives one result per vector along
+    a leading P axis, (P, N), (P, N, d) or (P, d, d), reading
+    ``multiplicity`` (N,) or (P, N).  Another shape, or a ValueError on a
+    stack, is a ValueError naming the contract, never a silent broadcast.
 
     ``totals(params, data, order)`` gives what the aggregates below read:
     by default the multiplicity-weighted sums of ``evaluate``'s rows.  A
@@ -63,7 +66,7 @@ class ModelSpec(ABC):
         the order-2 result of ``evaluate``: the multiplicity-weighted sum
         of ``evaluate``'s per-row values (the aggregates set the warning
         filter of ``likelihood.evaluate`` around this call)."""
-        rows = self.evaluate(params, data, order)
+        rows = _stacked(self, params, data, order)
         if order == 2:
             return rows
         if order == 1:
@@ -76,11 +79,38 @@ class ModelSpec(ABC):
         return np.zeros(self.n_params)
 
 
+def _stacked(model, params, data, order):
+    """``model.evaluate``, held to the stack contract (see ``ModelSpec``)."""
+    shape = params.shape
+    try:
+        out = model.evaluate(params, data, order)
+    except ValueError as exc:
+        if len(shape) == 1:
+            raise
+        raise _broken_contract(model, shape, exc) from exc
+    if isinstance(out, StructuredHessian):
+        got, want = out.head.shape[:-2], shape[:-1]
+    else:
+        n, d = len(data.sample), shape[-1]
+        got, want = np.shape(out), shape[:-1] + ((n,), (n, d), (d, d))[order]
+    if got != want:
+        raise _broken_contract(model, shape, f"order {order} gave {got}, not {want}")
+    return out
+
+
+def _broken_contract(model, shape, why):
+    return ValueError(
+        f"{type(model).__name__}.evaluate breaks the stack contract (one result per "
+        f"vector of a (P, d) stack) for parameters of shape {shape}: {why}"
+    )
+
+
 def evaluate(model, params, dataset, order):
-    """``model.evaluate`` with floating-point warnings silenced: callers
-    check the result and name the first non-finite row instead."""
+    """``model.evaluate`` with floating-point warnings silenced (callers
+    check the result and name the first non-finite row instead), held to
+    the stack contract."""
     with np.errstate(all="ignore"):
-        return model.evaluate(params, dataset, order)
+        return _stacked(model, params, dataset, order)
 
 
 def _total(multiplicity, rows):

@@ -6,17 +6,19 @@ rows at once:
 * ``build_full_mle_model`` -- joint maximum likelihood over the regression
   parameters and the discrete covariate distribution g on the observed
   support (softmax coordinates, last one pinned to 0);
-* ``build_nonidentifiable_model`` -- the reparametrized submodel in
-  (alpha, beta, log rho1); the likelihood depends on (alpha, log rho1)
-  only through their sum, an exactly flat ridge;
-* ``build_identifiable_model`` -- the further reparametrization
-  alpha_star = alpha + log rho1, which is identifiable and is algebraically
-  a prospective logistic fit with a fixed intercept offset.
+* ``build_identifiable_model`` -- the reparametrized submodel in
+  (alpha_star, beta), alpha_star = alpha + log rho1: identifiable, and
+  algebraically a prospective logistic fit with a fixed intercept offset;
+* ``build_nonidentifiable_model`` -- (alpha, beta, log rho1): the
+  identifiable model through the fixed map A = [I | e0], so the likelihood
+  depends on (alpha, log rho1) only through their sum, an exactly flat ridge.
 
-Each builder takes a two-sample dataset alone: the sample weights
-w_s = n_s / n and the covariate labels come from it.  Strata: sample 1 =
-controls (y = 0), sample 2 = cases (y = 1).  Covariates are stored as
-(scar, transformed age) for the bundled leprosy data.
+Each builder takes a two-sample dataset alone (the sample weights
+w_s = n_s / n and the covariate labels come from it) and an optional
+``basis`` B: the parameters are then z, with (alpha, beta) = B z, and every
+closed form reads the design (1, x) B.  Strata: sample 1 = controls (y = 0),
+sample 2 = cases (y = 1).  Covariates are stored as (scar, transformed age)
+for the bundled leprosy data.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .data import (
 from .errors import DataError
 from .likelihood import ModelSpec
 from .reparam import ConditionalFamily, WeightFunctionSpec, _design
-from .structured import DiagPlusLowRank, StructuredHessian
+from .structured import DiagPlusLowRank, StructuredHessian, _t
 
 
 def transform_age(age):
@@ -63,10 +65,6 @@ def _log1pexp(t):
     return np.logaddexp(0.0, t)
 
 
-def _t(M):
-    return np.swapaxes(M, -1, -2)
-
-
 def _row_dot(u, v):
     """u . v for each vector u of a stack (..., K), as a (1, K) @ (K, 1)
     product per stack item."""
@@ -75,12 +73,9 @@ def _row_dot(u, v):
 
 class CaseControlLogisticModel(ModelSpec):
     """Reparametrized case-control logistic model.  Estimation-mode
-    log-density y u - log(w0 + w1 e^u) with u = z' params.
-
-    Identifiable: parameters (alpha_star, beta), design z = (1, x).
-    Non-identifiable: parameters (alpha, beta, log rho1), design
-    z = (1, x, 1); the duplicated intercept column makes the log-density
-    depend on (alpha, log rho1) only through alpha + log rho1.
+    log-density y u - log(w0 + w1 e^u) with u = z' M params, z = (1, x) and
+    M a fixed (1+p, d) map from the parameters to (alpha_star, beta): I, A
+    (see the module docstring), or either composed with a basis.
 
     Every order takes a stack of parameter vectors, with per-vector row
     multiplicities at order 2 (the Monte Carlo replicates fitted as one
@@ -88,25 +83,18 @@ class CaseControlLogisticModel(ModelSpec):
     last point evaluated are kept for the next call at the same point.
     """
 
-    def __init__(self, weights: Weights, labels, identifiable=True):
-        self.weights = weights
-        self.identifiable = identifiable
+    def __init__(self, weights: Weights, param_labels, interest_idx, design_map):
+        self.param_labels = tuple(param_labels)
+        self.interest_idx = tuple(interest_idx)
+        self._map = design_map
         self._log_w0 = np.log(weights.w[0])
         self._log_w1 = np.log(weights.w[1])
         self._X = self._Z = None  # the last covariate array seen, and its design
         self._key = self._u = self._mu = None  # the last point on it, and its u and mu
-        if identifiable:
-            self.param_labels = ("alpha*",) + tuple(labels)
-            self.interest_idx = tuple(range(1, len(self.param_labels)))
-        else:
-            self.param_labels = ("alpha",) + tuple(labels) + ("log_rho1",)
-            self.interest_idx = tuple(range(len(self.param_labels) - 1))
 
     def evaluate(self, params, data, order):
         if data.X is not self._X:  # a fit evaluates one dataset many times
-            Z = _design(data.X)
-            self._Z = Z if self.identifiable else np.hstack([Z, Z[:, :1]])
-            self._X, self._key = data.X, None
+            self._X, self._Z, self._key = data.X, _design(data.X) @ self._map, None
         Z = self._Z
         key = (params.shape, params.tobytes())
         if key != self._key:  # a Newton step evaluates one point at orders 0, 1, 2
@@ -163,17 +151,19 @@ class FullMLELogisticModel(ModelSpec):
     stack of parameter vectors (order 2 with one set of row
     multiplicities).  Order 2 returns a ``StructuredHessian``: the phi
     block is a diagonal plus a rank-2 term, never formed as a K x K
-    array."""
+    array.  Given a ``basis`` B, the parameters are (z, phi), with
+    (alpha, beta) = B z."""
 
     init_params = CaseControlLogisticModel.init_params  # alpha at log(n_2 / n_1)
 
-    def __init__(self, support, labels):
+    def __init__(self, support, labels, basis=None):
         support = np.asarray(support, dtype=float)
         if len(support) < 2:
             raise DataError("need at least 2 support points to profile g")
         self.support = support
         self.K = len(support)
-        self._Z = _design(support)  # (K, 1+p)
+        Z = _design(support)  # (K, 1+p)
+        self._Z = Z if basis is None else Z @ basis
         self.param_labels = (
             ("alpha",)
             + tuple(labels)
@@ -294,19 +284,25 @@ def _two_sample_weights(dataset):
     return weights
 
 
-def build_identifiable_model(dataset):
+def build_identifiable_model(dataset, basis=None):
     weights = _two_sample_weights(dataset)
-    return CaseControlLogisticModel(weights, dataset.labels, identifiable=True)
+    labels = ("alpha*",) + dataset.labels
+    design_map = np.eye(len(labels)) if basis is None else basis
+    return CaseControlLogisticModel(weights, labels, range(1, len(labels)), design_map)
 
 
-def build_nonidentifiable_model(dataset):
+def build_nonidentifiable_model(dataset, basis=None):
     weights = _two_sample_weights(dataset)
-    return CaseControlLogisticModel(weights, dataset.labels, identifiable=False)
+    labels = ("alpha",) + dataset.labels + ("log_rho1",)
+    q = len(labels) - 1
+    # A = [I | e0]; with a basis, A diag(B, 1) = [B | e0]
+    design_map = np.hstack([np.eye(q) if basis is None else basis, np.eye(q, 1)])
+    return CaseControlLogisticModel(weights, labels, range(q), design_map)
 
 
-def build_full_mle_model(dataset):
+def build_full_mle_model(dataset, basis=None):
     _two_sample_weights(dataset)
-    return FullMLELogisticModel(dataset.support, dataset.labels)
+    return FullMLELogisticModel(dataset.support, dataset.labels, basis)
 
 
 def casecontrol_weight_spec():

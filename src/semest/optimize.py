@@ -30,6 +30,8 @@ DAMPING_FACTOR = 10.0
 
 @dataclass(frozen=True)
 class FitConfig:
+    """``grad_tol``: the gradient sup-norm bound, in the model's coordinates."""
+
     grad_tol: float = 1e-8
     max_iter: int = 200
 

@@ -469,10 +469,11 @@ def run_suite(seed=0, mc=False, reps=500, inject_broken_score=False):
     )
 
     # 4 + 5. orthogonality and Schur identity at every fitted model
-    from .analysis import METHODS, fit_method
+    from .analysis import METHODS, build_method
 
     for method in METHODS:
-        fit, report, model = fit_method(dataset, method)
+        model = build_method(dataset, method)
+        fit = maximize(model, dataset)
         cs = centered_scores(model, fit.params, dataset)
         blocks = info_blocks_moments(cs, weights)
         try:

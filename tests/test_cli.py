@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import semest.data
+from semest.analysis import METHODS
 from semest.cli import main
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -338,6 +339,28 @@ def test_income_scale_covariate_fits_as_its_standardized_copy(tmp_path, capsys, 
         r[2] for r in unit["extra_rows"].values()
     ]
     assert income["warnings"] == unit["warnings"]
+
+
+def test_shifted_covariate_fits_like_its_centred_copy(tmp_path, capsys):
+    """A 200-row long file whose x2 sits at 1e4 + N(0.4 y, 1): every method
+    exits 0 with the slopes of the file with x2 centred, in at most 2 more
+    Newton steps, since the fit steps in standardized coordinates."""
+    rng = np.random.default_rng(0)
+    y = np.repeat([0, 1], 100)
+    x1 = (rng.random(200) < 0.4 + 0.3 * y).astype(int)
+    x2 = 1e4 + rng.standard_normal(200) + 0.4 * y
+    for method in METHODS:
+        reports = []
+        for origin in (0.0, x2.mean()):
+            rows = [f"{1 + t},{t},{a},{b - origin:.17g}" for t, a, b in zip(y, x1, x2)]
+            f = tmp_path / f"x{origin:g}.csv"
+            f.write_text("\n".join(["sample,y,x1,x2"] + rows) + "\n")
+            argv = ["fit", "--input", str(f), "--schema", "long", "--method", method]
+            assert main(argv + ["--format", "json"]) == 0, method
+            reports.append(json.loads(capsys.readouterr().out))
+        shifted, centred = reports
+        np.testing.assert_allclose(shifted["coef"], centred["coef"], rtol=1e-8, atol=0)
+        assert shifted["iterations"] <= centred["iterations"] + 2, method
 
 
 def test_closed_stdout_exits_1_without_traceback():

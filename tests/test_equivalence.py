@@ -219,11 +219,13 @@ def test_row_order_and_grouping_invariance(leprosy, seed):
 @settings(max_examples=10, deadline=None)
 @given(
     j=st.sampled_from([0, 1]),
-    log10_c=st.floats(min_value=-1.0, max_value=4.0),
+    log10_c=st.floats(min_value=-4.0, max_value=4.0),
     negative=st.booleans(),
 )
 @example(j=0, log10_c=4.0, negative=True)
 @example(j=1, log10_c=4.0, negative=False)
+@example(j=0, log10_c=-4.0, negative=False)
+@example(j=1, log10_c=-4.0, negative=True)
 def test_covariate_rescaling(leprosy, leprosy_reports, j, log10_c, negative):
     """Scaling covariate j by c scales its slope by 1/c and its standard
     error by 1/|c|, and leaves the other slope unchanged, for every method."""
@@ -241,15 +243,15 @@ def test_covariate_rescaling(leprosy, leprosy_reports, j, log10_c, negative):
 
 
 @settings(max_examples=10, deadline=None)
-@given(j=st.sampled_from([0, 1]), shift=st.floats(min_value=-1e3, max_value=1e3))
-@example(j=0, shift=1e3)
-@example(j=1, shift=-1e3)
+@given(j=st.sampled_from([0, 1]), shift=st.floats(min_value=-1e4, max_value=1e4))
+@example(j=0, shift=1e4)
+@example(j=1, shift=-1e4)
 def test_covariate_shift(leprosy, leprosy_reports, j, shift):
     """Moving covariate j's origin leaves the slopes, their standard errors
-    and which rows are identified unchanged, for every method (the raw
-    intercept and slope directions grow collinear, the standardized ones do
-    not); precision falls with the shift, as the raw Hessian's conditioning
-    does."""
+    and which rows are identified unchanged, for every method: the raw
+    intercept and slope directions grow collinear, but the fit steps in,
+    and reads the information in, standardized coordinates, which do
+    not."""
     X = leprosy.X.copy()
     X[:, j] += shift
     shifted = MultisampleDataset.from_columns(X, leprosy.sample, leprosy.multiplicity)
@@ -257,7 +259,7 @@ def test_covariate_shift(leprosy, leprosy_reports, j, shift):
         ref = leprosy_reports[0][method]
         _, got, _ = fit_method(shifted, method)
         np.testing.assert_allclose(got.coef, ref.coef, rtol=1e-8, atol=0)
-        np.testing.assert_allclose(got.se, ref.se, rtol=1e-7, atol=0)
+        np.testing.assert_allclose(got.se, ref.se, rtol=1e-8, atol=0)
         markers = {k: v[2] for k, v in got.extra_rows.items()}
         assert markers == {k: v[2] for k, v in ref.extra_rows.items()}
 

@@ -152,20 +152,21 @@ def test_null_direction_loading_marks_coordinates():
 
 def test_standard_errors_in_a_standardizing_basis():
     # a coordinate measured in large units: its raw eigenvalue 1e-10 falls
-    # under RANK_TOL, but in the basis that rescales it by 1e5 it is as
-    # well determined as the other one
+    # under RANK_TOL, but the information in the coordinates t of
+    # theta = basis t, which rescale it by 1e5, is as well determined in
+    # it as in the other one
     info = np.diag([1.0, 1e-10])
     se, identified, _ = standard_errors(info, n=100)
     assert identified.tolist() == [True, False]
     basis = np.diag([1.0, 1e5])
-    se, identified, cond = standard_errors(info, n=100, basis=basis)
+    se, identified, cond = standard_errors(basis.T @ info @ basis, n=100, basis=basis)
     assert identified.all()
     np.testing.assert_allclose(se, [0.1, 1e4], rtol=1e-12)
-    assert cond == pytest.approx(1e10)
+    assert cond == pytest.approx(1.0)
     # a basis that mixes coordinates: the null direction (1, -1) of the
-    # transformed matrix [[2, 2], [2, 2]] loads on both of its coordinates
-    # but maps back to the model's first coordinate only
-    info = np.array([[0.0, 0.0], [0.0, 2.0]])
+    # information [[2, 2], [2, 2]] in t loads on both of its coordinates but
+    # maps back to theta's first coordinate only
+    info = np.full((2, 2), 2.0)
     basis = np.array([[1.0, 0.0], [1.0, 1.0]])
     se, identified, _ = standard_errors(info, n=2, basis=basis)
     assert identified.tolist() == [False, True]

@@ -14,6 +14,7 @@ from semest import (
     log_likelihood,
 )
 from semest.data import load_casecontrol_csv
+from semest.likelihood import evaluate
 from semest.logistic import (
     build_full_mle_model,
     build_identifiable_model,
@@ -73,6 +74,27 @@ def test_multiplicity_weighting(gauss_data):
         aggregate_hessian(model, params, exp),
         atol=1e-14,
     )
+
+
+class FirstVectorOnly(GaussianLocation):
+    """Reads the first vector of a stack only: its results lack the stack's
+    leading axis, which the default totals would sum into one number."""
+
+    def evaluate(self, params, data, order):
+        return super().evaluate(np.reshape(params, (-1, 2))[0], data, order)
+
+
+@pytest.mark.parametrize("model", [GaussianLocation(), FirstVectorOnly()])
+def test_stack_contract_is_named(gauss_data, model):
+    """Models written for one vector, handed a (3, 2) stack: GaussianLocation
+    fails inside numpy's broadcasting, FirstVectorOnly returns one vector's
+    rows.  Every aggregate names the contract either way."""
+    stack = np.zeros((3, 2))
+    for aggregate in (log_likelihood, aggregate_score, aggregate_hessian):
+        with pytest.raises(ValueError, match="stack contract"):
+            aggregate(model, stack, gauss_data)
+    with pytest.raises(ValueError, match="stack contract"):
+        evaluate(model, stack, gauss_data, 1)
 
 
 def test_hessian_symmetrized(gauss_data):

@@ -49,7 +49,7 @@ def test_identifiable_equals_prospective_offset(leprosy):
     """With weights (w0, w1) the identifiable log-density is the prospective
     logistic log-density with intercept offset log(w1/w0), minus log w0."""
     w = Weights([0.6, 0.4])
-    model = CaseControlLogisticModel(w, leprosy.labels, identifiable=True)
+    model = CaseControlLogisticModel(w, ("alpha*",) + leprosy.labels, (1, 2), np.eye(3))
     params = np.array([0.7, -0.2, -3.0])
     offset = np.log(w.w[1] / w.w[0])
     for obs in leprosy.observations[:6]:
