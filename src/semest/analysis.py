@@ -61,15 +61,16 @@ def build_method(dataset, method, basis=None):
 
 
 def standardizing_basis(dataset):
-    """B with (intercept, slopes) = B z, parameters 0..p of every method: z
-    holds the slopes per sd of their covariate and the intercept at the
-    covariate mean (a covariate with sd 0 keeps its units)."""
+    """(B, B^-1) with (intercept, slopes) = B z, parameters 0..p of every
+    method: z holds the slopes per sd of their covariate and the intercept
+    at the covariate mean (a covariate with sd 0 keeps its units)."""
     mean = dataset.multiplicity @ dataset.X / dataset.n
     sd = np.sqrt(dataset.multiplicity @ (dataset.X - mean) ** 2 / dataset.n)
     sd[sd == 0.0] = 1.0
-    B = np.eye(1 + dataset.p)
+    B, B_inv = np.eye(1 + dataset.p), np.eye(1 + dataset.p)
     B[0, 1:], B[1:, 1:] = -mean / sd, np.diag(1.0 / sd)
-    return B
+    B_inv[0, 1:], B_inv[1:, 1:] = mean, np.diag(sd)
+    return B, B_inv
 
 
 def fit_method(dataset, method, cfg=None):
@@ -91,7 +92,7 @@ def fit_method(dataset, method, cfg=None):
     error, a slope raises SingularInformationError.
     """
     cfg = cfg or FitConfig()
-    B = standardizing_basis(dataset)
+    B, B_inv = standardizing_basis(dataset)
     model = build_method(dataset, method, B)
     fit = maximize(model, dataset, cfg=cfg)
     q = len(B)
@@ -100,6 +101,7 @@ def fit_method(dataset, method, cfg=None):
     blocks = info_blocks_observed(model, fit, dataset)
     istar = efficient_information(blocks)
     i = list(model.interest_idx)
+    ii = np.ix_(i, i)
     shown = {j for j, label in enumerate(model.param_labels) if label in _ROW_NAMES}
     if not shown <= set(i):  # a nuisance row is shown
         basis = np.eye(model.n_params)
@@ -107,7 +109,7 @@ def fit_method(dataset, method, cfg=None):
         se, ok, _ = standard_errors(-fit.hessian / dataset.n, dataset.n, basis)
     else:
         se, ok = np.full(model.n_params, np.nan), np.zeros(model.n_params, dtype=bool)
-    se[i], ok[i], _ = standard_errors(istar, dataset.n, B[np.ix_(i, i)])
+    se[i], ok[i], _ = standard_errors(istar, dataset.n, B[ii])
     slopes = slice(1, q)
     if not ok[slopes].all():
         names = ", ".join(np.asarray(dataset.labels)[~ok[slopes]])
@@ -116,9 +118,8 @@ def fit_method(dataset, method, cfg=None):
             "of the information (collinear covariates?)"
         )
     # I* and its condition number in the method's own parameters
-    back = np.linalg.inv(B[np.ix_(i, i)])
-    eff_info = back.T @ istar @ back
-    sub = np.linalg.eigvalsh(eff_info[np.ix_(ok[i], ok[i])])
+    eff_info = B_inv[ii].T @ istar @ B_inv[ii]
+    sub = np.linalg.eigvalsh(eff_info[ok[i]][:, ok[i]])
     # the original intercept alpha is not recoverable from alpha*, so its
     # row stays empty unless the model has it
     extra = {"Intercept": (None, None, "")}
@@ -219,7 +220,7 @@ def bench_methods(dataset, cfg=None, repeats=5):
     import time
 
     out = {}
-    B = standardizing_basis(dataset)
+    B, _ = standardizing_basis(dataset)
     for method in METHODS:
         model = build_method(dataset, method, B)
         times = []

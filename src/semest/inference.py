@@ -226,7 +226,9 @@ def standard_errors(info, n, basis=None):
     origins.  Returns (se, identified, cond): a coordinate whose row of
     ``basis`` loads on a null direction (by more than ``RANK_TOL``, relative
     to the row's norm) is not identified and its se is NaN; ``cond`` is the
-    condition number of ``info`` over the identified coordinates."""
+    condition number of ``info`` over the identified coordinates (t_i for
+    theta_i: read it only with a basis that keeps each coordinate's index,
+    as a standardizing one does)."""
     info = np.atleast_2d(np.asarray(info, dtype=float))
     variance, identified = spectral_variance(info, basis)
     se = np.where(identified, np.sqrt(variance / n), np.nan)

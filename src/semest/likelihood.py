@@ -92,7 +92,7 @@ def _stacked(model, params, data, order):
         got, want = out.head.shape[:-2], shape[:-1]
     else:
         n, d = len(data.sample), shape[-1]
-        got, want = np.shape(out), shape[:-1] + ((n,), (n, d), (d, d))[order]
+        got, want = out.shape, shape[:-1] + ((n,), (n, d), (d, d))[order]
     if got != want:
         raise _broken_contract(model, shape, f"order {order} gave {got}, not {want}")
     return out

@@ -296,7 +296,7 @@ def build_nonidentifiable_model(dataset, basis=None):
     labels = ("alpha",) + dataset.labels + ("log_rho1",)
     q = len(labels) - 1
     # A = [I | e0]; with a basis, A diag(B, 1) = [B | e0]
-    design_map = np.hstack([np.eye(q) if basis is None else basis, np.eye(q, 1)])
+    design_map = np.concatenate([np.eye(q) if basis is None else basis, np.eye(q, 1)], axis=1)
     return CaseControlLogisticModel(weights, labels, range(q), design_map)
 
 
