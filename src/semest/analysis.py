@@ -28,7 +28,7 @@ from .inference import (
     efficient_information,
     info_blocks_observed,
     relative_efficiency,
-    standard_errors,
+    spectral_variance,
 )
 from .logistic import (
     build_full_mle_model,
@@ -106,10 +106,11 @@ def fit_method(dataset, method, cfg=None):
     if not shown <= set(i):  # a nuisance row is shown
         basis = np.eye(model.n_params)
         basis[:q, :q] = B
-        se, ok, _ = standard_errors(-fit.hessian / dataset.n, dataset.n, basis)
+        var, ok = spectral_variance(-fit.hessian / dataset.n, basis)
     else:
-        se, ok = np.full(model.n_params, np.nan), np.zeros(model.n_params, dtype=bool)
-    se[i], ok[i], _ = standard_errors(istar, dataset.n, B[ii])
+        var, ok = np.full(model.n_params, np.nan), np.zeros(model.n_params, dtype=bool)
+    var[i], ok[i] = spectral_variance(istar, B[ii])
+    se = np.where(ok, np.sqrt(var / dataset.n), np.nan)
     slopes = slice(1, q)
     if not ok[slopes].all():
         names = ", ".join(np.asarray(dataset.labels)[~ok[slopes]])
