@@ -27,13 +27,7 @@ from .likelihood import (
 )
 from .logistic import leprosy_dataset, transform_age
 from .optimize import FitConfig, FitResult, maximize
-from .reparam import (
-    ConditionalFamily,
-    ReparamModel,
-    WeightFunctionSpec,
-    check_normalization,
-    fixed_point_q,
-)
+from .reparam import ReparamModel, check_normalization, fixed_point_q
 
 __version__ = "0.1.0"
 
@@ -64,9 +58,7 @@ __all__ = [
     "FitConfig",
     "FitResult",
     "maximize",
-    "ConditionalFamily",
     "ReparamModel",
-    "WeightFunctionSpec",
     "check_normalization",
     "fixed_point_q",
     "__version__",

@@ -218,28 +218,26 @@ def efficient_score(cs: CenteredScores, blocks: InfoBlocks) -> np.ndarray:
     return cs.l1c - cs.l2c @ _regression_on_nuisance(blocks).T
 
 
-def standard_errors(info, n, basis=None):
-    """se_i = sqrt((info^-)_ii / n) for the coordinates theta = basis @ t
-    (default: t itself), with ``info`` the information in t and its inverse
-    taken over its non-null spectrum.  Information in coordinates that
-    standardize the covariates makes the rule free of their units and
-    origins.  Returns (se, identified, cond): a coordinate whose row of
-    ``basis`` loads on a null direction (by more than ``RANK_TOL``, relative
-    to the row's norm) is not identified and its se is NaN; ``cond`` is the
-    condition number of ``info`` over the identified coordinates (t_i for
-    theta_i: read it only with a basis that keeps each coordinate's index,
-    as a standardizing one does)."""
+def standard_errors(info, n):
+    """se_i = sqrt((info^-)_ii / n), the inverse taken over the non-null
+    spectrum of ``info``.  Returns (se, identified, cond): a coordinate
+    that loads on a null direction is not identified and its se is NaN;
+    ``cond`` is the condition number of ``info`` over the identified
+    coordinates."""
     info = np.atleast_2d(np.asarray(info, dtype=float))
-    variance, identified = spectral_variance(info, basis)
+    variance, identified = spectral_variance(info)
     se = np.where(identified, np.sqrt(variance / n), np.nan)
     sub = np.linalg.eigvalsh(info[np.ix_(identified, identified)])
     return se, identified, float(sub[-1] / sub[0]) if sub.size else np.inf
 
 
 def spectral_variance(info, basis=None):
-    """The diagonal of basis (info^-) basis', the inverse over the non-null
-    spectrum of ``info``, and which coordinates are identified, as in
-    ``standard_errors``; for one matrix (k, k) or a stack (..., k, k)."""
+    """The diagonal of basis (info^-) basis' for theta = basis @ t, with
+    ``info`` the information in t (one (k, k) or a stack) inverted over its
+    non-null spectrum, and which theta_i are identified: not those whose
+    row of ``basis`` loads on a null direction (by more than ``RANK_TOL``
+    relative to the row's norm).  In t that standardize the covariates,
+    the rule is free of their units and origins."""
     basis = np.eye(info.shape[-1]) if basis is None else basis
     values, vectors, keep = spectrum(info, "information matrix")
     rows = basis @ vectors

@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import observation_rows
 from .errors import EvaluationError
-from .structured import StructuredHessian
+from .structured import StructuredHessian, _vecmat
 
 
 class ModelSpec(ABC):
@@ -70,10 +70,10 @@ class ModelSpec(ABC):
         if order == 2:
             return rows
         if order == 1:
-            return _total(data.multiplicity, rows)
+            return _vecmat(data.multiplicity, rows)
         if np.ndim(params) == 1:
             return data.multiplicity @ rows
-        return _total(data.multiplicity, rows[..., None])[..., 0]
+        return _vecmat(data.multiplicity, rows[..., None])[..., 0]
 
     def init_params(self, dataset) -> np.ndarray:
         return np.zeros(self.n_params)
@@ -113,12 +113,6 @@ def evaluate(model, params, dataset, order):
         return _stacked(model, params, dataset, order)
 
 
-def _total(multiplicity, rows):
-    """sum_n multiplicity[..., n] * rows[..., n, :], one vector-matrix
-    product per stack item."""
-    return (multiplicity[..., None, :] @ rows)[..., 0, :]
-
-
 def _require_finite(dataset, theta, rows, what):
     """EvaluationError naming the first row whose value is not finite."""
     if np.isfinite(rows).all():
@@ -132,7 +126,7 @@ def _require_finite(dataset, theta, rows, what):
     )
 
 
-def _totals(model, params, dataset, order):
+def _quiet_totals(model, params, dataset, order):
     """``model.totals`` with floating-point warnings silenced (see
     ``evaluate``)."""
     with np.errstate(all="ignore"):
@@ -150,7 +144,7 @@ def log_likelihood(model, params, dataset):
     check, so one inadmissible vector does not stop the others.
     """
     theta = np.asarray(params, dtype=float)
-    total = _totals(model, theta, dataset, 0)
+    total = _quiet_totals(model, theta, dataset, 0)
     if theta.ndim == 2:
         return total
     if not np.isfinite(total):
@@ -162,7 +156,7 @@ def aggregate_score(model, params, dataset) -> np.ndarray:
     """Multiplicity-weighted total score, (d,) or (P, d); non-finite rows
     raise or, in a stack, propagate, as in ``log_likelihood``."""
     theta = np.asarray(params, dtype=float)
-    total = _totals(model, theta, dataset, 1)
+    total = _quiet_totals(model, theta, dataset, 1)
     if theta.ndim == 1 and not np.isfinite(total).all():
         _require_finite(dataset, theta, evaluate(model, theta, dataset, 1), "score")
     return total
@@ -181,7 +175,7 @@ def aggregate_hessian(model, params, dataset):
     ``StructuredHessian`` (symmetric by construction); non-finite entries
     raise naming the row or, in a stack, propagate."""
     theta = np.asarray(params, dtype=float)
-    total = _totals(model, theta, dataset, 2)
+    total = _quiet_totals(model, theta, dataset, 2)
     if theta.ndim == 1 and not np.all(np.isfinite(hessian_entries(total))):
         rows = np.array([  # find the offending row
             hessian_entries(evaluate(model, theta, observation_rows(o), 2))

@@ -19,22 +19,22 @@ w_s = n_s / n and the covariate labels come from it) and an optional
 closed form reads the design (1, x) B.  Strata: sample 1 = controls (y = 0),
 sample 2 = cases (y = 1).  Covariates are stored as (scar, transformed age)
 for the bundled leprosy data.
+
+``casecontrol_reparam_model`` builds the generic ``ReparamModel`` of the
+same design from ``casecontrol_weight_spec`` and ``casecontrol_family``.
 """
 
 from __future__ import annotations
 
-from importlib import resources
-
 import numpy as np
 
 from .data import (
-    MultisampleDataset, Weights, _casecontrol_columns, _casecontrol_dataset, compute_weights,
-    support_positions,
+    MultisampleDataset, Weights, _casecontrol_dataset, compute_weights, support_positions,
 )
 from .errors import DataError
 from .likelihood import ModelSpec
-from .reparam import ConditionalFamily, WeightFunctionSpec, _design
-from .structured import DiagPlusLowRank, StructuredHessian, _t
+from .reparam import ReparamModel, _design, fstar_empirical
+from .structured import DiagPlusLowRank, StructuredHessian, _t, _vecmat
 
 
 def transform_age(age):
@@ -63,12 +63,6 @@ def _sigmoid_pair(t):
 
 def _log1pexp(t):
     return np.logaddexp(0.0, t)
-
-
-def _row_dot(u, v):
-    """u . v for each vector u of a stack (..., K), as a (1, K) @ (K, 1)
-    product per stack item."""
-    return (u[..., None, :] @ v[:, None])[..., 0, 0]
 
 
 class CaseControlLogisticModel(ModelSpec):
@@ -226,10 +220,10 @@ class FullMLELogisticModel(ModelSpec):
         if order == 0:  # sum M log f + per_point log g - N log D
             g, eta, *_, D = self._at(params)
             return (
-                _row_dot(eta, M[1])
-                + _row_dot(np.log(g) - _log1pexp(eta), per_point)
-                - _row_dot(np.log(D), N)
-            )
+                _vecmat(eta, M[1][:, None])
+                + _vecmat(np.log(g) - _log1pexp(eta), per_point[:, None])
+                - _vecmat(np.log(D), N[:, None])
+            )[..., 0]
         a, b, m = self._slopes_at(params)
         if order == 1:  # theta: (b r) Z, phi: r summed over y, r = M - N a
             # (the residual counts first: less cancellation than (M b) Z - N m)
@@ -305,43 +299,47 @@ def build_full_mle_model(dataset, basis=None):
     return FullMLELogisticModel(dataset.support, dataset.labels, basis)
 
 
-def casecontrol_weight_spec():
-    """WeightFunctionSpec for case-control sampling: Q_{s|X}(x; theta) =
-    f(s-1 | x; theta) with theta = (alpha, beta), a partition of the
-    outcome space: (1 - mu, mu) with mu the logistic function of eta."""
+def casecontrol_weight_spec(eta, order):
+    """Selection weights of case-control sampling, in the protocol of
+    ``ReparamModel``: Q_{s|X}(x; theta) = f(s-1 | x; theta) with
+    theta = (alpha, beta), a partition of the outcome space: (1 - mu, mu)
+    with mu the logistic function of eta."""
+    mu, nu = _sigmoid_pair(eta)
+    out = (np.stack([nu, mu], axis=-1),)
+    if order >= 1:
+        c = mu * nu  # d mu / d eta
+        out += (np.stack([-c, c], axis=-1),)
+    if order >= 2:
+        c2 = c * (nu - mu)  # d2 mu / d eta2 = c (1 - 2 mu)
+        out += (np.stack([-c2, c2], axis=-1),)
+    return out
 
-    def evaluate(eta, order):
+
+def casecontrol_family(y, eta, order):
+    """The logistic f(y | x; (alpha, beta)), in the protocol of
+    ``ReparamModel``: log f = y eta - log(1 + e^eta)."""
+    out = (y * eta - _log1pexp(eta),)
+    if order >= 1:
         mu, nu = _sigmoid_pair(eta)
-        out = (np.stack([nu, mu], axis=-1),)
-        if order >= 1:
-            c = mu * nu  # d mu / d eta
-            out += (np.stack([-c, c], axis=-1),)
-        if order >= 2:
-            c2 = c * (nu - mu)  # d2 mu / d eta2 = c (1 - 2 mu)
-            out += (np.stack([-c2, c2], axis=-1),)
-        return out
-
-    return WeightFunctionSpec(evaluate)
+        out += (y - mu,)
+    if order >= 2:
+        out += (-mu * nu,)
+    return out
 
 
-def casecontrol_family():
-    """ConditionalFamily for the logistic f(y | x; (alpha, beta)):
-    log f = y eta - log(1 + e^eta)."""
-
-    def evaluate(y, eta, order):
-        out = (y * eta - _log1pexp(eta),)
-        if order >= 1:
-            mu, nu = _sigmoid_pair(eta)
-            out += (y - mu,)
-        if order >= 2:
-            out += (-mu * nu,)
-        return out
-
-    return ConditionalFamily(evaluate)
+def casecontrol_reparam_model(dataset):
+    """Generic reparametrized model (theta = (alpha, beta), nuisance
+    q = (q_1, 1)) for a two-stratum case-control dataset, with the sample
+    weights and covariate labels of the dataset."""
+    weights = compute_weights(dataset)
+    fstar = fstar_empirical(dataset, weights)
+    return ReparamModel(
+        casecontrol_weight_spec, casecontrol_family, fstar, weights,
+        ("alpha",) + dataset.labels,
+    )
 
 
-# Leprosy case-control table, 14 rows (7 ages x 2 scar levels), as
-# (age, scar, cases, controls).  The packaged CSV must agree bit-exactly.
+# Leprosy case-control table, 14 rows (7 ages x 2 scar levels): (age, scar, cases, controls)
 LEPROSY_TABLE = (
     (2.5, 0, 1, 24),
     (2.5, 1, 1, 31),
@@ -363,8 +361,6 @@ LEPROSY_TABLE = (
 def leprosy_dataset() -> MultisampleDataset:
     """The bundled leprosy case-control dataset, grouped, with covariates
     (scar, transform_age(age)).  Controls are sample 1, cases sample 2."""
-    with resources.as_file(resources.files("semest") / "data" / "leprosy.csv") as path:
-        age, scar, counts = _casecontrol_columns(path)
-    if not np.array_equal(np.column_stack([age, scar, counts[:, ::-1]]), LEPROSY_TABLE):
-        raise DataError("bundled leprosy.csv disagrees with the embedded table")
+    age, scar, cases, controls = np.array(LEPROSY_TABLE).T
+    counts = np.column_stack([controls, cases]).astype(int)
     return _casecontrol_dataset(age, scar, counts, transform=transform_age)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import EvaluationError
 from .likelihood import aggregate_hessian, aggregate_score, hessian_entries, log_likelihood
-from .structured import StructuredHessian, solve_or_nan
+from .structured import StructuredHessian, _vecmat, solve_or_nan
 
 
 # Line search: step halvings per Newton direction, Armijo sufficient-increase
@@ -36,8 +36,8 @@ class FitConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not self.grad_tol > 0 or self.max_iter <= 0:
-            raise ValueError("tolerances and iteration caps must be positive")
+        if not 0 < self.grad_tol < np.inf or self.max_iter <= 0:
+            raise ValueError("tolerances and iteration caps must be positive and finite")
 
 
 @dataclass
@@ -75,11 +75,6 @@ def _objective(model, params, dataset):
     return np.where(np.isfinite(vals), vals, -np.inf)
 
 
-def _dot(a, b):
-    """Row-wise inner products, one dot product per row."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _every(rows):
     """``rows.all()``, cheaper on the short masks of a batch."""
     return np.count_nonzero(rows) == len(rows)
@@ -102,12 +97,12 @@ def _newton_directions(hess, grad, lam, rows, eye):
     d = slope = None
     while True:
         cand = _damped_solve(hess, grad, lam, eye)
-        gain = _dot(grad, cand)
+        gain = _vecmat(grad, cand[..., None])[..., 0]
         ok = rows & np.isfinite(cand).all(axis=-1) & (gain > 0)
         if _every(ok):
             return cand, gain, lam
         if d is None:  # rows that never get a Newton direction keep steepest ascent
-            d, slope = grad, _dot(grad, grad)
+            d, slope = grad, _vecmat(grad, grad[..., None])[..., 0]
         d = np.where(ok[:, None], cand, d)
         slope = np.where(ok, gain, slope)
         rows = (rows ^ ok) & (lam < DAMPING_MAX)

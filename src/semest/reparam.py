@@ -24,8 +24,6 @@ log-likelihood drops it, which changes no score, Hessian, or standard error.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
 from .data import MultisampleDataset, Weights
@@ -39,26 +37,6 @@ def _design(x):
     """Design (1, x): shape (1 + p,) for one point, (N, 1 + p) for N rows."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     return np.concatenate([np.ones(x.shape[:-1] + (1,)), x], axis=-1)
-
-
-@dataclass(frozen=True)
-class WeightFunctionSpec:
-    """Per-stratum selection weights Q_{s|X}(x; theta), through the linear
-    predictor eta = z' theta with z = (1, x): ``evaluate(eta, order)``
-    returns (Q, dQ/deta, d2Q/deta2) up to ``order``, each shaped (..., S)
-    for eta shaped (...).  S is the number of sample weights."""
-
-    evaluate: Callable
-
-
-@dataclass(frozen=True)
-class ConditionalFamily:
-    """Differentiable conditional density f(y|x; theta) of the response,
-    through eta as in ``WeightFunctionSpec``: ``evaluate(y, eta, order)``
-    returns (log f, d/deta, d2/deta2) up to ``order``, each shaped (...)
-    like eta."""
-
-    evaluate: Callable
 
 
 @dataclass(frozen=True)
@@ -107,7 +85,7 @@ def check_normalization(wspec, theta, q: QVector, fstar: FStarEstimate, weights)
     """sum_s w_s sum_k p*_s-mass at v_k, with fstar included.  Identically 1
     for any admissible (theta, q) when fstar sums to 1.  ``wspec`` is
     evaluated once, on all support rows."""
-    (Q,) = wspec.evaluate(_design(fstar.support) @ theta, 0)  # (K, S)
+    (Q,) = wspec(_design(fstar.support) @ theta, 0)  # (K, S)
     denom = Q @ (weights.w / q.q)  # (K,)
     if np.any(denom <= 0.0):
         raise EvaluationError("x has zero selection mass under all strata")
@@ -119,7 +97,7 @@ def fixed_point_q(wspec, theta, fstar: FStarEstimate, weights, tol=1e-10):
     """Solve the self-consistency equations Q_s = sum_k Q_{s|X}(v_k) g(v_k)
     by fixed-point iteration; returns the normalized QVector (last
     component 1).  Raises ConvergenceError on divergence."""
-    (Qmat,) = wspec.evaluate(_design(fstar.support) @ theta, 0)  # (K, S)
+    (Qmat,) = wspec(_design(fstar.support) @ theta, 0)  # (K, S)
     qs = np.ones(len(weights))
     for _ in range(FIXED_POINT_MAX_ITER):
         denom = (Qmat / qs) @ weights.w  # (K,)
@@ -143,9 +121,16 @@ class ReparamModel(ModelSpec):
     submodel.  The free nuisance coordinates are log q to keep Newton
     unconstrained; scores and Hessians apply the chain rule accordingly.
 
+    The paper's two functions are plain callables of the linear predictor
+    eta = z' theta, z = (1, x), each returning its value and derivatives
+    up to ``order``: the selection weights ``wspec(eta, order)`` ->
+    (Q, dQ/deta, d2Q/deta2), each (..., S) for eta (...), S = len(weights),
+    and the conditional density ``family(y, eta, order)`` ->
+    (log f, d/deta, d2/deta2), each shaped like eta.
+
     One pass builds the design Z = (1, X) of all rows and the linear
-    predictor eta = Z theta, and evaluates the ``wspec`` and ``family``
-    once each, at eta and at the order it needs: a theta derivative is the
+    predictor eta = Z theta, and calls ``wspec`` and ``family`` once
+    each, at eta and at the order it needs: a theta derivative is the
     eta derivative times z, so the Hessian's theta block is Z' diag(h) Z
     and no per-row d x d array is formed.  Every order takes a (P, d)
     stack, and order 2 per-vector multiplicities (P, N).  At order 0 a
@@ -165,21 +150,16 @@ class ReparamModel(ModelSpec):
         )
         self.interest_idx = tuple(range(self.n_theta))
 
-    def split(self, params):
-        """theta and q = (q_1, ..., q_{S-1}, 1) of one vector or a stack."""
-        free = np.exp(params[..., self.n_theta :])
-        q = np.concatenate([free, np.ones(free.shape[:-1] + (1,))], axis=-1)
-        return params[..., : self.n_theta], q
-
     def evaluate(self, params, data, order):
-        theta, qv = self.split(params)
+        theta, free = params[..., : self.n_theta], np.exp(params[..., self.n_theta :])
+        qv = np.concatenate([free, np.ones(free.shape[:-1] + (1,))], axis=-1)  # q, q_S = 1
         X, s = data.X, data.sample - 1
         Z = _design(X)
         eta = (Z @ theta[..., None])[..., 0]  # (..., N)
         a = self.weights.w / qv  # (..., S)
-        Q, *dQ = self.wspec.evaluate(eta, order)  # each (..., N, S)
+        Q, *dQ = self.wspec(eta, order)  # each (..., N, S)
         denom = (Q @ a[..., None])[..., 0]  # (..., N)
-        log_f, *df = self.family.evaluate(data.y, eta, order)
+        log_f, *df = self.family(data.y, eta, order)
         if order == 0:
             off = Q[..., np.arange(len(s)), s] <= 0.0
             dead = denom <= 0.0

@@ -23,6 +23,13 @@ def _t(M):
     return np.swapaxes(M, -1, -2)
 
 
+def _vecmat(u, M):
+    """u @ M for each vector u of a stack (..., k), as one (1, k) @ (k, m)
+    product per stack item, so that an item's bits do not depend on the
+    stack it is in."""
+    return (u[..., None, :] @ M)[..., 0, :]
+
+
 def solve_or_nan(system, rhs):
     """Solve each system[r] x = rhs[r] (one vector or a stack of them);
     NaN rows where one is singular."""

@@ -42,13 +42,12 @@ from .logistic import (
     build_full_mle_model,
     build_identifiable_model,
     build_nonidentifiable_model,
-    casecontrol_family,
-    casecontrol_weight_spec,
+    casecontrol_reparam_model,
     leprosy_dataset,
 )
 from .optimize import FitConfig, maximize
 from .reparam import (
-    FStarEstimate, QVector, ReparamModel, check_normalization, fixed_point_q, fstar_empirical,
+    FStarEstimate, QVector, ReparamModel, check_normalization, fixed_point_q,
 )
 from .structured import dense
 
@@ -347,18 +346,6 @@ def monte_carlo_variance(
         empirical_sd=coefs.std(axis=0, ddof=1),
         mean_model_se=ses.mean(axis=0),
         n_failed=len(failures),
-    )
-
-
-def casecontrol_reparam_model(dataset):
-    """Generic reparametrized model (theta = (alpha, beta), nuisance
-    q = (q_1, 1)) for a two-stratum case-control dataset, with the sample
-    weights and covariate labels of the dataset."""
-    weights = compute_weights(dataset)
-    fstar = fstar_empirical(dataset, weights)
-    return ReparamModel(
-        casecontrol_weight_spec(), casecontrol_family(), fstar, weights,
-        ("alpha",) + dataset.labels,
     )
 
 

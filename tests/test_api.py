@@ -16,8 +16,7 @@ EXPORTED = {
     "ModelSpec", "aggregate_hessian", "aggregate_score", "log_likelihood",
     "leprosy_dataset", "transform_age",
     "FitConfig", "FitResult", "maximize",
-    "ConditionalFamily", "ReparamModel", "WeightFunctionSpec",
-    "check_normalization", "fixed_point_q",
+    "ReparamModel", "check_normalization", "fixed_point_q",
     "__version__",
 }
 

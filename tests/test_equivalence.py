@@ -27,11 +27,11 @@ from semest.logistic import (
     build_full_mle_model,
     build_identifiable_model,
     build_nonidentifiable_model,
+    casecontrol_reparam_model,
     transform_age,
 )
 from semest.structured import DiagPlusLowRank, StructuredHessian, dense
 from semest.validate import (
-    casecontrol_reparam_model,
     default_mc_design,
     fd_gradient,
     fd_hessian,

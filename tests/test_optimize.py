@@ -4,10 +4,29 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from semest import EvaluationError, FitConfig, MultisampleDataset, log_likelihood, maximize
+from semest import (
+    EvaluationError, FitConfig, ModelSpec, MultisampleDataset, log_likelihood, maximize,
+)
 from semest.logistic import (
     build_full_mle_model, build_identifiable_model, build_nonidentifiable_model,
 )
+
+ONE_ROW = MultisampleDataset.from_columns(np.zeros((1, 1)), [1], [1])
+
+
+class OneParameter(ModelSpec):
+    """The log-likelihood f(x) of one parameter x on a one-row dataset,
+    given as f and its first two derivatives, each on an array of x."""
+
+    param_labels = ("x",)
+    interest_idx = (0,)
+
+    def __init__(self, *derivatives):
+        self.derivatives = derivatives
+
+    def evaluate(self, params, data, order):
+        value = self.derivatives[order](params[..., 0])
+        return value[..., None] if order == 0 else value[..., None, None]
 
 
 def test_fit_config_validation():
@@ -17,6 +36,8 @@ def test_fit_config_validation():
         FitConfig(max_iter=0)
     with pytest.raises(ValueError):
         FitConfig(grad_tol=float("nan"))
+    with pytest.raises(ValueError):  # every fit would stop at once, "converged"
+        FitConfig(grad_tol=float("inf"))
 
 
 def test_converges_quickly(leprosy):
@@ -128,3 +149,49 @@ def test_mle_fit_memory_does_not_grow_with_rows_times_support():
         tracemalloc.stop()
     assert fit.converged
     assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_line_search_that_never_passes_stops_at_maximum_damping():
+    """Finite only at its start: every trial step is rejected, the damping
+    rises tenfold per iteration from 1e-8 to its cap 1e2, and the fit then
+    stops, unconverged."""
+    model = OneParameter(
+        lambda x: np.where(x == 0.0, 0.0, -np.inf), np.ones_like, lambda x: -np.ones_like(x)
+    )
+    fit = maximize(model, ONE_ROW)
+    assert not fit.converged
+    assert fit.iterations == 11
+    assert fit.params.tolist() == [0.0]
+    assert fit.warnings[0] == "line search stalled at maximum damping"
+
+
+def test_damping_rises_until_the_direction_ascends():
+    """x^2 - 0.1 x^4 is convex at 0.1: the undamped Newton direction
+    descends, so the damping rises until it ascends, and the fit reaches
+    the maximum at sqrt(5)."""
+    model = OneParameter(
+        lambda x: x**2 - 0.1 * x**4, lambda x: 2 * x - 0.4 * x**3, lambda x: 2 - 1.2 * x**2
+    )
+    fit = maximize(model, ONE_ROW, init=np.array([0.1]))
+    assert fit.converged
+    assert fit.params[0] == pytest.approx(np.sqrt(5.0), rel=1e-12)
+
+
+def test_batch_with_one_singular_newton_system():
+    """x + 1e-8 x^2 / 2 - x^4 / 4 has curvature 1e-8 at 0, the initial
+    damping: the damped system of the fit started there is exactly
+    singular.  It is solved one fit at a time, and each fit of the batch
+    is bit-identical to the same fit run alone."""
+    model = OneParameter(
+        lambda x: x + 0.5e-8 * x**2 - 0.25 * x**4,
+        lambda x: 1 + 1e-8 * x - x**3,
+        lambda x: 1e-8 - 3 * x**2,
+    )
+    init = np.array([[0.0], [0.5]])
+    fit = maximize(model, ONE_ROW, init=init)
+    assert fit.converged.all()
+    for r in range(2):
+        alone = maximize(model, ONE_ROW, init=init[r])
+        np.testing.assert_array_equal(fit.params[r], alone.params)
+        assert fit.iterations[r] == alone.iterations
+    np.testing.assert_allclose(fit.params[:, 0], 1.0, rtol=1e-8)  # the root of the score

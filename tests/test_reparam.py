@@ -18,14 +18,12 @@ from semest import (
 from semest.data import positions
 from semest.likelihood import aggregate_hessian, aggregate_score, evaluate
 from semest.logistic import (
-    build_nonidentifiable_model, casecontrol_family, casecontrol_weight_spec,
+    build_nonidentifiable_model, casecontrol_family, casecontrol_reparam_model,
+    casecontrol_weight_spec,
 )
-from semest.reparam import (
-    ConditionalFamily, FStarEstimate, QVector, ReparamModel, WeightFunctionSpec, fstar_empirical,
-)
+from semest.reparam import FStarEstimate, QVector, ReparamModel, fstar_empirical
 from semest.validate import (
     ToyInstance,
-    casecontrol_reparam_model,
     check_stationarity,
     default_mc_design,
     fd_gradient,
@@ -98,9 +96,8 @@ def test_fixed_point_matches_enumeration():
         beta=[np.log(2.0)],
         weights=Weights([0.5, 0.5]),
     )
-    wspec = casecontrol_weight_spec()
     fstar = toy.population_fstar()
-    qhat = fixed_point_q(wspec, toy.theta, fstar, toy.weights)
+    qhat = fixed_point_q(casecontrol_weight_spec, toy.theta, fstar, toy.weights)
     expected = np.array([toy.stratum_prob(1), toy.stratum_prob(2)])
     expected = expected / expected[-1]
     np.testing.assert_allclose(qhat.q, expected, atol=1e-10)
@@ -125,7 +122,7 @@ def test_score_q_aggregate_identity(leprosy, leprosy_weights):
     total_wform = np.zeros(1)
     w = leprosy_weights.w
     for obs in leprosy.observations:
-        (Q,) = wspec.evaluate(np.concatenate([[1.0], obs.x]) @ theta, 0)
+        (Q,) = wspec(np.concatenate([[1.0], obs.x]) @ theta, 0)
         denom = float(np.sum(w * Q / q.q))
         wform = (w[0] * Q[0] / q.q[0] ** 2) / denom - w[0] / q.q[0]
         total_wform += obs.multiplicity * wform
@@ -133,7 +130,7 @@ def test_score_q_aggregate_identity(leprosy, leprosy_weights):
 
 
 def test_zero_mass_errors(leprosy_weights):
-    wspec = WeightFunctionSpec(lambda eta, order: (np.zeros(np.shape(eta) + (2,)),))
+    wspec = lambda eta, order: (np.zeros(np.shape(eta) + (2,)),)
     fstar = FStarEstimate(np.array([[0.0]]), np.array([1.0]))
     q = QVector.from_free([1.0])
     with pytest.raises(EvaluationError, match="zero selection mass"):
@@ -149,10 +146,9 @@ def _inconsistent_model(leprosy, weights):
         q1 = np.maximum(eta, 0.0)
         return (np.stack([q1, np.ones_like(q1)], axis=-1),)
 
-    wspec = WeightFunctionSpec(q_weight)
-    family = ConditionalFamily(lambda y, eta, order: (0.0,))
+    family = lambda y, eta, order: (0.0,)
     labels = ("t", "b1", "b2")
-    return ReparamModel(wspec, family, fstar_empirical(leprosy, weights), weights, labels)
+    return ReparamModel(q_weight, family, fstar_empirical(leprosy, weights), weights, labels)
 
 
 def test_inconsistent_stratum_error(leprosy, leprosy_weights):
@@ -176,7 +172,7 @@ def test_normalization_linearity_and_single_stratum(leprosy, leprosy_weights):
     assert total == pytest.approx(0.9, abs=1e-12)
 
     # degenerate single-stratum design: the identity is exactly 1
-    wspec1 = WeightFunctionSpec(lambda eta, order: (np.ones(np.shape(eta) + (1,)),))
+    wspec1 = lambda eta, order: (np.ones(np.shape(eta) + (1,)),)
     total1 = check_normalization(
         wspec1, np.zeros(3), QVector([1.0]), model.fstar, Weights([1.0])
     )
@@ -272,7 +268,7 @@ def test_order2_takes_per_vector_multiplicities():
     toy = default_mc_design()
     _, cells, _ = replicate_fits(toy, n_rep=4, seed=3)
     model = ReparamModel(
-        casecontrol_weight_spec(), casecontrol_family(), toy.population_fstar(),
+        casecontrol_weight_spec, casecontrol_family, toy.population_fstar(),
         Weights(cells.sample_sizes / cells.n), ("alpha",) + toy.labels,
     )
     stack = np.random.default_rng(4).uniform(-0.5, 0.5, size=(4, model.n_params))

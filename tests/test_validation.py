@@ -6,11 +6,11 @@ import pytest
 
 from semest import ConvergenceError, FitConfig, Weights
 from semest.inference import efficient_information, info_blocks_moments
+from semest.logistic import casecontrol_reparam_model
 from semest.validate import (
     MAX_OUTCOMES,
     ToyInstance,
     brute_force_info,
-    casecontrol_reparam_model,
     check_stationarity,
     default_mc_design,
     enumerated_centered_scores,
