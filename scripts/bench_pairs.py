@@ -14,8 +14,10 @@ With ``--trace 0`` the result goes to ``out[section][workload]``: the seeds,
 the exit codes, whether every output check passed, the failed and attempted
 operations, and for every end-to-end metric both sides' runs, medians and
 quartiles, the ratio of medians, the pairs the change won (ties count for
-neither side) and whether the medians differ by more than the parent's
-interquartile range.  With ``--trace 1`` (one run per side, on the first
+neither side), whether the medians differ by more than the parent's
+interquartile range, and whether the change's median is worse than the
+parent's by more than the metric's ``bound`` in the parent's
+``BENCHMARK.json`` (null for a metric without one).  With ``--trace 1`` (one run per side, on the first
 seed) it goes to ``out["traced"][workload]``: the exit code, the "not traced"
 line if the run printed one, and every per-layer metric; one traced run per
 side shows where time went, not a ratio.  Other entries of ``--out`` are
@@ -77,7 +79,14 @@ def quartiles(xs):
     return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": xs}
 
 
-def summarize(runs):
+def bounds_of(checkout):
+    """The regression bound, a share of the parent's median, of each
+    end-to-end metric in ``checkout``'s ``BENCHMARK.json``."""
+    spec = json.loads((Path(checkout) / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+def summarize(runs, bounds):
     """Per-metric pair statistics from ``runs[side][i]`` (saved records)."""
     metrics = {}
     for name in GATED + UNGATED:
@@ -91,6 +100,11 @@ def summarize(runs):
         parent = quartiles([p for p, _ in pairs])
         change = quartiles([c for _, c in pairs])
         wins = sum((c > p) if higher else (c < p) for p, c in pairs)
+        bound = bounds.get(name)
+        worse = None
+        if bound is not None:
+            sign = -1 if higher else 1
+            worse = sign * (change["median"] - parent["median"]) > bound * parent["median"]
         metrics[name] = {
             "gated": name in GATED,
             "unit": next(r["metrics"][name]["unit"] for r in runs["parent"]
@@ -102,6 +116,8 @@ def summarize(runs):
             "pairs": len(pairs),
             "medians_differ_by_more_than_parent_iqr": None if parent["iqr"] is None
                 else abs(change["median"] - parent["median"]) > parent["iqr"],
+            "bound": bound,
+            "worse_than_bound": worse,
         }
     return metrics
 
@@ -125,7 +141,7 @@ def paired(args, seeds):
                     for s in SIDES},
         "failed_ops": {s: sum(r["failed"] for r in done[s]) for s in SIDES},
         "attempted_ops": {s: sum(r["attempted"] for r in done[s]) for s in SIDES},
-        "metrics": summarize(runs),
+        "metrics": summarize(runs, bounds_of(args.parent)),
     }
 
 
@@ -176,7 +192,8 @@ def main(argv=None):
             print(f"{args.workload:13s} {name:22s} parent {m['parent']['median']:.6g} "
                   f"change {m['change']['median']:.6g} ratio {m['ratio_of_medians']:.4f} "
                   f"wins {m['pair_wins']}/{m['pairs']} "
-                  f"beyond parent IQR: {m['medians_differ_by_more_than_parent_iqr']}")
+                  f"beyond parent IQR: {m['medians_differ_by_more_than_parent_iqr']} "
+                  f"worse than bound: {m['worse_than_bound']}")
     out_path.write_text(json.dumps(out, indent=1) + "\n")
     return 0
 

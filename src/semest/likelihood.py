@@ -176,7 +176,10 @@ def aggregate_hessian(model, params, dataset):
     raise naming the row or, in a stack, propagate."""
     theta = np.asarray(params, dtype=float)
     total = _quiet_totals(model, theta, dataset, 2)
-    if theta.ndim == 1 and not np.all(np.isfinite(hessian_entries(total))):
+    # a finite sum has finite entries; the entries are read only if it is not
+    if theta.ndim == 1 and not (
+        np.isfinite(total.sum()) or np.isfinite(hessian_entries(total)).all()
+    ):
         rows = np.array([  # find the offending row
             hessian_entries(evaluate(model, theta, observation_rows(o), 2))
             for o in dataset.observations

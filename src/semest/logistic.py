@@ -46,16 +46,10 @@ def transform_age(age):
     return float(out) if out.ndim == 0 else out
 
 
-def _sigmoid(t):
-    """Logistic function, stable for any sign of t."""
-    e = np.exp(-np.abs(t))
-    return np.where(t >= 0, 1.0, e) / (1.0 + e)
-
-
 def _sigmoid_pair(t):
     """mu = 1 / (1 + e^-t) and its complement 1 - mu, both from one
     exp(-|t|): each keeps its relative precision where the other rounds
-    to 1, for any sign of t.  ``_sigmoid`` gives mu alone for less."""
+    to 1, for any sign of t."""
     e = np.exp(-np.abs(t))
     up, d = t >= 0, 1.0 + e
     return np.where(up, 1.0, e) / d, np.where(up, e, 1.0) / d
@@ -72,9 +66,10 @@ class CaseControlLogisticModel(ModelSpec):
     (see the module docstring), or either composed with a basis.
 
     Every order takes a stack of parameter vectors, with per-vector row
-    multiplicities at order 2 (the Monte Carlo replicates fitted as one
-    batch).  The linear predictor u and the fitted probabilities of the
-    last point evaluated are kept for the next call at the same point.
+    multiplicities (the Monte Carlo replicates fitted as one batch).  The
+    linear predictor u, t = u + log w1 - log w0, exp(-|t|) and the fitted
+    probabilities of the last point evaluated are kept for the next call at
+    the same point.
     """
 
     def __init__(self, weights: Weights, param_labels, interest_idx, design_map):
@@ -84,25 +79,43 @@ class CaseControlLogisticModel(ModelSpec):
         self._log_w0 = np.log(weights.w[0])
         self._log_w1 = np.log(weights.w[1])
         self._X = self._Z = None  # the last covariate array seen, and its design
-        self._key = self._u = self._mu = None  # the last point on it, and its u and mu
+        self._key = self._point = self._mu = None  # the last point on it, (u, t, e) and mu
 
-    def evaluate(self, params, data, order):
+    def _at(self, params, data):
+        """The design Z of ``data`` and u, t and e = exp(-|t|) at ``params``."""
         if data.X is not self._X:  # a fit evaluates one dataset many times
             self._X, self._Z, self._key = data.X, _design(data.X) @ self._map, None
-        Z = self._Z
         key = (params.shape, params.tobytes())
         if key != self._key:  # a Newton step evaluates one point at orders 0, 1, 2
-            self._key, self._u, self._mu = key, (Z @ params[..., None])[..., 0], None
-        u = self._u
-        if order == 0:
-            return data.y * u - np.logaddexp(self._log_w0, self._log_w1 + u)
-        if self._mu is None:  # w1 e^u / (w0 + w1 e^u)
-            self._mu = _sigmoid(u + self._log_w1 - self._log_w0)
-        mu = self._mu
+            u = (self._Z @ params[..., None])[..., 0]
+            t = u + self._log_w1 - self._log_w0
+            self._key, self._point, self._mu = key, (u, t, np.exp(-np.abs(t))), None
+        return self._Z, self._point
+
+    def _fitted(self, params, data):
+        """Z and mu = w1 e^u / (w0 + w1 e^u) at ``params``, from the cached e."""
+        Z, (_, t, e) = self._at(params, data)
+        if self._mu is None:
+            self._mu = np.where(t >= 0, 1.0, e) / (1.0 + e)
+        return Z, self._mu
+
+    def evaluate(self, params, data, order):
+        if order == 0:  # log(w0 + w1 e^u) = log w0 + max(t, 0) + log(1 + e)
+            _, (u, t, e) = self._at(params, data)
+            return data.y * u - (self._log_w0 + np.maximum(t, 0.0) + np.log1p(e))
+        Z, mu = self._fitted(params, data)
         if order == 1:
             return (data.y - mu)[..., None] * Z
         weighted = Z * (data.multiplicity * mu * (1.0 - mu))[..., None]
         return -weighted.swapaxes(-1, -2) @ Z
+
+    def totals(self, params, data, order):
+        """The default totals, with the total score as one product with Z:
+        no per-row (N, d) score array."""
+        if order != 1:
+            return super().totals(params, data, order)
+        Z, mu = self._fitted(params, data)
+        return _vecmat(data.multiplicity * (data.y - mu), Z)
 
     def init_params(self, dataset):
         init = np.zeros(self.n_params)

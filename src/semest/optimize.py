@@ -9,6 +9,8 @@ the gradient norm alone, regardless of flat directions.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -36,8 +38,12 @@ class FitConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not 0 < self.grad_tol < np.inf or self.max_iter <= 0:
-            raise ValueError("tolerances and iteration caps must be positive and finite")
+        count = self.max_iter
+        integral = isinstance(count, numbers.Integral) and not isinstance(count, bool)
+        if not 0 < self.grad_tol < np.inf or not integral or count <= 0:
+            raise ValueError(
+                "tolerances must be positive and finite, iteration caps positive integers"
+            )
 
 
 @dataclass
@@ -65,41 +71,138 @@ class FitResult:
         return self
 
 
-def _objective(model, params, dataset):
+# The messages a fit stops with, the same from the single-fit and batch loops
+_NOT_FINITE_START = "objective is not finite at params {}"
+_NOT_FINITE_GRADIENT = "non-finite gradient at params {}"
+_STALLED = "line search stalled at maximum damping"
+_NOT_REACHED = "did not reach grad_tol={:g}: grad_norm={:.3e}"
+
+_INADMISSIBLE = (EvaluationError, FloatingPointError, OverflowError)
+
+
+def _objective(model, x, dataset):
+    """Objective at one parameter vector, -inf where it is inadmissible."""
+    try:
+        f = log_likelihood(model, x, dataset)
+    except _INADMISSIBLE:
+        return -math.inf
+    return f if math.isfinite(f) else -math.inf
+
+
+def _objectives(model, x, dataset):
     """Objective of each parameter vector of the stack, -inf where the
     point is inadmissible."""
     try:
-        vals = log_likelihood(model, params, dataset)
-    except (EvaluationError, FloatingPointError, OverflowError):
-        return np.full(len(params), -np.inf)
+        vals = log_likelihood(model, x, dataset)
+    except _INADMISSIBLE:
+        return np.full(len(x), -np.inf)
     return np.where(np.isfinite(vals), vals, -np.inf)
 
 
-def _every(rows):
-    """``rows.all()``, cheaper on the short masks of a batch."""
-    return np.count_nonzero(rows) == len(rows)
+def _finite(gnorm, hess):
+    """Whether the gradient norm and every Hessian entry of each fit are
+    finite (the exact test, where a sum of them is not finite)."""
+    return np.isfinite(gnorm) & np.isfinite(hessian_entries(hess)).all(axis=-1)
 
 
 def _damped_solve(hess, grad, lam, eye):
-    """d from (-H + lam I) d = g, one system per fit; NaN rows where one is
-    singular.  A structured Hessian is solved by block elimination (and
-    ``eye`` is None: no dense identity is formed)."""
+    """d from (-H + lam I) d = g, for one fit or one system per fit of a
+    batch; NaN where a system is singular.  A structured Hessian is solved
+    by block elimination (and ``eye`` is None: no dense identity is formed)."""
     if eye is None:
         return hess.solve(-grad, -lam)
-    return solve_or_nan(-hess + lam[:, None, None] * eye, grad)
+    return solve_or_nan(np.asarray(lam)[..., None, None] * eye - hess, grad)
+
+
+def _newton_direction(hess, grad, lam, eye):
+    """Newton direction of one fit from (-H + lam I) d = g, escalating the
+    damping lam until the system solves and gives an ascent direction, or,
+    at the cap, falling back to steepest ascent.  Returns (direction,
+    slope g'd, damping)."""
+    while True:
+        d = _damped_solve(hess, grad, lam, eye)
+        slope = grad @ d
+        # a non-finite entry of d makes the slope non-finite; a finite d
+        # can still overflow it
+        if slope > 0 and (slope < math.inf or np.isfinite(d).all()):
+            return d, slope, lam
+        if lam >= DAMPING_MAX:
+            return grad, grad @ grad, lam
+        lam = min(lam * DAMPING_FACTOR, DAMPING_MAX)
+
+
+def _line_search(model, dataset, x, f, d, slope):
+    """Backtracking from x along d: the first step of 1, 1/2, 1/4, ... (at
+    most MAX_HALVINGS halvings) whose objective passes the Armijo test.
+    Returns (x, f) there, or None where no step passed."""
+    # Near the optimum the predicted gain can sink below the rounding noise
+    # of the summed log-likelihood; a strict Armijo test would then reject
+    # exact Newton steps, so allow losses within the noise.
+    noise_tol = 1e-11 * max(1.0, abs(f))
+    step = 1.0
+    for _ in range(MAX_HALVINGS + 1):
+        trial = x + step * d
+        f_trial = _objective(model, trial, dataset)
+        if f_trial >= f + ARMIJO * step * slope - noise_tol:
+            return trial, f_trial
+        step *= 0.5
+    return None
+
+
+def _derivatives(model, x, dataset):
+    """Gradient, Hessian and gradient norm of one fit at x; EvaluationError
+    where they are not finite."""
+    try:
+        grad = aggregate_score(model, x, dataset)
+        hess = aggregate_hessian(model, x, dataset)
+    except EvaluationError as exc:
+        raise EvaluationError(_NOT_FINITE_GRADIENT.format(x), params=x) from exc
+    gnorm = float(np.abs(grad).max())
+    if not (math.isfinite(gnorm + hess.sum()) or _finite(gnorm, hess)):
+        raise EvaluationError(_NOT_FINITE_GRADIENT.format(x), params=x)
+    return grad, hess, gnorm
+
+
+def _fit_one(model, dataset, x, cfg):
+    """``maximize`` for one start x (d,): the damping, objective, gradient
+    norm and iteration count are Python numbers."""
+    t0 = time.perf_counter()
+    f = _objective(model, x, dataset)
+    if f == -math.inf:
+        raise EvaluationError(_NOT_FINITE_START.format(x), params=x)
+    grad, hess, gnorm = _derivatives(model, x, dataset)
+    eye = None if isinstance(hess, StructuredHessian) else np.eye(len(x))
+    lam, it, stalled = DAMPING_INIT, 0, False
+    while it < cfg.max_iter and gnorm > cfg.grad_tol:
+        it += 1
+        d, slope, lam = _newton_direction(hess, grad, lam, eye)
+        step = _line_search(model, dataset, x, f, d, slope)
+        if step is None:  # more damping, or a stop at the cap
+            stalled = lam >= DAMPING_MAX
+            if stalled:
+                break
+            lam = min(lam * DAMPING_FACTOR, DAMPING_MAX)
+            continue
+        (x, f), lam = step, max(lam / DAMPING_FACTOR, DAMPING_INIT)
+        grad, hess, gnorm = _derivatives(model, x, dataset)
+
+    runtime = time.perf_counter() - t0
+    warnings = [_STALLED] if stalled else []
+    converged = not stalled and gnorm <= cfg.grad_tol
+    if not converged:
+        warnings.append(_NOT_REACHED.format(cfg.grad_tol, gnorm))
+    return FitResult(x, f, it, gnorm, converged, hess, warnings, runtime)
 
 
 def _newton_directions(hess, grad, lam, rows, eye):
-    """Newton direction from (-H + lam I) d = g for each of ``rows``,
-    escalating a row's damping lam until its system solves and gives an
-    ascent direction, or, at the cap, falling back to steepest ascent.
-    Returns (directions, slopes g'd, damping)."""
+    """``_newton_direction`` for each of ``rows`` of a batch, each with its
+    own damping.  Returns (directions, slopes g'd, damping)."""
     d = slope = None
     while True:
         cand = _damped_solve(hess, grad, lam, eye)
         gain = _vecmat(grad, cand[..., None])[..., 0]
         ok = rows & np.isfinite(cand).all(axis=-1) & (gain > 0)
-        if _every(ok):
+        if ok.all():
             return cand, gain, lam
         if d is None:  # rows that never get a Newton direction keep steepest ascent
             d, slope = grad, _vecmat(grad, grad[..., None])[..., 0]
@@ -111,21 +214,16 @@ def _newton_directions(hess, grad, lam, rows, eye):
         lam = np.where(rows, np.minimum(lam * DAMPING_FACTOR, DAMPING_MAX), lam)
 
 
-def _line_search(model, dataset, x, f, d, slope, rows):
-    """Backtracking from x along d for each of ``rows``: the first step of
-    1, 1/2, 1/4, ... (at most MAX_HALVINGS halvings) whose objective passes
-    the Armijo test.  Returns (x, f, stuck): the rows where no step passed
-    keep their x and f."""
-    # Near the optimum the predicted gain can sink below the rounding noise
-    # of the summed log-likelihood; a strict Armijo test would then reject
-    # exact Newton steps, so allow losses within the noise.
-    noise_tol = 1e-11 * np.maximum(1.0, np.abs(f))
+def _line_searches(model, dataset, x, f, d, slope, rows):
+    """``_line_search`` for each of ``rows`` of a batch.  Returns (x, f,
+    stuck): the rows where no step passed keep their x and f."""
+    noise_tol = 1e-11 * np.maximum(1.0, np.abs(f))  # see _line_search
     step = 1.0  # the fits still searching share one step length
     for _ in range(MAX_HALVINGS + 1):
         trial = x + step * d
-        f_trial = _objective(model, trial, dataset)
+        f_trial = _objectives(model, trial, dataset)
         ok = rows & (f_trial >= f + ARMIJO * step * slope - noise_tol)
-        if _every(ok):
+        if ok.all():
             return trial, f_trial, ~ok
         x = np.where(ok[:, None], trial, x)
         f = np.where(ok, f_trial, f)
@@ -136,24 +234,8 @@ def _line_search(model, dataset, x, f, d, slope, rows):
     return x, f, rows
 
 
-def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResult:
-    """Maximize the multisample log-likelihood of ``model`` on ``dataset``.
-
-    Deterministic: identical inputs give bit-identical iterates.  Accepted
-    steps never decrease the objective.  Non-convergence is reported in the
-    result, never silently; a non-finite objective or gradient is an error.
-
-    ``init`` of shape (R, d) runs R fits as one batch, each with its own
-    damping, line search, iteration count and stopping rule (``dataset``
-    may carry per-fit multiplicities (R, N)), and returns them with a
-    leading R axis.  A fit whose objective or gradient is not finite stops
-    there, unconverged, with that error as its last warning, and the others
-    go on.  Each fit's iterates are bit-identical to those of the same fit
-    run alone.
-    """
-    cfg = cfg or FitConfig()
-    start = model.init_params(dataset) if init is None else np.asarray(init, float)
-    x = np.array(np.atleast_2d(start), dtype=float)
+def _fit_batch(model, dataset, x, cfg):
+    """``maximize`` for a stack of starts x (R, d), with per-fit masks."""
     R = len(x)
     t0 = time.perf_counter()
     warnings = [[] for _ in range(R)]
@@ -173,14 +255,12 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
         hess = aggregate_hessian(model, x, dataset)
         gnorm = np.abs(grad).max(axis=-1)
         if not np.isfinite(gnorm.sum() + hess.sum()):  # some fit has a non-finite value
-            finite = np.isfinite(hessian_entries(hess)).all(axis=-1)
-            bad = rows & ~(np.isfinite(gnorm) & finite)
-            failed[stop(bad & live, "non-finite gradient at params {}")] = True
+            failed[stop(rows & live & ~_finite(gnorm, hess), _NOT_FINITE_GRADIENT)] = True
         return grad, hess, gnorm
 
     f = log_likelihood(model, x, dataset)
-    if not _every(np.isfinite(f)):
-        failed[stop(~np.isfinite(f), "objective is not finite at params {}")] = True
+    if not np.isfinite(f).all():
+        failed[stop(~np.isfinite(f), _NOT_FINITE_START)] = True
     grad, hess, gnorm = derivatives(np.ones(R, dtype=bool))
     eye = None if isinstance(hess, StructuredHessian) else np.eye(x.shape[1])
     lam = np.full(R, DAMPING_INIT)
@@ -191,14 +271,14 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
             break
         it += act
         d, slope, lam = _newton_directions(hess, grad, lam, act, eye)
-        x, f, stuck = _line_search(model, dataset, x, f, d, slope, act)
+        x, f, stuck = _line_searches(model, dataset, x, f, d, slope, act)
         # less damping after a step; without one more, or a stop at the cap
         # (a fit that is no longer active never resumes, so its lam may drift)
         lam_down = np.maximum(lam / DAMPING_FACTOR, DAMPING_INIT)
         if not np.count_nonzero(stuck):
             lam, moved = lam_down, act
         else:
-            stop(stuck & (lam >= DAMPING_MAX), "line search stalled at maximum damping")
+            stop(stuck & (lam >= DAMPING_MAX), _STALLED)
             lam = np.where(stuck, np.minimum(lam * DAMPING_FACTOR, DAMPING_MAX), lam_down)
             moved = act ^ stuck
             if not np.count_nonzero(moved):
@@ -208,16 +288,29 @@ def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResu
 
     runtime = time.perf_counter() - t0
     converged = live & (gnorm <= cfg.grad_tol)  # a stalled fit had gnorm > grad_tol
-    if not _every(converged):
-        for r in np.flatnonzero(~converged & ~failed):
-            warnings[r].append(
-                f"did not reach grad_tol={cfg.grad_tol:g}: grad_norm={gnorm[r]:.3e}"
-            )
-    if np.ndim(start) > 1:
-        return FitResult(x, f, it, gnorm, converged, hess, warnings, runtime)
-    if failed[0]:
-        raise EvaluationError(warnings[0][-1], params=x[0])
-    return FitResult(
-        x[0], float(f[0]), int(it[0]), float(gnorm[0]), bool(converged[0]), hess[0],
-        warnings[0], runtime,
-    )
+    for r in np.flatnonzero(~converged & ~failed):
+        warnings[r].append(_NOT_REACHED.format(cfg.grad_tol, gnorm[r]))
+    return FitResult(x, f, it, gnorm, converged, hess, warnings, runtime)
+
+
+def maximize(model, dataset, init=None, cfg: FitConfig | None = None) -> FitResult:
+    """Maximize the multisample log-likelihood of ``model`` on ``dataset``.
+
+    Deterministic: identical inputs give bit-identical iterates.  Accepted
+    steps never decrease the objective.  Non-convergence is reported in the
+    result, never silently; a non-finite objective or gradient is an
+    EvaluationError carrying the params.
+
+    ``init`` of shape (R, d) runs R fits as one batch, each with its own
+    damping, line search, iteration count and stopping rule (``dataset``
+    may carry per-fit multiplicities (R, N)), and returns them with a
+    leading R axis.  A fit whose objective or gradient is not finite stops
+    there, unconverged, with that error as its last warning, and the others
+    go on.  A single start (d,) runs a loop without the batch's per-fit
+    masks, and its iterates are bit-identical to those of the same start
+    run as a batch of one.
+    """
+    cfg = cfg or FitConfig()
+    start = model.init_params(dataset) if init is None else init
+    x = np.array(start, dtype=float)
+    return (_fit_one if x.ndim == 1 else _fit_batch)(model, dataset, x, cfg)

@@ -135,6 +135,27 @@ def test_array_model_nonfinite_names_the_row(leprosy, quantity):
     )
 
 
+class NaNHessianInSample2(ModelSpec):
+    """Finite log-densities and scores; the summed Hessian is NaN where the
+    rows include one of sample 2."""
+
+    param_labels = ("a",)
+
+    def evaluate(self, params, data, order):
+        if order < 2:
+            rows = np.zeros(len(data.sample))
+            return rows if order == 0 else rows[:, None]
+        return np.full((1, 1), np.nan if (data.sample == 2).any() else 0.0)
+
+
+def test_nonfinite_hessian_names_the_row(leprosy):
+    with pytest.raises(EvaluationError, match="non-finite Hessian") as exc:
+        aggregate_hessian(NaNHessianInSample2(), np.zeros(1), leprosy)
+    first = int(np.flatnonzero(leprosy.sample == 2)[0])
+    assert exc.value.observation.sample == 2
+    assert exc.value.observation.x.tolist() == leprosy.X[first].tolist()
+
+
 def test_nuisance_idx_complement():
     m = GaussianLocation()
     assert m.nuisance_idx == (1,)
