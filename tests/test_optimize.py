@@ -44,11 +44,10 @@ def _first_of_batch(fit):
     return FitResult(*(getattr(fit, f.name)[0] for f in fields[:-1]), fit.runtime)
 
 
-def _fit_one_start(model, dataset, start, batch, cfg=None):
-    """``maximize`` from one start (d,), run alone or as a batch of one."""
-    if not batch:
-        return maximize(model, dataset, init=start, cfg=cfg)
-    return _first_of_batch(maximize(model, dataset, init=start[None], cfg=cfg))
+def _alone_and_as_a_batch_of_one(model, dataset, start):
+    """``maximize`` from one start (d,), run alone, then as a batch of one."""
+    yield maximize(model, dataset, init=start)
+    yield _first_of_batch(maximize(model, dataset, init=start[None]))
 
 
 def test_fit_config_validation():
@@ -177,36 +176,33 @@ def test_mle_fit_memory_does_not_grow_with_rows_times_support():
     assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch-of-one"])
-def test_line_search_that_never_passes_stops_at_maximum_damping(batch):
+def test_line_search_that_never_passes_stops_at_maximum_damping():
     """Finite only at its start: every trial step is rejected, the damping
     rises tenfold per iteration from 1e-8 to its cap 1e2, and the fit then
     stops, unconverged."""
     model = OneParameter(
         lambda x: np.where(x == 0.0, 0.0, -np.inf), np.ones_like, lambda x: -np.ones_like(x)
     )
-    fit = _fit_one_start(model, ONE_ROW, np.zeros(1), batch)
-    assert not fit.converged
-    assert fit.iterations == 11
-    assert fit.params.tolist() == [0.0]
-    assert fit.warnings[0] == "line search stalled at maximum damping"
+    for fit in _alone_and_as_a_batch_of_one(model, ONE_ROW, np.zeros(1)):
+        assert not fit.converged
+        assert fit.iterations == 11
+        assert fit.params.tolist() == [0.0]
+        assert fit.warnings[0] == "line search stalled at maximum damping"
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch-of-one"])
-def test_damping_rises_until_the_direction_ascends(batch):
+def test_damping_rises_until_the_direction_ascends():
     """x^2 - 0.1 x^4 is convex at 0.1: the undamped Newton direction
     descends, so the damping rises until it ascends, and the fit reaches
     the maximum at sqrt(5)."""
     model = OneParameter(
         lambda x: x**2 - 0.1 * x**4, lambda x: 2 * x - 0.4 * x**3, lambda x: 2 - 1.2 * x**2
     )
-    fit = _fit_one_start(model, ONE_ROW, np.array([0.1]), batch)
-    assert fit.converged
-    assert fit.params[0] == pytest.approx(np.sqrt(5.0), rel=1e-12)
+    for fit in _alone_and_as_a_batch_of_one(model, ONE_ROW, np.array([0.1])):
+        assert fit.converged
+        assert fit.params[0] == pytest.approx(np.sqrt(5.0), rel=1e-12)
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch-of-one"])
-def test_steepest_ascent_where_no_damping_gives_an_ascent_direction(batch):
+def test_steepest_ascent_where_no_damping_gives_an_ascent_direction():
     """x + 500 x^2 - x^4 / 4 has curvature 1000 at 0, beyond the damping
     cap 1e2: every damped Newton direction descends, so the fit steps along
     the gradient until the curvature turns negative, and reaches the
@@ -216,14 +212,13 @@ def test_steepest_ascent_where_no_damping_gives_an_ascent_direction(batch):
         lambda x: 1 + 1000 * x - x**3,
         lambda x: 1000 - 3 * x**2,
     )
-    fit = _fit_one_start(model, ONE_ROW, np.zeros(1), batch)
-    assert fit.converged
-    x = fit.params[0]
-    assert x > 31 and 1 + 1000 * x - x**3 == pytest.approx(0.0, abs=1e-6)
+    for fit in _alone_and_as_a_batch_of_one(model, ONE_ROW, np.zeros(1)):
+        assert fit.converged
+        x = fit.params[0]
+        assert x > 31 and 1 + 1000 * x - x**3 == pytest.approx(0.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch-of-one"])
-def test_batch_with_one_singular_newton_system(batch):
+def test_batch_with_one_singular_newton_system():
     """x + 1e-8 x^2 / 2 - x^4 / 4 has curvature 1e-8 at 0, the initial
     damping: the damped system of the fit started there is exactly
     singular.  It is solved one fit at a time, and each fit of the batch
@@ -237,9 +232,9 @@ def test_batch_with_one_singular_newton_system(batch):
     fit = maximize(model, ONE_ROW, init=init)
     assert fit.converged.all()
     for r in range(2):
-        alone = _fit_one_start(model, ONE_ROW, init[r], batch)
-        np.testing.assert_array_equal(fit.params[r], alone.params)
-        assert fit.iterations[r] == alone.iterations
+        for alone in _alone_and_as_a_batch_of_one(model, ONE_ROW, init[r]):
+            np.testing.assert_array_equal(fit.params[r], alone.params)
+            assert fit.iterations[r] == alone.iterations
     np.testing.assert_allclose(fit.params[:, 0], 1.0, rtol=1e-8)  # the root of the score
 
 
