@@ -33,7 +33,7 @@ from .analysis import (
     render_comparison,
 )
 from .data import load_casecontrol_csv, load_long_csv
-from .errors import ConvergenceError, DataError, EvaluationError, SemestError
+from .errors import DataError, SemestError
 from .optimize import FitConfig
 
 
@@ -254,9 +254,6 @@ def main(argv=None):
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, EvaluationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except SemestError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

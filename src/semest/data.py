@@ -84,6 +84,19 @@ def support_positions(support, data):
     return positions(support, data.support)[data.support_index]
 
 
+def _integers(values, what):
+    """``values`` as an int array; DataError names the first row that is not
+    a whole number (an integer dtype is taken as it is)."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "iu":
+        f = a.astype(float)
+        bad = ~np.isfinite(f) | (f != np.trunc(f))
+        if np.any(bad):
+            i = int(np.flatnonzero(bad)[0])
+            raise DataError(f"row {i}: {what} must be a whole number, got {a.flat[i]}")
+    return a.astype(int, copy=False)
+
+
 class ObservationView(Sequence):
     """Read-only sequence of a dataset's rows as ``Observation`` objects,
     each built when it is read."""
@@ -149,8 +162,8 @@ class MultisampleDataset:
             )
         self._set_columns(
             np.array([o.x for o in obs]),
-            np.array([o.sample for o in obs], dtype=int),
-            np.array([o.multiplicity for o in obs], dtype=int),
+            _integers([o.sample for o in obs], "sample index"),
+            _integers([o.multiplicity for o in obs], "multiplicity"),
             n_samples,
         )
         self.observations = obs
@@ -161,8 +174,8 @@ class MultisampleDataset:
         and multiplicities, and optionally one label per covariate column."""
         self = cls.__new__(cls)
         self._set_columns(
-            np.asarray(X, dtype=float), np.asarray(sample, dtype=int),
-            np.asarray(multiplicity, dtype=int), n_samples, labels,
+            np.asarray(X, dtype=float), _integers(sample, "sample index"),
+            _integers(multiplicity, "multiplicity"), n_samples, labels,
         )
         self.observations = ObservationView(self)
         return self
@@ -174,6 +187,9 @@ class MultisampleDataset:
             raise DataError("no observations")
         if not X.shape[1]:
             raise DataError("X must have at least one covariate column")
+        if not np.isfinite(X).all():
+            row = np.argmin(np.isfinite(X).all(axis=1))
+            raise DataError(f"row {row}: non-finite covariate")
         if labels is None:
             labels = [f"x{i + 1}" for i in range(X.shape[1])]
         if len(labels) != X.shape[1] or len(set(labels)) != len(labels):
@@ -325,7 +341,8 @@ def load_long_csv(path):
 
 
 def _casecontrol_columns(path):
-    """Checked raw columns age, scar, counts (controls, cases) of a CSV file."""
+    """File lines and checked raw columns age, scar, counts (controls,
+    cases) of a CSV file."""
     header, body = _read_csv(path)
     if header != ["age", "scar", "cases", "controls"]:
         raise DataError("expected header 'age,scar,cases,controls', got " + ",".join(header))
@@ -333,11 +350,12 @@ def _casecontrol_columns(path):
     counts = np.column_stack([controls, cases])
     _check_rows(lines, np.any(counts < 0, axis=1), "case and control counts must be >= 0")
     _check_rows(lines, ~(np.isfinite(age) & np.isfinite(scar)), "non-finite covariate")
-    return age, scar, counts
+    return lines, age, scar, counts
 
 
-def _casecontrol_dataset(age, scar, counts, transform=None):
-    x2 = age if transform is None else np.asarray(transform(age), dtype=float)
+def _casecontrol_dataset(x2, scar, counts):
+    """Grouped case-control dataset of the covariates (scar, x2) and the
+    counts (controls, cases) of each line."""
     X = np.column_stack([scar, x2])
     # one row per nonzero (line, stratum) count: controls, then cases
     line_idx, stratum = np.nonzero(counts > 0)
@@ -354,8 +372,19 @@ def load_casecontrol_csv(path, transform=None):
     Controls become sample 1 (y=0), cases sample 2 (y=1).  ``transform``
     maps raw age to the covariate actually used (identity if None); it is
     called once, on the array of all ages, and must return an array of the
-    same length.  The stored covariates are (scar, transformed age),
-    labelled Scar and Age.
+    same length.  Where it raises DataError, it is called again on one age
+    at a time, to name the line of the first age it rejects.  The stored
+    covariates are (scar, transformed age), labelled Scar and Age.
     Counts must be nonnegative; a zero count contributes no row.
     """
-    return _casecontrol_dataset(*_casecontrol_columns(path), transform=transform)
+    lines, age, scar, counts = _casecontrol_columns(path)
+    try:
+        x2 = age if transform is None else np.asarray(transform(age), dtype=float)
+    except DataError:
+        for i, line in enumerate(lines):
+            try:
+                transform(age[i : i + 1])
+            except DataError as exc:
+                raise DataError(f"line {line}: {exc}") from None
+        raise
+    return _casecontrol_dataset(x2, scar, counts)

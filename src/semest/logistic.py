@@ -376,4 +376,4 @@ def leprosy_dataset() -> MultisampleDataset:
     (scar, transform_age(age)).  Controls are sample 1, cases sample 2."""
     age, scar, cases, controls = np.array(LEPROSY_TABLE).T
     counts = np.column_stack([controls, cases]).astype(int)
-    return _casecontrol_dataset(age, scar, counts, transform=transform_age)
+    return _casecontrol_dataset(transform_age(age), scar, counts)

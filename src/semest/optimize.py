@@ -63,7 +63,16 @@ class FitResult:
     runtime: float = 0.0
 
     def require_converged(self):
-        if not self.converged:
+        """The result, when every fit converged; EvaluationError names the
+        fits of a batch that did not, each with its last warning."""
+        if np.ndim(self.converged):
+            failed = [f"fit {r}: {self.warnings[r][-1]}" for r in np.flatnonzero(~self.converged)]
+            if failed:
+                raise EvaluationError(
+                    f"{len(failed)} of {len(self.converged)} fits did not converge: "
+                    + "; ".join(failed)
+                )
+        elif not self.converged:
             raise EvaluationError(
                 f"fit did not converge (grad_norm={self.grad_norm:.3e} "
                 f"after {self.iterations} iterations)"

@@ -17,6 +17,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .analysis import METHODS, build_method
 from .data import MultisampleDataset, Observation, Weights, compute_weights, observation_rows
 from .errors import ConvergenceError, EvaluationError
 from .inference import (
@@ -39,9 +40,7 @@ from .likelihood import (
 from .logistic import (
     DiscreteG,
     FullMLELogisticModel,
-    build_full_mle_model,
     build_identifiable_model,
-    build_nonidentifiable_model,
     casecontrol_reparam_model,
     leprosy_dataset,
 )
@@ -385,135 +384,113 @@ def _row_sum_loglik(model, params, dataset):
         return ModelSpec.totals(model, params, dataset, 0)
 
 
-def _random_admissible(rng, dim, scale=1.0):
-    return scale * rng.uniform(-1.0, 1.0, size=dim)
+def _rel_err(value, fd):
+    """max |value - fd|, relative to max(1, max |fd|)."""
+    return float(np.max(np.abs(value - fd))) / max(1.0, float(np.max(np.abs(fd))))
+
+
+def _orthogonality_gap(cs, blocks, weights, sample_sizes):
+    """max |cov(efficient score, centered nuisance scores)|, each sample's
+    rows weighted by w_s / n_s."""
+    lstar = efficient_score(cs, blocks)
+    w_obs = weights.w[cs.sample - 1] * cs.multiplicity / sample_sizes[cs.sample - 1]
+    cov = (lstar * w_obs[:, None]).T @ cs.l2c
+    return float(np.max(np.abs(cov))) if cov.size else 0.0
 
 
 def run_suite(seed=0, mc=False, reps=500, inject_broken_score=False):
     """Run the full identity/oracle suite on the bundled dataset.  Returns
     a list of CheckResult; the optional Monte Carlo stage appends its
-    variance report as a final entry."""
+    variance report as a final entry.
+
+    Each method's model is built and fitted once; the finite-difference,
+    stationarity, orthogonality and Schur checks all read those objects."""
     rng = np.random.default_rng(seed)
     results = []
     dataset = leprosy_dataset()
     weights = compute_weights(dataset)
 
-    models = {
-        "identifiable": build_identifiable_model(dataset),
-        "non-identifiable": build_nonidentifiable_model(dataset),
-        "full-mle": build_full_mle_model(dataset),
+    def report(name, value, bound, what):
+        results.append(CheckResult(name, value < bound, f"{what} {value:.2e}"))
+
+    def guarded(name, bound, what, check, *args):
+        """``report`` of ``check(*args)``, or a failed check with the
+        message of what it raised (a singular nuisance block, say)."""
+        try:
+            report(name, check(*args), bound, what)
+        except Exception as exc:
+            results.append(CheckResult(name, False, str(exc)))
+
+    models = {method: build_method(dataset, method) for method in METHODS}
+    fd_models = {
+        "identifiable": models["reparam-id"],
+        "non-identifiable": models["reparam-nonid"],
+        "full-mle": models["mle"],
         "reparam-generic": casecontrol_reparam_model(dataset),
     }
     if inject_broken_score:
-        models["identifiable"] = _BrokenScoreModel(models["identifiable"])
+        fd_models["identifiable"] = _BrokenScoreModel(models["reparam-id"])
 
     # 1. finite-difference agreement, 20 random points per model
-    for name, model in models.items():
+    for name, model in fd_models.items():
+        f = lambda p: _row_sum_loglik(model, p, dataset)
         worst_g, worst_h = 0.0, 0.0
         for _ in range(20):
-            x = _random_admissible(rng, model.n_params, scale=0.5)
-            f = lambda p: _row_sum_loglik(model, p, dataset)
+            x = 0.5 * rng.uniform(-1.0, 1.0, size=model.n_params)
             g = aggregate_score(model, x, dataset)
-            g_fd = fd_gradient(f, x)
-            scale_g = max(1.0, float(np.max(np.abs(g_fd))))
-            worst_g = max(worst_g, float(np.max(np.abs(g - g_fd))) / scale_g)
+            worst_g = max(worst_g, _rel_err(g, fd_gradient(f, x)))
             h = dense(aggregate_hessian(model, x, dataset))
-            h_fd = fd_hessian(f, x)
-            scale_h = max(1.0, float(np.max(np.abs(h_fd))))
-            worst_h = max(worst_h, float(np.max(np.abs(h - h_fd))) / scale_h)
-        results.append(
-            CheckResult(
-                f"fd-score[{name}]", worst_g < 1e-6, f"max rel err {worst_g:.2e}"
-            )
-        )
-        results.append(
-            CheckResult(
-                f"fd-hessian[{name}]", worst_h < 1e-5, f"max rel err {worst_h:.2e}"
-            )
-        )
+            worst_h = max(worst_h, _rel_err(h, fd_hessian(f, x)))
+        report(f"fd-score[{name}]", worst_g, 1e-6, "max rel err")
+        report(f"fd-hessian[{name}]", worst_h, 1e-5, "max rel err")
 
     # 2. mixture normalization at 50 random (theta, q)
-    reparam = models["reparam-generic"]
+    reparam = fd_models["reparam-generic"]
     worst = 0.0
     for _ in range(50):
-        theta = _random_admissible(rng, reparam.n_theta, scale=2.0)
+        theta = 2.0 * rng.uniform(-1.0, 1.0, size=reparam.n_theta)
         q = QVector.from_free(np.exp(rng.uniform(-1.5, 1.5, size=1)))
         val = check_normalization(reparam.wspec, theta, q, reparam.fstar, weights)
         worst = max(worst, abs(val - 1.0))
-    results.append(
-        CheckResult("normalization", worst < 1e-12, f"max |sum - 1| = {worst:.2e}")
-    )
+    report("normalization", worst, 1e-12, "max |sum - 1| =")
 
-    # 3. nuisance stationarity on a 5-point theta grid
-    fit_id = maximize(build_identifiable_model(dataset), dataset)
-    theta_hat = fit_id.params  # (alpha*, beta): a sensible center for (alpha, beta)
+    # 3. nuisance stationarity on a 5-point theta grid around the reparam-id
+    # fit's (alpha*, beta), a sensible center for (alpha, beta)
+    fits = {method: maximize(model, dataset) for method, model in models.items()}
     worst = 0.0
     for delta in (-0.2, -0.1, 0.0, 0.1, 0.2):
-        theta = theta_hat + delta
+        theta = fits["reparam-id"].params + delta
         worst = max(worst, check_stationarity(reparam, theta, dataset))
-    results.append(
-        CheckResult("stationarity", worst < 1e-8, f"max |score_log_q| / n {worst:.2e}")
-    )
+    report("stationarity", worst, 1e-8, "max |score_log_q| / n")
 
     # 4 + 5. orthogonality and Schur identity at every fitted model
-    from .analysis import METHODS, build_method
-
-    for method in METHODS:
-        model = build_method(dataset, method)
-        fit = maximize(model, dataset)
-        cs = centered_scores(model, fit.params, dataset)
+    for method, model in models.items():
+        cs = centered_scores(model, fits[method].params, dataset)
         blocks = info_blocks_moments(cs, weights)
-        try:
-            lstar = efficient_score(cs, blocks)
-            w_obs = (
-                weights.w[cs.sample - 1] * cs.multiplicity
-                / dataset.sample_sizes[cs.sample - 1]
-            )
-            cov = (lstar * w_obs[:, None]).T @ cs.l2c
-            worst = float(np.max(np.abs(cov))) if cov.size else 0.0
-            results.append(
-                CheckResult(
-                    f"orthogonality[{method}]", worst < 1e-10, f"max |cov| {worst:.2e}"
-                )
-            )
-        except Exception as exc:  # singular nuisance block etc.
-            results.append(CheckResult(f"orthogonality[{method}]", False, str(exc)))
-        obs_blocks = info_blocks_observed(model, fit, dataset)
-        results.append(_schur_check(method, obs_blocks))
+        guarded(f"orthogonality[{method}]", 1e-10, "max |cov|",
+                _orthogonality_gap, cs, blocks, weights, dataset.sample_sizes)
+        obs_blocks = info_blocks_observed(model, fits[method], dataset)
+        guarded(f"schur-identity[{method}]", 1e-10, "max rel diff", schur_identity_gap, obs_blocks)
 
     # 6. brute-force enumeration vs inference formulas on a toy instance
-    toy = ToyInstance(
-        support=[[0.0], [1.0]],
-        g=[0.4, 0.6],
-        alpha=0.3,
-        beta=[np.log(2.0)],
-        weights=Weights([0.5, 0.5]),
-    )
+    toy = ToyInstance(support=[[0.0], [1.0]], g=[0.4, 0.6], alpha=0.3, beta=[np.log(2.0)],
+                      weights=Weights([0.5, 0.5]))
     blocks_bf, istar_bf = brute_force_info(toy)
-    cs_enum = enumerated_centered_scores(toy)
-    blocks_inf = info_blocks_moments(cs_enum, toy.weights)
+    blocks_inf = info_blocks_moments(enumerated_centered_scores(toy), toy.weights)
     istar_inf = efficient_information(blocks_inf)
     diff = max(
         float(np.max(np.abs(blocks_bf.full() - blocks_inf.full()))),
         float(np.max(np.abs(istar_bf - istar_inf))),
     )
-    results.append(
-        CheckResult("brute-force-info", diff < 1e-12, f"max |diff| {diff:.2e}")
-    )
+    report("brute-force-info", diff, 1e-12, "max |diff|")
 
     if mc:
-        design = default_mc_design()
-        report = monte_carlo_variance(design, sizes=(260, 260), n_rep=reps, seed=seed)
-        ratios = report.sd_se_ratio
+        study = monte_carlo_variance(default_mc_design(), sizes=(260, 260), n_rep=reps, seed=seed)
+        ratios = study.sd_se_ratio
         ok = bool(np.all((ratios > 0.9) & (ratios < 1.1)))
-        results.append(
-            CheckResult(
-                "monte-carlo sd/SE",
-                ok,
-                " ".join(f"{lab}={r:.4f}" for lab, r in zip(report.labels, ratios)),
-            )
-        )
-        results.append(CheckResult("monte-carlo report", True, str(report.to_dict())))
+        detail = " ".join(f"{lab}={r:.4f}" for lab, r in zip(study.labels, ratios))
+        results.append(CheckResult("monte-carlo sd/SE", ok, detail))
+        results.append(CheckResult("monte-carlo report", True, str(study.to_dict())))
     return results
 
 
@@ -537,16 +514,6 @@ def schur_identity_gap(blocks):
     inv_full = np.linalg.inv(deflated)[:k, :k]
     denom = max(1.0, float(np.max(np.abs(inv_full))))
     return float(np.max(np.abs(inv_schur - inv_full))) / denom
-
-
-def _schur_check(method, blocks):
-    try:
-        diff = schur_identity_gap(blocks)
-        return CheckResult(
-            f"schur-identity[{method}]", diff < 1e-10, f"max rel diff {diff:.2e}"
-        )
-    except Exception as exc:
-        return CheckResult(f"schur-identity[{method}]", False, str(exc))
 
 
 def default_mc_design() -> ToyInstance:

@@ -10,6 +10,8 @@ import csv
 
 import numpy as np
 
+from semest.errors import DataError
+
 # (age, scar, cases, controls) -- typed independently from the published
 # frequency table that ships with the package.
 CASECONTROL_TABLE = (
@@ -278,6 +280,14 @@ def long_csv_reference(path):
     return X, sample, np.ones(len(lines), dtype=int)
 
 
+def _transformed(transform, age, lineno):
+    """``transform(age)``; a DataError it raises is rejected naming the line."""
+    try:
+        return transform(age)
+    except DataError as exc:
+        raise Rejected(f"line {lineno}: {exc}") from None
+
+
 def casecontrol_csv_reference(path, transform=None):
     """(X, sample, multiplicity) of an ``age,scar,cases,controls`` file, read
     row by row with the csv module, float()/int() per field and
@@ -288,7 +298,9 @@ def casecontrol_csv_reference(path, transform=None):
     lines, (age, scar, cases, controls) = _reference_columns(rows, (float, float, int, int))
     _reject_first(lines, (cases < 0) | (controls < 0), "case and control counts must be >= 0")
     _reject_first(lines, ~(np.isfinite(age) & np.isfinite(scar)), "non-finite covariate")
-    x2 = age if transform is None else np.array([transform(a) for a in age], dtype=float)
+    x2 = age if transform is None else np.array(
+        [_transformed(transform, a, lineno) for lineno, a in zip(lines, age)], dtype=float
+    )
     X, sample, mult = [], [], []
     for i in range(len(lines)):
         for s, count in ((1, controls[i]), (2, cases[i])):

@@ -406,3 +406,49 @@ def test_casecontrol_transform_on_age_array_matches_per_row(tmp_path):
     X, _, _ = casecontrol_csv_reference(f, transform_age)
     got = load_casecontrol_csv(f, transform=transform_age).X
     np.testing.assert_array_equal(got.view(np.int64), X.view(np.int64))
+
+
+def test_bad_age_names_its_line(tmp_path):
+    """An age the transform rejects names its file line; the transform
+    called on its own raises the same DataError without one."""
+    f = tmp_path / "cc.csv"
+    f.write_text("age,scar,cases,controls\n2.5,0,1,24\n\n-8,1,11,22\n7.5,1,1,2\n")
+    with pytest.raises(DataError, match=r"^line 4: age must exceed -7\.5$"):
+        load_casecontrol_csv(f, transform=transform_age)
+    with pytest.raises(DataError, match=r"^age must exceed -7\.5$"):
+        transform_age(-8)
+    assert load_casecontrol_csv(f).X[2].tolist() == [1.0, -8.0]  # no transform, no check
+
+
+def test_constructors_reject_non_integral_rows():
+    """A sample index or multiplicity that is not a whole number is an
+    error naming its row, never truncated; integral floats and integer
+    dtypes are taken."""
+    for sample, multiplicity, what in [
+        ([1, 2], [2.7, 1], "row 0: multiplicity must be a whole number, got 2.7"),
+        ([1.9, 2], [1, 1], "row 0: sample index must be a whole number, got 1.9"),
+        ([1, 2], [1, np.inf], "row 1: multiplicity must be a whole number, got inf"),
+        ([1, np.nan], [1, 1], "row 1: sample index must be a whole number, got nan"),
+    ]:
+        with pytest.raises(DataError, match=f"^{what}$"):
+            MultisampleDataset.from_columns(np.zeros((2, 1)), sample, multiplicity)
+        with pytest.raises(DataError, match=f"^{what}$"):
+            MultisampleDataset(
+                Observation(s, [0.0], multiplicity=m) for s, m in zip(sample, multiplicity)
+            )
+    d = MultisampleDataset.from_columns(np.zeros((2, 1)), [1.0, 2.0], np.array([3.0, 1.0]))
+    assert d.multiplicity.tolist() == [3, 1] and d.n == 4
+    assert d.sample.dtype == d.multiplicity.dtype == np.dtype(int)
+    d = MultisampleDataset.from_columns(
+        np.zeros((2, 1)), np.array([1, 2], np.int32), np.array([3, 1], np.uint8)
+    )
+    assert d.sample.dtype == d.multiplicity.dtype == np.dtype(int)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_constructors_reject_a_nonfinite_covariate(value):
+    X = [[0.0, 1.0], [2.0, value]]
+    with pytest.raises(DataError, match="^row 1: non-finite covariate$"):
+        MultisampleDataset.from_columns(X, [1, 2], [1, 1])
+    with pytest.raises(DataError, match="^row 1: non-finite covariate$"):
+        MultisampleDataset([Observation(s, x) for s, x in zip([1, 2], X)])

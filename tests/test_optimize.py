@@ -100,6 +100,27 @@ def test_nonconvergence_reported(leprosy):
         fit.require_converged()
 
 
+def test_require_converged_on_a_batch(leprosy):
+    """A batch whose fits all converged is returned, and its observed
+    information is the stack of each fit's; one that did not names the
+    fits that failed."""
+    from semest.inference import info_blocks_observed
+
+    model = build_identifiable_model(leprosy)
+    batch = maximize(model, leprosy, init=np.zeros((2, 3)))
+    assert batch.require_converged() is batch
+    stacked = info_blocks_observed(model, batch, leprosy)
+    single = info_blocks_observed(model, maximize(model, leprosy, init=np.zeros(3)), leprosy)
+    for name in ("I11", "I12", "I22"):
+        for r in (0, 1):
+            np.testing.assert_array_equal(getattr(stacked, name)[r], getattr(single, name))
+    init = np.zeros((3, 3))
+    init[1, 0] = np.inf
+    with pytest.raises(EvaluationError, match=r"^1 of 3 fits did not converge: fit 1: "
+                       r"objective is not finite at params \[inf"):
+        maximize(model, leprosy, init=init).require_converged()
+
+
 def test_flat_ridge_still_converges(leprosy):
     model = build_nonidentifiable_model(leprosy)
     fit = maximize(model, leprosy)

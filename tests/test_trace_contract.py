@@ -83,3 +83,22 @@ def test_traced_validate_reaches_the_generic_model(tracing, capsys):
     assert "all checks passed" in capsys.readouterr().out
     assert tracer.generic_models
     assert any(s.layer == "likelihood" and tracer.is_generic(s.model) for s in tracer.spans)
+
+
+def test_validate_builds_and_fits_each_method_once(tracing, capsys):
+    """A traced ``validate`` run builds each method's model once and fits
+    it once: every check reads those models and fits."""
+    tracer = tracing.Tracer()
+    assert tracer.missing == []
+    tracer.install(0)
+    try:
+        assert semest.cli.main(["validate", "--seed", "0"]) == 0
+    finally:
+        tracer.uninstall()
+    assert "all checks passed" in capsys.readouterr().out
+    counts = Counter(s.name for s in tracer.spans)
+    builders = {name: n for name, n in counts.items() if name.startswith("logistic.build_")}
+    assert builders == {"logistic.build_full_mle_model": 1,
+                        "logistic.build_nonidentifiable_model": 1,
+                        "logistic.build_identifiable_model": 1}
+    assert counts["optimize.maximize"] == 3
