@@ -389,6 +389,22 @@ def _rel_err(value, fd):
     return float(np.max(np.abs(value - fd))) / max(1.0, float(np.max(np.abs(fd))))
 
 
+def _totals_gap(model, x, dataset):
+    """The relative gap between ``totals`` at orders 0 and 1 and the
+    multiplicity-weighted sums of ``evaluate``'s rows (``ModelSpec.totals``)."""
+    with np.errstate(all="ignore"):
+        return np.max([_rel_err(model.totals(x, dataset, k), ModelSpec.totals(model, x, dataset, k))
+                       for k in (0, 1)])
+
+
+def _generic_gap(model, nonid_fit, dataset):
+    """Relative gap between the slopes of the generic model's fit and those
+    of the specialised ``reparam-nonid`` fit."""
+    slopes = maximize(model, dataset).require_converged().params[1 : model.n_theta]
+    ref = nonid_fit.params[1 : model.n_theta]
+    return float(np.max(np.abs(slopes - ref))) / float(np.max(np.abs(ref)))
+
+
 def _orthogonality_gap(cs, blocks, weights, sample_sizes):
     """max |cov(efficient score, centered nuisance scores)|, each sample's
     rows weighted by w_s / n_s."""
@@ -431,37 +447,42 @@ def run_suite(seed=0, mc=False, reps=500, inject_broken_score=False):
     if inject_broken_score:
         fd_models["identifiable"] = _BrokenScoreModel(models["reparam-id"])
 
-    # 1. finite-difference agreement, 20 random points per model
+    # 1. finite-difference agreement, and closed-form totals against the
+    # row sums, at 20 random points per model; every worst value is an
+    # np.max, which keeps a NaN (a failure)
     for name, model in fd_models.items():
         f = lambda p: _row_sum_loglik(model, p, dataset)
-        worst_g, worst_h = 0.0, 0.0
+        errs = []
         for _ in range(20):
             x = 0.5 * rng.uniform(-1.0, 1.0, size=model.n_params)
             g = aggregate_score(model, x, dataset)
-            worst_g = max(worst_g, _rel_err(g, fd_gradient(f, x)))
             h = dense(aggregate_hessian(model, x, dataset))
-            worst_h = max(worst_h, _rel_err(h, fd_hessian(f, x)))
+            errs.append([_rel_err(g, fd_gradient(f, x)), _rel_err(h, fd_hessian(f, x)),
+                         _totals_gap(model, x, dataset)])
+        worst_g, worst_h, worst_t = np.max(errs, axis=0)
         report(f"fd-score[{name}]", worst_g, 1e-6, "max rel err")
         report(f"fd-hessian[{name}]", worst_h, 1e-5, "max rel err")
+        report(f"totals-vs-rows[{name}]", worst_t, 1e-12, "max rel gap")
 
     # 2. mixture normalization at 50 random (theta, q)
     reparam = fd_models["reparam-generic"]
-    worst = 0.0
+    gaps = []
     for _ in range(50):
         theta = 2.0 * rng.uniform(-1.0, 1.0, size=reparam.n_theta)
         q = QVector.from_free(np.exp(rng.uniform(-1.5, 1.5, size=1)))
-        val = check_normalization(reparam.wspec, theta, q, reparam.fstar, weights)
-        worst = max(worst, abs(val - 1.0))
-    report("normalization", worst, 1e-12, "max |sum - 1| =")
+        gaps.append(check_normalization(reparam.wspec, theta, q, reparam.fstar, weights) - 1.0)
+    report("normalization", np.max(np.abs(gaps)), 1e-12, "max |sum - 1| =")
 
     # 3. nuisance stationarity on a 5-point theta grid around the reparam-id
     # fit's (alpha*, beta), a sensible center for (alpha, beta)
     fits = {method: maximize(model, dataset) for method, model in models.items()}
-    worst = 0.0
-    for delta in (-0.2, -0.1, 0.0, 0.1, 0.2):
-        theta = fits["reparam-id"].params + delta
-        worst = max(worst, check_stationarity(reparam, theta, dataset))
+    worst = np.max([check_stationarity(reparam, fits["reparam-id"].params + delta, dataset)
+                    for delta in (-0.2, -0.1, 0.0, 0.1, 0.2)])
     report("stationarity", worst, 1e-8, "max |score_log_q| / n")
+
+    # the generic model, fitted, against the specialised reparam-nonid fit
+    guarded("generic-vs-specialised", 1e-8, "slopes max rel diff", _generic_gap,
+            reparam, fits["reparam-nonid"], dataset)
 
     # 4 + 5. orthogonality and Schur identity at every fitted model
     for method, model in models.items():

@@ -87,7 +87,8 @@ def test_traced_validate_reaches_the_generic_model(tracing, capsys):
 
 def test_validate_builds_and_fits_each_method_once(tracing, capsys):
     """A traced ``validate`` run builds each method's model once and fits
-    it once: every check reads those models and fits."""
+    it once, and fits the generic model once: every check reads those
+    models and fits."""
     tracer = tracing.Tracer()
     assert tracer.missing == []
     tracer.install(0)
@@ -101,4 +102,4 @@ def test_validate_builds_and_fits_each_method_once(tracing, capsys):
     assert builders == {"logistic.build_full_mle_model": 1,
                         "logistic.build_nonidentifiable_model": 1,
                         "logistic.build_identifiable_model": 1}
-    assert counts["optimize.maximize"] == 3
+    assert counts["optimize.maximize"] == 4

@@ -4,9 +4,12 @@ import pathlib
 import numpy as np
 import pytest
 
+import semest.logistic
+import semest.validate
 from semest import ConvergenceError, FitConfig, Weights
+from semest.cli import main
 from semest.inference import efficient_information, info_blocks_moments
-from semest.logistic import casecontrol_reparam_model
+from semest.logistic import FullMLELogisticModel, casecontrol_reparam_model
 from semest.validate import (
     MAX_OUTCOMES,
     ToyInstance,
@@ -17,6 +20,7 @@ from semest.validate import (
     fd_gradient,
     fd_hessian,
     monte_carlo_variance,
+    run_suite,
     simulate,
 )
 
@@ -153,3 +157,50 @@ def test_brute_force_zero_slope_symmetry():
     blocks, istar = brute_force_info(toy)
     assert np.max(np.abs(blocks.I12)) < 1e-14
     np.testing.assert_allclose(istar, blocks.I11, atol=1e-14)
+
+
+def _stretched(link):
+    """``link`` (a weight spec or a family) read at 1.1 eta, with its eta
+    derivatives scaled to match: a wrong model that is still coherent."""
+    def stretched(*args):
+        *head, eta, order = args
+        return tuple(v * 1.1**k for k, v in enumerate(link(*head, 1.1 * eta, order)))
+    return stretched
+
+
+def _scaled_phi_scores(evaluate):
+    """The mle's ``evaluate`` with the phi block of its per-row scores
+    scaled by 1.01."""
+    def scaled(self, params, data, order):
+        out = evaluate(self, params, data, order)
+        if order == 1:
+            out = out.copy()
+            out[..., self.n_theta :] *= 1.01
+        return out
+    return scaled
+
+
+def _corrupt(check, monkeypatch):
+    if check == "normalization":
+        monkeypatch.setattr(semest.validate, "check_normalization", lambda *args: np.nan)
+    elif check == "generic-vs-specialised":
+        for name in ("casecontrol_weight_spec", "casecontrol_family"):
+            monkeypatch.setattr(semest.logistic, name, _stretched(getattr(semest.logistic, name)))
+    else:
+        scaled = _scaled_phi_scores(FullMLELogisticModel.evaluate)
+        monkeypatch.setattr(FullMLELogisticModel, "evaluate", scaled)
+
+
+@pytest.mark.parametrize(
+    "check", ["normalization", "generic-vs-specialised", "totals-vs-rows[full-mle]"]
+)
+def test_suite_fails_on_corrupted_code(monkeypatch, capsys, check):
+    """Each corruption of the code makes the suite fail the check named,
+    and ``validate`` exit 3: a NaN normalization, a generic model with a
+    wrong but self-consistent link (1.1 eta), and the mle's per-row phi
+    scores scaled by 1.01."""
+    _corrupt(check, monkeypatch)
+    failed = [r.name for r in run_suite(seed=0) if not r.passed]
+    assert check in failed
+    assert main(["validate", "--seed", "0"]) == 3
+    assert f"FAIL  {check}:" in capsys.readouterr().out
