@@ -4,8 +4,9 @@ side-by-side comparison with per-coefficient relative efficiencies.
 Methods
 -------
 ``mle``
-    Joint maximum likelihood over the regression parameters and the
-    discrete covariate distribution (largest parameter vector).
+    Joint maximum likelihood over the slopes and the discrete covariate
+    distribution (largest parameter vector); the intercept is not
+    identified under case-control sampling and is not a parameter.
 ``reparam-nonid``
     Reparametrized submodel in (alpha, beta, log rho1); the intercept
     direction is an exactly flat ridge, slopes are identified.
@@ -80,7 +81,9 @@ def fit_method(dataset, method, cfg=None):
     in the standardized coordinates z of ``standardizing_basis``, where the
     Newton steps and ``cfg.grad_tol`` are free of the covariates' units and
     origins; the report is in the method's parameters, (intercept, slopes) =
-    B z.  The report's ``labels`` are the dataset's and cover the slope
+    B z.  A model's parameters up to its last slope are the last of these
+    coordinates: all of them, or the slopes alone for ``mle``, which has no
+    intercept.  The report's ``labels`` are the dataset's and cover the slope
     coefficients, with standard errors from the efficient information;
     intercept-type parameters appear in ``extra_rows`` because their meaning
     differs across methods.  Each coordinate's standard error and
@@ -95,7 +98,8 @@ def fit_method(dataset, method, cfg=None):
     B, B_inv = standardizing_basis(dataset)
     model = build_method(dataset, method, B)
     fit = maximize(model, dataset, cfg=cfg)
-    q = len(B)
+    q = model.param_labels.index(dataset.labels[-1]) + 1
+    B, B_inv = B[-q:, -q:], B_inv[-q:, -q:]
     params = fit.params.copy()
     params[:q] = B @ fit.params[:q]
     blocks = info_blocks_observed(model, fit, dataset)
@@ -111,7 +115,7 @@ def fit_method(dataset, method, cfg=None):
         var, ok = np.full(model.n_params, np.nan), np.zeros(model.n_params, dtype=bool)
     var[i], ok[i] = spectral_variance(istar, B[ii])
     se = np.where(ok, np.sqrt(var / dataset.n), np.nan)
-    slopes = slice(1, q)
+    slopes = slice(q - dataset.p, q)
     if not ok[slopes].all():
         names = ", ".join(np.asarray(dataset.labels)[~ok[slopes]])
         raise SingularInformationError(
@@ -121,8 +125,8 @@ def fit_method(dataset, method, cfg=None):
     # I* and its condition number in the method's own parameters
     eff_info = B_inv[ii].T @ istar @ B_inv[ii]
     sub = np.linalg.eigvalsh(eff_info[ok[i]][:, ok[i]])
-    # the original intercept alpha is not recoverable from alpha*, so its
-    # row stays empty unless the model has it
+    # the original intercept alpha is not recoverable from alpha*, nor a
+    # parameter of the mle, so its row stays empty unless the model has it
     extra = {"Intercept": (None, None, "")}
     for j, label in enumerate(model.param_labels):
         if label in _ROW_NAMES:

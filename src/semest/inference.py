@@ -11,7 +11,8 @@ Every information matrix passes one numerical-rank rule, ``spectrum``: an
 eigenvalue within ``RANK_TOL`` (relative) of zero marks a null direction,
 one below it makes the matrix indefinite, an error.  I22 must have no null
 direction; the joint ``mle``'s I22, a diagonal plus a rank-2 term, gets the
-same rule from ``low_rank_spectrum`` without a dense eigendecomposition.
+same rule from ``low_rank_spectrum``, which needs no dense
+eigendecomposition when one eigenvalue count settles it.
 Standard errors are taken over the non-null spectrum of the information in
 the coordinates the fit stepped in, mapped to the reported coordinates by a
 caller-given basis (``analysis.fit_method`` fits with the covariates
@@ -32,10 +33,10 @@ from .likelihood import evaluate
 from .structured import DiagPlusLowRank, StructuredHessian, _t, dense
 
 # Relative eigenvalue and null-direction loading tolerance, about sqrt(eps).
-# Over 240 wide-support mle fits, in standardized coordinates, the null
-# eigenvalues of I* and of the full information were at most 3.7e-12
-# relative, the genuine ones at least 1.3e-4, and slopes loaded on null
-# directions by at most 1.7e-11.
+# Over 1200 wide-support reparam-nonid fits, in standardized coordinates, the
+# null eigenvalues of I* and of the full information (its flat ridge) were at
+# most 3.7e-16 relative, the genuine ones at least 0.10, and slopes loaded on
+# null directions by at most 8.2e-16.
 RANK_TOL = 1e-8
 
 
@@ -138,50 +139,21 @@ def spectrum(M, what):
 
 
 def low_rank_spectrum(M: DiagPlusLowRank, what):
-    """``spectrum``'s rule for one diagonal-plus-low-rank matrix, in
-    O(m r^2) per probe instead of one O(m^3) ``eigh``: raises
+    """``spectrum``'s rule for one diagonal-plus-low-rank matrix: raises
     SingularInformationError when ``M`` is zero or indefinite, and returns
     the unit eigenvector of its smallest eigenvalue when that is a null
-    direction (within ``RANK_TOL`` of zero, relative to the largest
-    |eigenvalue|), else None.
+    direction, else None.
 
-    The extreme eigenvalues are bracketed by interlacing, and the brackets
-    narrowed by counting the eigenvalues below a probe point
-    (``DiagPlusLowRank.count_below``) until the verdict is settled: for a
-    well-conditioned M, one probe, at ``RANK_TOL`` times the top of the
-    largest eigenvalue's bracket."""
-    if not (np.any(M.diag) or (M.coef and np.any(M.factor))):
-        raise SingularInformationError(f"{what} is zero")
-    m = M.diag.shape[-1]
-    (lo1, hi1), (lom, him) = M.extreme_brackets()
-
-    def narrow(sigma):  # one count moves an end of both brackets
-        nonlocal lo1, hi1, lom, him
-        k = M.count_below(sigma)
-        lo1, hi1 = (lo1, min(hi1, sigma)) if k >= 1 else (max(lo1, sigma), hi1)
-        lom, him = (lom, min(him, sigma)) if k == m else (max(lom, sigma), him)
-
-    narrow(RANK_TOL * max(him, 0.0))
-    for _ in range(200):
-        # mu_1 lies in [lo1, hi1), the scale max(mu_m, -mu_1) in [s_lo, s_hi]
-        s_lo, s_hi = max(lom, -hi1), max(him, -lo1)
-        if hi1 <= -RANK_TOL * s_hi:
-            raise SingularInformationError(
-                f"{what} is indefinite (smallest eigenvalue below {hi1:.3e})"
-            )
-        null = True if hi1 <= RANK_TOL * s_lo else False if lo1 >= RANK_TOL * s_hi else None
-        if lo1 >= -RANK_TOL * s_lo and null is not None:
-            break
-        # probe a threshold still open inside mu_1's bracket, else halve both brackets
-        probes = [t for t in (RANK_TOL * s_hi, RANK_TOL * s_lo, -RANK_TOL * s_lo, -RANK_TOL * s_hi)
-                  if lo1 < t < hi1]
-        for sigma in probes[:1] or ((lo1 + hi1) / 2, (lom + him) / 2):
-            narrow(sigma)
-    if not null:
+    One O(m r^2) probe settles a well-conditioned M: no eigenvalue below
+    ``RANK_TOL`` times max(diag) + max(coef, 0) ||F||^2, a bound on the
+    largest (Weyl), means none is near zero or below it
+    (``DiagPlusLowRank.count_below``).  Otherwise ``spectrum`` decides on
+    the dense matrix."""
+    top = np.max(M.diag) + max(M.coef, 0.0) * float(np.vdot(M.factor, M.factor))
+    if top > 0.0 and M.count_below(RANK_TOL * top) == 0:
         return None
-    while hi1 - lo1 > 1e-15 * max(him, -lo1):  # the null eigenvalue, for its eigenvector
-        narrow((lo1 + hi1) / 2)
-    return M.eigenvector((lo1 + hi1) / 2)
+    _, vectors, keep = spectrum(M.dense(), what)
+    return None if keep.all() else vectors[:, 0]
 
 
 def _regression_on_nuisance(blocks: InfoBlocks):

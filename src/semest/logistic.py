@@ -3,9 +3,10 @@
 Three builders for the same design, each an array model evaluated over all
 rows at once:
 
-* ``build_full_mle_model`` -- joint maximum likelihood over the regression
-  parameters and the discrete covariate distribution g on the observed
-  support (softmax coordinates, last one pinned to 0);
+* ``build_full_mle_model`` -- joint maximum likelihood over the slopes and
+  the discrete covariate distribution g on the observed support (softmax
+  coordinates, last one pinned to 0); the intercept is not identified
+  under case-control sampling, so it is not a parameter (pinned at 0);
 * ``build_identifiable_model`` -- the reparametrized submodel in
   (alpha_star, beta), alpha_star = alpha + log rho1: identifiable, and
   algebraically a prospective logistic fit with a fixed intercept offset;
@@ -15,8 +16,8 @@ rows at once:
 
 Each builder takes a two-sample dataset alone (the sample weights
 w_s = n_s / n and the covariate labels come from it) and an optional
-``basis`` B: the parameters are then z, with (alpha, beta) = B z, and every
-closed form reads the design (1, x) B.  Strata: sample 1 = controls (y = 0),
+``basis`` B: the parameters are then z, with (alpha, beta) = B z (the
+``mle`` has z_0 = 0), and every closed form reads the design (1, x) B.  Strata: sample 1 = controls (y = 0),
 sample 2 = cases (y = 1).  Covariates are stored as (scar, transformed age)
 for the bundled leprosy data.
 
@@ -147,8 +148,9 @@ class DiscreteG:
 
 
 class FullMLELogisticModel(ModelSpec):
-    """Parameters (alpha, beta, phi_1..phi_{K-1}).  Per-observation
-    log-density log f(y|v_k) + log g_k - log sum_j f(y|v_j) g_j.
+    """Parameters (theta, phi_1..phi_{K-1}), labelled ``theta_labels`` and
+    phi1.., with (alpha, beta) = M theta for a fixed (1+p, q) design map M.
+    Per-observation log-density log f(y|v_k) + log g_k - log sum_j f(y|v_j) g_j.
 
     Every per-row quantity depends on the row only through its response y
     and support point k, so the pass works on the (2, K) table of them:
@@ -158,25 +160,17 @@ class FullMLELogisticModel(ModelSpec):
     stack of parameter vectors (order 2 with one set of row
     multiplicities).  Order 2 returns a ``StructuredHessian``: the phi
     block is a diagonal plus a rank-2 term, never formed as a K x K
-    array.  Given a ``basis`` B, the parameters are (z, phi), with
-    (alpha, beta) = B z."""
+    array."""
 
-    init_params = CaseControlLogisticModel.init_params  # alpha at log(n_2 / n_1)
-
-    def __init__(self, support, labels, basis=None):
+    def __init__(self, support, theta_labels, design_map):
         support = np.asarray(support, dtype=float)
         if len(support) < 2:
             raise DataError("need at least 2 support points to profile g")
         self.support = support
         self.K = len(support)
-        Z = _design(support)  # (K, 1+p)
-        self._Z = Z if basis is None else Z @ basis
-        self.param_labels = (
-            ("alpha",)
-            + tuple(labels)
-            + tuple(f"phi{k + 1}" for k in range(self.K - 1))
-        )
-        self.n_theta = 1 + len(labels)
+        self._Z = _design(support) @ design_map  # (K, q)
+        self.n_theta = design_map.shape[1]
+        self.param_labels = tuple(theta_labels) + tuple(f"phi{k + 1}" for k in range(self.K - 1))
         self.interest_idx = tuple(range(self.n_theta))
         self._rows = self._counts = None  # the last rows counted, and their counts
         self._key = self._point = self._slopes = None  # the last point, and its intermediates
@@ -202,9 +196,6 @@ class FullMLELogisticModel(ModelSpec):
         if key != self._key:  # a Newton step evaluates one point at orders 0, 1, 2
             g = DiscreteG.to_g(params[..., self.n_theta :])
             eta = (self._Z @ params[..., : self.n_theta, None])[..., 0]
-            # nu keeps its relative precision where mu rounds to 1 (large
-            # alpha on the flat intercept ridge), so the score can still
-            # reach grad_tol
             mu, nu = _sigmoid_pair(eta)
             f = np.stack([nu, mu], axis=-2)  # f(y | v_j), (2, K)
             D = (f @ g[..., None])[..., 0]  # (2,)
@@ -212,7 +203,7 @@ class FullMLELogisticModel(ModelSpec):
         return self._point
 
     def _slopes_at(self, params):
-        """a = g f / D (2, K), b = y - mu (2, K) and m = (a b) Z (2, 1+p) at
+        """a = g f / D (2, K), b = y - mu (2, K) and m = (a b) Z (2, q) at
         ``params``, computed once per point."""
         g, _, mu, nu, f, D = self._at(params)
         if self._slopes is None:
@@ -271,7 +262,7 @@ class FullMLELogisticModel(ModelSpec):
             logf_k = y * eta_k - _log1pexp(eta_k)
             return logf_k + np.log(g.take(k, axis=-1)) - np.log(D.take(y, axis=-1))
         a, b, m = self._slopes_at(params)
-        # written in place: (N, 1+p+K-1) is the largest array of this model
+        # written in place: (N, q+K-1) is the largest array of this model
         q = self.n_theta
         out = np.empty(b.shape[:-2] + (len(y), q + self.K - 1))
         out[..., :q] = b[..., y, k, None] * self._Z[k] - m[..., y, :]
@@ -309,7 +300,10 @@ def build_nonidentifiable_model(dataset, basis=None):
 
 def build_full_mle_model(dataset, basis=None):
     _two_sample_weights(dataset)
-    return FullMLELogisticModel(dataset.support, dataset.labels, basis)
+    # the slope columns: every intercept on the ridge has the same
+    # likelihood, so it is pinned at z_0 = 0
+    basis = np.eye(1 + dataset.p) if basis is None else basis
+    return FullMLELogisticModel(dataset.support, dataset.labels, basis[:, 1:])
 
 
 def casecontrol_weight_spec(eta, order):

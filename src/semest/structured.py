@@ -102,29 +102,6 @@ class DiagPlusLowRank:
         pos = 1 if det < 0 else 2 * int(up) if det > 0 else int(up)
         return int(np.count_nonzero(dinv < 0)) + pos - (2 if self.coef > 0 else 0)
 
-    def extreme_brackets(self):
-        """Brackets [lo, hi] of the smallest and of the largest eigenvalue
-        (one matrix): a rank-r update (r = 2) moves the i-th eigenvalue of
-        diag(D) at most r places along the sorted diagonal (interlacing),
-        and by at most |coef| ||F||_F^2 (Weyl)."""
-        m, r = self.factor.shape
-        ds = np.sort(self.diag)
-        reach = abs(self.coef) * float(np.vdot(self.factor, self.factor))
-        if self.coef > 0:
-            return (ds[0], ds[r] if r < m else ds[-1] + reach), (ds[-1], ds[-1] + reach)
-        return (ds[0] - reach, ds[0]), (ds[m - 1 - r] if r < m else ds[0] - reach, ds[-1])
-
-    def eigenvector(self, mu):
-        """Unit eigenvector for an eigenvalue mu of M (one matrix):
-        (D - mu I)^{-1} F z with z the null vector of the capacitance."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dinv, W, C = self._woodbury(-mu)
-            values, vectors = np.linalg.eigh(C)
-            v = W @ vectors[:, np.argmin(np.abs(values))]
-        if not np.all(np.isfinite(v)):  # mu is a diagonal entry with no factor weight
-            v = (np.arange(len(dinv)) == np.argmax(np.abs(dinv))).astype(float)
-        return v / np.linalg.norm(v)
-
 
 @dataclass(frozen=True)
 class StructuredHessian:

@@ -182,8 +182,13 @@ class ToyInstance:
             values += self.weights.w[s - 1] * self.cond_probs(s)
         return FStarEstimate(self.support, values)
 
+    def mle_model(self):
+        """The discrete-g MLE model with its intercept free (the identity
+        map): the population information at the truth has alpha in it."""
+        return FullMLELogisticModel(self.support, ("alpha",) + self.labels, np.eye(len(self.theta)))
+
     def mle_params(self):
-        """Parameter vector of the discrete-g MLE model at the truth."""
+        """Parameter vector of ``mle_model`` at the truth."""
         return np.concatenate([self.theta, DiscreteG.from_g(self.g)])
 
 
@@ -196,7 +201,7 @@ def brute_force_info(toy: ToyInstance, params=None):
     S, K = 2, len(toy.support)
     if S * K > MAX_OUTCOMES:
         raise ValueError(f"enumeration too large: {S * K} outcomes")
-    model = FullMLELogisticModel(toy.support, toy.labels)
+    model = toy.mle_model()
     params = toy.mle_params() if params is None else np.asarray(params, dtype=float)
     d = model.n_params
     full = np.zeros((d, d))
@@ -223,7 +228,7 @@ def enumerated_centered_scores(toy: ToyInstance, params=None):
     pass over all (stratum, support point) outcomes at once)."""
     from .inference import CenteredScores
 
-    model = FullMLELogisticModel(toy.support, toy.labels)
+    model = toy.mle_model()
     params = toy.mle_params() if params is None else np.asarray(params, dtype=float)
     K = len(toy.support)
     outcomes = MultisampleDataset.from_columns(

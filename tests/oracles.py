@@ -128,12 +128,13 @@ def casecontrol_logistic_rows(X, sample, mult, w, params, duplicated_intercept=F
 
 
 def full_mle_rows(support, X, sample, mult, params):
-    """Joint MLE over (alpha, beta) and softmax coordinates phi of a discrete
-    covariate distribution g on ``support`` (phi_K = 0): log-density
+    """Joint MLE over the slopes beta (the intercept, not identified, pinned
+    at 0) and softmax coordinates phi of a discrete covariate distribution g
+    on ``support`` (phi_K = 0): log-density
     log f(y|v_k) + log g_k - log sum_j f(y|v_j) g_j."""
     support = np.asarray(support, dtype=float)
     K = len(support)
-    Zs = np.column_stack([np.ones(K), support])
+    Zs = support
     nt = Zs.shape[1]
     t = params[:nt]
     phi = np.append(params[nt:], 0.0)

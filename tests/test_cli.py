@@ -85,10 +85,11 @@ def test_fit_custom_csv(tmp_path, capsys, leprosy):
 
 
 def test_mle_converges_off_the_intercept_ridge(capsys):
-    """A wide-support dataset on which damped Newton walks the mle intercept
-    far along its flat ridge (alpha near 31), where 1 - mu rounds to a few
-    ulps; the complement must keep its precision so the score reaches
-    grad_tol.  Generated by perfbench/gen.py: wide_support_csv(1, 12)."""
+    """A wide-support dataset on which damped Newton walked the intercept of
+    an mle that had one far along its flat ridge (alpha near 31), where
+    1 - mu rounds to a few ulps.  The mle has no intercept now; its slopes
+    must still be reparam-id's.  Generated by perfbench/gen.py:
+    wide_support_csv(1, 12)."""
     path = str(FIXTURES / "wide_support_ridge_stall.csv")
     slopes = {}
     for method in ("mle", "reparam-id"):
@@ -265,9 +266,9 @@ def test_fit_all_methods_json(capsys):
     rows = payload["reparam-id"]["extra_rows"]
     assert rows["Intercept*"][0] == pytest.approx(1.22669, abs=1e-4)
     assert rows["Intercept"] == [None, None, ""]
-    # ridge rows carry no standard error; the slopes' condition number is
-    # the same for every method
-    assert payload["mle"]["extra_rows"]["Intercept"][1:] == [None, "!"]
+    # ridge rows carry no standard error, and the mle has no intercept; the
+    # slopes' condition number is the same for every method
+    assert payload["mle"]["extra_rows"]["Intercept"] == [None, None, ""]
     nonid = payload["reparam-nonid"]["extra_rows"]
     assert nonid["Intercept"][1:] == nonid["log_rho1"][1:] == [None, "!"]
     cond = payload["reparam-id"]["cond_number"]
@@ -277,11 +278,12 @@ def test_fit_all_methods_json(capsys):
 
 
 def test_indefinite_rounding_is_a_null_direction(capsys):
-    """The mle efficient information of (alpha, slopes) has an exactly null
+    """An efficient information of (alpha, slopes) has an exactly null
     alpha direction whose computed eigenvalue is rounding noise of either
-    sign (-1.06e-13 against a largest 4.87e-2 on this file); it must count
-    as a null direction, not as an indefinite matrix.  Generated by
-    perfbench/gen.py: wide_support_csv(63, 85)."""
+    sign (-1.06e-13 against a largest 4.87e-2 on this file, when the mle
+    had an intercept); it must count as a null direction, not as an
+    indefinite matrix.  The mle, without an intercept, matches reparam-id.
+    Generated by perfbench/gen.py: wide_support_csv(63, 85)."""
     path = str(FIXTURES / "wide_support_indefinite.csv")
     slopes = {}
     for method in ("mle", "reparam-id"):
@@ -293,7 +295,8 @@ def test_indefinite_rounding_is_a_null_direction(capsys):
     assert main(["compare", "--input", path, "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     mle = payload["reports"]["mle"]
-    assert mle["extra_rows"]["Intercept"][1:] == [None, "!"]
+    assert mle["extra_rows"]["Intercept"] == [None, None, ""]
+    assert payload["reports"]["reparam-nonid"]["extra_rows"]["Intercept"][1:] == [None, "!"]
     assert mle["cond_number"] == pytest.approx(
         payload["reports"]["reparam-id"]["cond_number"], rel=1e-8
     )

@@ -264,11 +264,22 @@ def test_covariate_shift(leprosy, leprosy_reports, j, shift):
         assert markers == {k: v[2] for k, v in ref.extra_rows.items()}
 
 
+def _rank_verdict(rule, M):
+    """'full' or 'null' from ``low_rank_spectrum`` on M or from ``spectrum``
+    on its dense form, else the leading words of the error raised."""
+    try:
+        if rule is spectrum:
+            return "full" if spectrum(M.dense(), "M")[2].all() else "null"
+        return "full" if low_rank_spectrum(M, "M") is None else "null"
+    except SingularInformationError as exc:
+        return str(exc).split(" (")[0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1), m=st.integers(1, 12))
 def test_diag_plus_low_rank_matches_dense(seed, m):
     """On random diagonal-plus-rank-2 matrices of either sign of coef: the
-    eigenvalue counts, the extreme-eigenvalue brackets and the Woodbury and
+    eigenvalue counts, the rank verdict and the Woodbury and
     block-elimination solves agree with the dense matrix.  The shifted
     diagonal stays at least 0.3 from zero, where Woodbury divides by it."""
     rng = np.random.default_rng(seed)
@@ -280,9 +291,13 @@ def test_diag_plus_low_rank_matches_dense(seed, m):
         gap = min(np.abs(values - sigma).min(), np.abs(diag - sigma).min())
         if gap > 1e-8:  # a count at an eigenvalue or a pole is a tie
             assert M.count_below(sigma) == np.count_nonzero(values < sigma)
-    (lo1, hi1), (lom, him) = M.extreme_brackets()
-    slack = 1e-12 * np.abs(values).max()
-    assert lo1 - slack <= values[0] <= hi1 + slack and lom - slack <= values[-1] <= him + slack
+    # the verdict of low_rank_spectrum is spectrum's, on M and on two
+    # matrices made from its draws: D - c f f' with a null direction D^-1 f,
+    # and D - 2c f f', indefinite
+    d, f = np.abs(diag), np.column_stack([M.factor[:, 0], np.zeros(m)])
+    c = 1.0 / (f[:, 0] @ (f[:, 0] / d))
+    for case in (M, DiagPlusLowRank(d, f, -c), DiagPlusLowRank(d, f, -2.0 * c)):
+        assert _rank_verdict(low_rank_spectrum, case) == _rank_verdict(spectrum, case)
     shift = rng.uniform(-0.2, 0.2)
     # magnitudes summed into each system: both solves' rounding scales with
     # ||system^-1|| ||parts||, near-cancelling entries included

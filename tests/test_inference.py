@@ -288,7 +288,6 @@ def test_blocks_paths_converge_with_n():
     """Moment and observed-Hessian blocks are different estimators of the
     same limit: their gap must shrink along n = 500, 5000, 50000."""
     from semest import Weights, compute_weights
-    from semest.logistic import FullMLELogisticModel
     from semest.validate import ToyInstance, simulate
 
     toy = ToyInstance(
@@ -298,7 +297,7 @@ def test_blocks_paths_converge_with_n():
         beta=[np.log(2.0)],
         weights=Weights([0.5, 0.5]),
     )
-    model = FullMLELogisticModel(toy.support, toy.labels)
+    model = toy.mle_model()
     params = toy.mle_params()
     from semest.likelihood import aggregate_hessian
     from semest.structured import dense
@@ -319,7 +318,6 @@ def test_istar_lln_against_enumeration():
     """Empirical efficient information on a huge simulated sample matches
     the exactly enumerated population value within 1%."""
     from semest import Weights, compute_weights
-    from semest.logistic import FullMLELogisticModel
     from semest.validate import ToyInstance, brute_force_info, simulate
 
     toy = ToyInstance(
@@ -331,7 +329,7 @@ def test_istar_lln_against_enumeration():
     )
     _, istar_exact = brute_force_info(toy)
     ds = simulate(toy, (500_000, 500_000), np.random.default_rng(17))
-    model = FullMLELogisticModel(toy.support, toy.labels)
+    model = toy.mle_model()
     cs = centered_scores(model, toy.mle_params(), ds)
     blocks = info_blocks_moments(cs, compute_weights(ds))
     istar_emp = efficient_information(blocks)

@@ -221,7 +221,7 @@ def test_mle_nonfinite_row_names_the_observation(leprosy):
     got = exc.value.observation
     assert (got.sample, got.x.tolist()) == (want.sample, want.x.tolist())
     params = model.init_params(leprosy)
-    params[0] = 1e5  # f(0 | v) underflows at every v: the control rows are 0 / 0
+    params[1] = 1e5  # Age > 0: f(0 | v) underflows at every v, the control rows are 0 / 0
     with pytest.raises(EvaluationError) as exc:
         aggregate_score(model, params, leprosy)
     assert exc.value.observation.sample == 1

@@ -79,7 +79,7 @@ def test_full_mle_requires_two_support_points():
     with pytest.raises(DataError):
         from semest.logistic import FullMLELogisticModel
 
-        FullMLELogisticModel(np.array([[1.0]]), ("x1",))
+        FullMLELogisticModel(np.array([[1.0]]), ("x1",), np.eye(2)[:, 1:])
 
 
 def test_model_scores_match_fd(leprosy, rng):

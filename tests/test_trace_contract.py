@@ -64,7 +64,7 @@ def test_mle_fit_takes_one_derivative_pass_per_step(tracing, tmp_path):
     so the objective too is evaluated once per step."""
     ((_, counts, fits),) = _traced_fits(tracing, tmp_path, ("mle",))
     (fit,) = fits
-    assert fit.result == 7
+    assert fit.result == 5
     for name in AGGREGATES:
         assert counts[name] == fit.result + 1, name
 
