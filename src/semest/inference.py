@@ -134,7 +134,9 @@ def spectrum(M, what):
     if np.any(scale == 0.0):
         raise SingularInformationError(f"{what} is zero")
     if np.any(values[..., :1] < -RANK_TOL * scale):
-        raise SingularInformationError(f"{what} is indefinite (eigenvalues {values})")
+        raise SingularInformationError(
+            f"{what} is indefinite (smallest eigenvalue {values[..., 0].min():.3e})"
+        )
     return values, vectors, values > RANK_TOL * scale
 
 

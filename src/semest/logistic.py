@@ -5,8 +5,8 @@ rows at once:
 
 * ``build_full_mle_model`` -- joint maximum likelihood over the slopes and
   the discrete covariate distribution g on the observed support (softmax
-  coordinates, last one pinned to 0); the intercept is not identified
-  under case-control sampling, so it is not a parameter (pinned at 0);
+  coordinates, last one pinned to 0); the intercept, not identified under
+  case-control sampling, is not a parameter;
 * ``build_identifiable_model`` -- the reparametrized submodel in
   (alpha_star, beta), alpha_star = alpha + log rho1: identifiable, and
   algebraically a prospective logistic fit with a fixed intercept offset;
@@ -17,9 +17,9 @@ rows at once:
 Each builder takes a two-sample dataset alone (the sample weights
 w_s = n_s / n and the covariate labels come from it) and an optional
 ``basis`` B: the parameters are then z, with (alpha, beta) = B z (the
-``mle`` has z_0 = 0), and every closed form reads the design (1, x) B.  Strata: sample 1 = controls (y = 0),
-sample 2 = cases (y = 1).  Covariates are stored as (scar, transformed age)
-for the bundled leprosy data.
+``mle`` pins z_0 = 0), and every closed form reads the design (1, x) B.
+Strata: sample 1 = controls (y = 0), sample 2 = cases (y = 1).  Covariates
+are stored as (scar, transformed age) for the bundled leprosy data.
 
 ``casecontrol_reparam_model`` builds the generic ``ReparamModel`` of the
 same design from ``casecontrol_weight_spec`` and ``casecontrol_family``.
@@ -300,8 +300,8 @@ def build_nonidentifiable_model(dataset, basis=None):
 
 def build_full_mle_model(dataset, basis=None):
     _two_sample_weights(dataset)
-    # the slope columns: every intercept on the ridge has the same
-    # likelihood, so it is pinned at z_0 = 0
+    # the slope columns of the basis: every intercept on the ridge has the
+    # same likelihood, so the intercept is pinned at z_0 = 0
     basis = np.eye(1 + dataset.p) if basis is None else basis
     return FullMLELogisticModel(dataset.support, dataset.labels, basis[:, 1:])
 
