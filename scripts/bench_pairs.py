@@ -2,6 +2,7 @@
 
     python3 scripts/bench_pairs.py --parent DIR --change DIR --workload W
         --seeds 41-50 --seconds 30 --trace 0 --out BENCH.json [--section S]
+        [--claim W:METRIC --control W:METRIC]
 
 ``--parent`` and ``--change`` are two checkouts of the repository (a
 ``git clone`` or ``git archive`` of each commit).  For every seed the
@@ -22,6 +23,13 @@ seed) it goes to ``out["traced"][workload]``: the exit code, the "not traced"
 line if the run printed one, and every per-layer metric; one traced run per
 side shows where time went, not a ratio.  Other entries of ``--out`` are
 kept, so one file collects every workload.
+
+``--claim`` and ``--control`` (each ``workload:metric``) print, after the
+run, the ratio of medians and the pair wins of the claimed metric and of
+a control metric beside it, from ``out[section]``.  The control is a
+metric on a path the change does not touch: pairs of two checkouts drift
+by a few percent between rounds, and a claim is read against that drift.
+A workload not yet run in the section prints as not measured.
 """
 
 from __future__ import annotations
@@ -161,6 +169,18 @@ def traced(args, seed):
     return out
 
 
+def pair_line(role, spec, section):
+    """The pair result of ``spec`` (``workload:metric``) in ``section``, one
+    line."""
+    workload, _, name = spec.partition(":")
+    m = section.get(workload, {}).get("metrics", {}).get(name)
+    if m is None:
+        return f"{role:7s} {spec}: not measured"
+    return (f"{role:7s} {spec}: ratio {m['ratio_of_medians']:.4f} "
+            f"wins {m['pair_wins']}/{m['pairs']} "
+            f"beyond parent IQR: {m['medians_differ_by_more_than_parent_iqr']}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -172,6 +192,10 @@ def main(argv=None):
     parser.add_argument("--out", required=True, help="JSON file to create or update")
     parser.add_argument("--section", default="workloads",
                         help="top-level key of the --trace 0 result")
+    parser.add_argument("--claim", metavar="WORKLOAD:METRIC",
+                        help="print the pair result of the claimed metric")
+    parser.add_argument("--control", metavar="WORKLOAD:METRIC",
+                        help="print, beside the claim, that of a metric the change leaves alone")
     args = parser.parse_args(argv)
 
     out_path = Path(args.out)
@@ -195,6 +219,9 @@ def main(argv=None):
                   f"beyond parent IQR: {m['medians_differ_by_more_than_parent_iqr']} "
                   f"worse than bound: {m['worse_than_bound']}")
     out_path.write_text(json.dumps(out, indent=1) + "\n")
+    for role in ("claim", "control"):
+        if getattr(args, role):
+            print(pair_line(role, getattr(args, role), out.get(args.section, {})))
     return 0
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import REPORT_ROW_NAMES as _ROW_NAMES
 from .errors import SingularInformationError
 from .inference import (
     EfficiencyReport,
@@ -44,8 +45,6 @@ _NOT_IDENTIFIED = (
     "intercept is not identified under case-control sampling; "
     "'!' rows are unreliable: one point on a flat ridge, with no standard error"
 )
-# display names of the intercept-type parameters, by parameter label
-_ROW_NAMES = {"alpha": "Intercept", "log_rho1": "log_rho1", "alpha*": "Intercept*"}
 
 
 def build_method(dataset, method, basis=None):
@@ -212,7 +211,7 @@ def comparison_json(reports, releff):
 
     return json.dumps(
         {
-            "reports": {m: json.loads(r.to_json()) for m, r in reports.items()},
+            "reports": {m: r.to_dict() for m, r in reports.items()},
             "relative_efficiency": {
                 m: {lab: float(v) for lab, v in eff.items()} for m, eff in releff.items()
             },

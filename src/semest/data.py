@@ -22,6 +22,9 @@ import numpy as np
 
 from .errors import DataError, EvaluationError
 
+# the reports' intercept-type row names, by parameter label: no covariate label may take one
+REPORT_ROW_NAMES = {"alpha": "Intercept", "log_rho1": "log_rho1", "alpha*": "Intercept*"}
+
 
 @dataclass(frozen=True)
 class Observation:
@@ -194,6 +197,9 @@ class MultisampleDataset:
             labels = [f"x{i + 1}" for i in range(X.shape[1])]
         if len(labels) != X.shape[1] or len(set(labels)) != len(labels):
             raise DataError(f"expected {X.shape[1]} distinct covariate labels, got {labels!r}")
+        taken = [lab for lab in labels if str(lab).rstrip("!") in REPORT_ROW_NAMES.values()]
+        if taken:
+            raise DataError(f"covariate label {taken[0]!r} is the name of a report row")
         if np.any(multiplicity < 1):
             raise DataError(f"multiplicity must be >= 1, got {multiplicity.min()}")
         if np.any(sample < 1):

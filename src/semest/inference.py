@@ -240,26 +240,25 @@ class EfficiencyReport:
     n: int = 0
     extra_rows: dict = field(default_factory=dict)  # label -> (coef, se, marker)
 
+    def to_dict(self):
+        """The report as JSON-ready Python values (what ``to_json`` writes)."""
+        return {
+            "method": self.method,
+            "labels": list(self.labels),
+            "coef": [float(c) for c in self.coef],
+            "se": [float(s) for s in self.se],
+            "eff_info": np.asarray(self.eff_info, dtype=float).tolist(),
+            "loglik": float(self.loglik),
+            "iterations": int(self.iterations),
+            "runtime_ms": float(self.runtime_ms),
+            "cond_number": float(self.cond_number),
+            "warnings": list(self.warnings),
+            "n": int(self.n),
+            "extra_rows": {k: [v[0], v[1], v[2]] for k, v in self.extra_rows.items()},
+        }
+
     def to_json(self):
-        return json.dumps(
-            {
-                "method": self.method,
-                "labels": list(self.labels),
-                "coef": [float(c) for c in self.coef],
-                "se": [float(s) for s in self.se],
-                "eff_info": np.asarray(self.eff_info, dtype=float).tolist(),
-                "loglik": float(self.loglik),
-                "iterations": int(self.iterations),
-                "runtime_ms": float(self.runtime_ms),
-                "cond_number": float(self.cond_number),
-                "warnings": list(self.warnings),
-                "n": int(self.n),
-                "extra_rows": {
-                    k: [v[0], v[1], v[2]] for k, v in self.extra_rows.items()
-                },
-            },
-            indent=2,
-        )
+        return json.dumps(self.to_dict(), indent=2)
 
     def coef_by_label(self):
         return dict(zip(self.labels, self.coef))

@@ -60,6 +60,9 @@ def _log1pexp(t):
     return np.logaddexp(0.0, t)
 
 
+_RESPONSES = np.array([[0], [1]])  # y = 0, 1 down the rows of a (2, K) table
+
+
 class CaseControlLogisticModel(ModelSpec):
     """Reparametrized case-control logistic model.  Estimation-mode
     log-density y u - log(w0 + w1 e^u) with u = z' M params, z = (1, x) and
@@ -256,11 +259,11 @@ class FullMLELogisticModel(ModelSpec):
             return self.totals(params, data, 2)
         y = data.sample - 1
         k = support_positions(self.support, data)
-        if order == 0:
+        if order == 0:  # the (2, K) table of log f(y|v_k) + log g_k - log D_y, then its rows
             g, eta, *_, D = self._at(params)
-            eta_k = eta.take(k, axis=-1)
-            logf_k = y * eta_k - _log1pexp(eta_k)
-            return logf_k + np.log(g.take(k, axis=-1)) - np.log(D.take(y, axis=-1))
+            logf = _RESPONSES * eta[..., None, :] - _log1pexp(eta)[..., None, :]
+            table = logf + np.log(g)[..., None, :] - np.log(D)[..., None]
+            return table.reshape(table.shape[:-2] + (-1,)).take(y * self.K + k, axis=-1)
         a, b, m = self._slopes_at(params)
         # written in place: (N, q+K-1) is the largest array of this model
         q = self.n_theta

@@ -130,13 +130,15 @@ class ReparamModel(ModelSpec):
 
     One pass builds the design Z = (1, X) of all rows and the linear
     predictor eta = Z theta, and calls ``wspec`` and ``family`` once
-    each, at eta and at the order it needs: a theta derivative is the
-    eta derivative times z, so the Hessian's theta block is Z' diag(h) Z
-    and no per-row d x d array is formed.  Every order takes a (P, d)
-    stack, and order 2 per-vector multiplicities (P, N).  At order 0 a
-    vector of a stack that is inadmissible (a row with Q_{s|X} = 0 for its
-    own stratum, or zero selection mass) gets non-finite rows instead of
-    the EvaluationError one vector raises.
+    each, at eta: a theta derivative is the eta derivative times z, so the
+    Hessian's theta block is Z' diag(h) Z and no per-row d x d array is
+    formed.  Z and the values at the last point are kept: a Newton step
+    asks for orders 0, 1, 2 at one point, so a score takes them to order
+    2.  Every order takes a (P, d) stack, and order 2 per-vector
+    multiplicities (P, N).  At order 0 a vector of a stack that is
+    inadmissible (a row with Q_{s|X} = 0 for its own stratum, or zero
+    selection mass) gets non-finite rows instead of the EvaluationError
+    one vector raises.
     """
 
     def __init__(self, wspec, family, fstar, weights, theta_labels):
@@ -149,27 +151,38 @@ class ReparamModel(ModelSpec):
             f"log_q{j + 1}" for j in range(len(weights) - 1)
         )
         self.interest_idx = tuple(range(self.n_theta))
+        self._rows = self._Z = self._key = self._point = None  # the last rows and point seen
+
+    def _at(self, params, data, order):
+        """Z = (1, X), and q, a = w / q, ``wspec``, ``family`` and Q a at ``params``."""
+        rows = (data.X, data.y)
+        if self._rows is None or any(new is not old for new, old in zip(rows, self._rows)):
+            self._rows, self._Z, self._key = rows, _design(data.X), None
+        key = (params.shape, params.tobytes())
+        if key != self._key or len(self._point[2]) <= order:
+            theta, free = params[..., : self.n_theta], np.exp(params[..., self.n_theta :])
+            qv = np.concatenate([free, np.ones(free.shape[:-1] + (1,))], axis=-1)  # q, q_S = 1
+            eta = (self._Z @ theta[..., None])[..., 0]  # (..., N)
+            a = self.weights.w / qv  # (..., S)
+            Q = self.wspec(eta, 2 if order else 0)  # each (..., N, S)
+            denom = (Q[0] @ a[..., None])[..., 0]  # (..., N)
+            family = self.family(data.y, eta, 2 if order else 0)
+            self._key, self._point = key, (qv, a, Q, family, denom)
+        return self._Z, self._point
 
     def evaluate(self, params, data, order):
-        theta, free = params[..., : self.n_theta], np.exp(params[..., self.n_theta :])
-        qv = np.concatenate([free, np.ones(free.shape[:-1] + (1,))], axis=-1)  # q, q_S = 1
+        Z, (qv, a, (Q, *dQ), (log_f, *df), denom) = self._at(params, data, order)
         X, s = data.X, data.sample - 1
-        Z = _design(X)
-        eta = (Z @ theta[..., None])[..., 0]  # (..., N)
-        a = self.weights.w / qv  # (..., S)
-        Q, *dQ = self.wspec(eta, order)  # each (..., N, S)
-        denom = (Q @ a[..., None])[..., 0]  # (..., N)
-        log_f, *df = self.family(data.y, eta, order)
         if order == 0:
             off = Q[..., np.arange(len(s)), s] <= 0.0
             dead = denom <= 0.0
-            if theta.ndim == 1 and np.any(off):
+            if params.ndim == 1 and np.any(off):
                 i = int(np.argmax(off))
                 raise EvaluationError(
                     f"observation inconsistent with its stratum: "
                     f"Q_{s[i] + 1}|X = 0 at x={X[i]}"
                 )
-            if theta.ndim == 1 and np.any(dead):
+            if params.ndim == 1 and np.any(dead):
                 raise EvaluationError("x has zero selection mass under all strata")
             rows = log_f - np.log(denom) - np.log(qv[..., s])
             return np.where(off | dead, np.nan, rows)  # a stack's inadmissible vectors
@@ -191,7 +204,7 @@ class ReparamModel(ModelSpec):
         C = m[..., None] * (dQ[0][..., :-1] * wq - B * rho[..., None])
         mB = m[..., None] * B
         k = self.n_theta
-        out = np.empty(eta.shape[:-1] + (self.n_params, self.n_params))
+        out = np.empty(denom.shape[:-1] + (self.n_params, self.n_params))
         out[..., :k, :k] = (Z * h[..., None]).swapaxes(-1, -2) @ Z
         out[..., :k, k:] = Z.T @ C
         out[..., k:, :k] = out[..., :k, k:].swapaxes(-1, -2)

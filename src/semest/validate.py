@@ -80,38 +80,45 @@ def _fd_hessian_pattern(d):
     return _read_only(i, j, np.arange(4 * len(i)), np.repeat(i, 4), np.repeat(j, 4), si, sj)
 
 
+def _require_finite(vals, x):
+    """EvaluationError naming the first point of ``x`` with a non-finite sample."""
+    ok = np.isfinite(vals.reshape(x.shape[:-1] + (-1,))).all(axis=-1)
+    if not np.all(ok):
+        at = x[np.argmin(ok)] if x.ndim > 1 else x
+        raise EvaluationError(f"non-finite sample in finite differences at {at}")
+
+
 def fd_gradient(f, x):
-    """Central-difference gradient of ``f`` at ``x``.  ``f`` maps a stack of
-    points (P, d) to their values (P,); it is called once, on all 2d points
-    x +- h_i e_i."""
+    """Central-difference gradient of ``f`` at ``x`` (d,), or at each point
+    of a stack (R, d).  ``f`` maps a stack of points (P, d) to their values
+    (P,); it is called once, on all 2d points x +- h_i e_i of every x."""
     x = np.asarray(x, dtype=float)
-    d = len(x)
+    d = x.shape[-1]
     h = FD_STEP * np.maximum(1.0, np.abs(x))
     rows, i, sign = _fd_gradient_pattern(d)
-    pts = np.tile(x, (2 * d, 1))
-    pts[rows, i] += sign * h[i]
-    vals = np.asarray(f(pts), dtype=float).reshape(d, 2)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError(f"non-finite sample in finite differences at {x}")
-    return (vals[:, 0] - vals[:, 1]) / (2.0 * h)
+    pts = np.repeat(x[..., None, :], 2 * d, axis=-2)
+    pts[..., rows, i] += sign * h[..., i]
+    vals = np.asarray(f(pts.reshape(-1, d)), dtype=float).reshape(x.shape[:-1] + (d, 2))
+    _require_finite(vals, x)
+    return (vals[..., 0] - vals[..., 1]) / (2.0 * h)
 
 
 def fd_hessian(f, x):
-    """Central-difference Hessian of ``f`` at ``x`` from the four points
-    x +- h_i e_i +- h_j e_j of every pair i <= j; ``f`` is called once, on
-    all of them (see ``fd_gradient``)."""
+    """Central-difference Hessian of ``f`` at ``x`` (d,) or (R, d) from the
+    four points x +- h_i e_i +- h_j e_j of every pair i <= j; ``f`` is
+    called once, on all of them (see ``fd_gradient``)."""
     x = np.asarray(x, dtype=float)
+    d = x.shape[-1]
     steps = FD_HESS_STEP * np.maximum(1.0, np.abs(x))
-    i, j, rows, ii, jj, si, sj = _fd_hessian_pattern(len(x))
-    pts = np.tile(x, (len(ii), 1))
-    pts[rows, ii] += si * steps[ii]  # two updates, so that i == j moves twice
-    pts[rows, jj] += sj * steps[jj]
-    vals = np.asarray(f(pts), dtype=float).reshape(-1, 4)
-    if not np.all(np.isfinite(vals)):
-        raise EvaluationError(f"non-finite sample in finite differences at {x}")
-    H = np.empty((len(x), len(x)))
-    H[i, j] = H[j, i] = (vals[:, 0] - vals[:, 1] - vals[:, 2] + vals[:, 3]) / (
-        4 * steps[i] * steps[j]
+    i, j, rows, ii, jj, si, sj = _fd_hessian_pattern(d)
+    pts = np.repeat(x[..., None, :], len(ii), axis=-2)
+    pts[..., rows, ii] += si * steps[..., ii]  # two updates, so that i == j moves twice
+    pts[..., rows, jj] += sj * steps[..., jj]
+    vals = np.asarray(f(pts.reshape(-1, d)), dtype=float).reshape(x.shape[:-1] + (-1, 4))
+    _require_finite(vals, x)
+    H = np.empty(x.shape[:-1] + (d, d))
+    H[..., i, j] = H[..., j, i] = (vals[..., 0] - vals[..., 1] - vals[..., 2] + vals[..., 3]) / (
+        4 * steps[..., i] * steps[..., j]
     )
     return H
 
@@ -370,16 +377,18 @@ def _row_sum_loglik(model, params, dataset):
 
 
 def _rel_err(value, fd):
-    """max |value - fd|, relative to max(1, max |fd|)."""
-    return float(np.max(np.abs(value - fd))) / max(1.0, float(np.max(np.abs(fd))))
+    """max |value - fd| at each point of a stack, relative to max(1, max |fd|) there."""
+    fd = fd.reshape(len(fd), -1)
+    gap = np.max(np.abs(value.reshape(fd.shape) - fd), axis=1)
+    return gap / np.maximum(1.0, np.max(np.abs(fd), axis=1))
 
 
 def _totals_gap(model, x, dataset):
-    """The relative gap between ``totals`` at orders 0 and 1 and the
-    multiplicity-weighted sums of ``evaluate``'s rows (``ModelSpec.totals``)."""
+    """The relative gap at each point of a stack between ``totals`` at orders
+    0 and 1 and the multiplicity-weighted sums of ``evaluate``'s rows."""
     with np.errstate(all="ignore"):
         return np.max([_rel_err(model.totals(x, dataset, k), ModelSpec.totals(model, x, dataset, k))
-                       for k in (0, 1)])
+                       for k in (0, 1)], axis=0)
 
 
 def _generic_gap(model, nonid_fit, dataset):
@@ -430,19 +439,17 @@ def run_suite(seed=0, mc=False, reps=500):
         "reparam-generic": casecontrol_reparam_model(dataset),
     }
 
-    # 1. finite-difference agreement, and closed-form totals against the
-    # row sums, at 20 random points per model; every worst value is an
-    # np.max, which keeps a NaN (a failure)
+    # 1. finite-difference agreement, and closed-form totals against the row
+    # sums, at a stack of 20 random points per model, one call per quantity;
+    # every worst value is an np.max, which keeps a NaN (a failure)
     for name, model in fd_models.items():
         f = lambda p: _row_sum_loglik(model, p, dataset)
-        errs = []
-        for _ in range(20):
-            x = 0.5 * rng.uniform(-1.0, 1.0, size=model.n_params)
-            g = aggregate_score(model, x, dataset)
-            h = dense(aggregate_hessian(model, x, dataset))
-            errs.append([_rel_err(g, fd_gradient(f, x)), _rel_err(h, fd_hessian(f, x)),
-                         _totals_gap(model, x, dataset)])
-        worst_g, worst_h, worst_t = np.max(errs, axis=0)
+        x = 0.5 * rng.uniform(-1.0, 1.0, size=(20, model.n_params))
+        g = aggregate_score(model, x, dataset)
+        h = dense(aggregate_hessian(model, x, dataset))
+        errs = [_rel_err(g, fd_gradient(f, x)), _rel_err(h, fd_hessian(f, x)),
+                _totals_gap(model, x, dataset)]
+        worst_g, worst_h, worst_t = np.max(errs, axis=1)
         report(f"fd-score[{name}]", worst_g, 1e-6, "max rel err")
         report(f"fd-hessian[{name}]", worst_h, 1e-5, "max rel err")
         report(f"totals-vs-rows[{name}]", worst_t, 1e-12, "max rel gap")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,14 @@ def test_from_columns_rejects_labels_of_wrong_length():
     for labels in (("a", "b"), ("a", "b", "c", "d"), (), ("a", "b", "a")):
         with pytest.raises(DataError, match="expected 3 distinct covariate labels, got"):
             MultisampleDataset.from_columns(X, [1, 2], [1, 1], labels=labels)
+
+
+@pytest.mark.parametrize("name", ["Intercept", "Intercept*", "log_rho1", "Intercept!"])
+def test_from_columns_rejects_a_report_row_name_as_label(name):
+    """A covariate named like a report's intercept-type row (marked '!' or
+    not) would print two rows of one name."""
+    with pytest.raises(DataError, match=f"covariate label '{re.escape(name)}' is the name of"):
+        MultisampleDataset.from_columns(np.zeros((2, 2)), [1, 2], [1, 1], labels=("Age", name))
 
 
 def test_load_long_csv_zero_based(tmp_path):

@@ -266,9 +266,10 @@ def test_covariate_shift(leprosy, leprosy_reports, j, shift):
 
 @pytest.mark.parametrize("method", METHODS)
 def test_covariate_labels_do_not_move_the_report(leprosy, method):
-    """Covariates named like a parameter (``alpha``, ``alpha*``,
-    ``log_rho1``) give the slopes, standard errors and intercept-type rows
-    of the same data under its own labels."""
+    """Covariates named like a parameter (``alpha``, ``alpha*``) give the
+    slopes, standard errors and intercept-type rows of the same data under
+    its own labels.  (``log_rho1`` is also a report row's name, which the
+    dataset rejects as a label.)"""
     def fit(labels):
         ds = MultisampleDataset.from_columns(
             leprosy.X, leprosy.sample, leprosy.multiplicity, labels=labels
@@ -276,7 +277,7 @@ def test_covariate_labels_do_not_move_the_report(leprosy, method):
         return fit_method(ds, method)[1]
 
     ref = fit(("Scar", "Age"))
-    for labels in [("alpha", "Age"), ("Scar", "alpha"), ("Scar", "log_rho1"), ("alpha*", "Age")]:
+    for labels in [("alpha", "Age"), ("Scar", "alpha"), ("alpha*", "Age")]:
         got = fit(labels)
         np.testing.assert_array_equal(got.coef, ref.coef)
         np.testing.assert_array_equal(got.se, ref.se)

@@ -189,6 +189,19 @@ def test_report_json_roundtrip(leprosy_id_fit):
     )
 
 
+def test_comparison_json_is_the_reports_json_reread(leprosy_reports):
+    """``comparison_json`` writes each report's ``to_dict`` directly: the
+    bytes of re-reading each report's ``to_json`` text."""
+    from semest.analysis import comparison_json
+
+    reports, releff = leprosy_reports
+    reread = {
+        "reports": {m: json.loads(r.to_json()) for m, r in reports.items()},
+        "relative_efficiency": {m: {k: float(v) for k, v in e.items()} for m, e in releff.items()},
+    }
+    assert comparison_json(reports, releff) == json.dumps(reread, indent=2)
+
+
 def test_render_table_mentions_labels(leprosy_id_fit):
     _, report, _ = leprosy_id_fit
     text = report.render_table()

@@ -19,6 +19,7 @@ from semest.logistic import (
     build_full_mle_model,
     build_identifiable_model,
     build_nonidentifiable_model,
+    casecontrol_reparam_model,
     transform_age,
 )
 from semest.structured import StructuredHessian, dense
@@ -229,6 +230,7 @@ def test_mle_nonfinite_row_names_the_observation(leprosy):
 
 
 BUILDERS = {
+    "generic": casecontrol_reparam_model,
     "mle": build_full_mle_model,
     "reparam-id": build_identifiable_model,
     "reparam-nonid": build_nonidentifiable_model,

@@ -128,3 +128,32 @@ def test_all_methods_agree_on_slopes(leprosy_reports):
         ses = [reports[m].se_by_label()[lab] for m in reports]
         assert max(ses) - min(ses) < 1e-6
 
+
+def _mle_rows_by_gathering(model, params, data):
+    """The joint mle's order-0 rows gathered per row before any
+    transcendental (the formula before the (2, K) table)."""
+    from semest.data import support_positions
+    from semest.logistic import _log1pexp
+
+    y = data.sample - 1
+    k = support_positions(model.support, data)
+    g, eta, *_, D = model._at(params)
+    eta_k = eta.take(k, axis=-1)
+    logf_k = y * eta_k - _log1pexp(eta_k)
+    return logf_k + np.log(g.take(k, axis=-1)) - np.log(D.take(y, axis=-1))
+
+
+def test_mle_order0_table_equals_the_per_row_formula(leprosy, rng):
+    """The (2, K) table gathered by (y, k) gives the bits of the per-row
+    formula: for one vector, for a stack, and for datasets of one row."""
+    model = build_full_mle_model(leprosy)
+    stack = rng.uniform(-1.0, 1.0, size=(7, model.n_params))
+    for params in (stack[0], stack):
+        np.testing.assert_array_equal(
+            evaluate(model, params, leprosy, 0), _mle_rows_by_gathering(model, params, leprosy)
+        )
+    for obs in leprosy.observations:
+        row = observation_rows(obs)
+        np.testing.assert_array_equal(
+            evaluate(model, stack, row, 0), _mle_rows_by_gathering(model, stack, row)
+        )

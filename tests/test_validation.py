@@ -1,19 +1,22 @@
 import functools
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
 
 import semest.logistic
 import semest.validate
-from semest import ConvergenceError, FitConfig, Weights
+from semest import ConvergenceError, EvaluationError, FitConfig, Weights
+from semest.analysis import build_method
 from semest.cli import main
 from semest.inference import efficient_information, info_blocks_moments
 from semest.logistic import FullMLELogisticModel, casecontrol_reparam_model
 from semest.validate import (
     MAX_OUTCOMES,
     ToyInstance,
+    _row_sum_loglik,
     brute_force_info,
     check_stationarity,
     default_mc_design,
@@ -45,6 +48,25 @@ def test_fd_exact_on_quadratic():
     x0 = np.array([0.7, -0.2])
     np.testing.assert_allclose(fd_gradient(f, x0), A @ x0 + b, atol=1e-8)
     np.testing.assert_allclose(fd_hessian(f, x0), A, atol=1e-6)
+
+
+@pytest.mark.parametrize("name", ["mle", "reparam-nonid", "reparam-id", "generic"])
+def test_fd_on_a_stack_equals_single_points(leprosy, name):
+    """Stacked fd_gradient and fd_hessian give, at each point of an (R, d)
+    stack, the bits of the call at that point alone; a non-finite sample
+    names its point."""
+    model = (casecontrol_reparam_model(leprosy) if name == "generic"
+             else build_method(leprosy, name))
+    f = lambda p: _row_sum_loglik(model, p, leprosy)
+    x = 0.5 * np.random.default_rng(7).uniform(-1.0, 1.0, size=(3, model.n_params))
+    for fd in (fd_gradient, fd_hessian):
+        stacked = fd(f, x)
+        assert stacked.shape == (3,) + fd(f, x[0]).shape
+        for r in range(3):
+            np.testing.assert_array_equal(stacked[r], fd(f, x[r]))
+        poisoned = lambda p: np.where(np.all(p[:, :1] == x[1, 0], axis=1), np.nan, f(p))
+        with pytest.raises(EvaluationError, match=re.escape(str(x[1]))):
+            fd(poisoned, x)
 
 
 def test_toy_probabilities(toy):
