@@ -57,7 +57,8 @@ def _sigmoid_pair(t):
 
 
 def _log1pexp(t):
-    return np.logaddexp(0.0, t)
+    """log(1 + e^t) = max(t, 0) + log(1 + e^-|t|), for any sign of t."""
+    return np.maximum(t, 0.0) + np.log1p(np.exp(-np.abs(t)))
 
 
 _RESPONSES = np.array([[0], [1]])  # y = 0, 1 down the rows of a (2, K) table
