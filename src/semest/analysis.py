@@ -6,7 +6,8 @@ Methods
 ``mle``
     Joint maximum likelihood over the slopes and the discrete covariate
     distribution (largest parameter vector); the intercept is not
-    identified under case-control sampling and is not a parameter.
+    identified under case-control sampling and is not a parameter.  Its
+    Newton loop starts where the ``reparam-id`` fit maps to.
 ``reparam-nonid``
     Reparametrized submodel in (alpha, beta, log rho1); the intercept
     direction is an exactly flat ridge, slopes are identified.
@@ -93,11 +94,33 @@ def fit_method(dataset, method, cfg=None):
     none is).  A coordinate that loads on a null direction is not
     identified: an intercept-type row is marked '!' and has no standard
     error, a slope raises SingularInformationError.
+
+    The ``mle`` starts at the ``profile_image`` of a converged ``reparam-id`` fit, else
+    at ``init_params``; its ``iterations`` are its own, its ``runtime_ms`` includes that fit.
     """
+    return fit_methods(dataset, (method,), cfg)[0]
+
+
+def fit_methods(dataset, methods, cfg=None):
+    """``fit_method`` of each of ``methods``, in order, with one ``reparam-id`` fit
+    shared; every model is built before any fit, so the first method's errors come first."""
     cfg = cfg or FitConfig()
     B, B_inv = standardizing_basis(dataset)
-    model = build_method(dataset, method, B)
-    fit = maximize(model, dataset, cfg=cfg)
+    needed = methods + ("reparam-id",) if "mle" in methods else methods
+    models = {m: build_method(dataset, m, B) for m in dict.fromkeys(needed)}
+    fits = {}
+    if "mle" in models:
+        start = fits["reparam-id"] = maximize(models["reparam-id"], dataset, cfg=cfg)
+        init = models["mle"].profile_image(dataset, start.params) if start.converged else None
+        fits["mle"] = maximize(models["mle"], dataset, init=init, cfg=cfg)
+        fits["mle"].runtime += start.runtime
+    for m in methods:
+        fits[m] = fits.get(m) or maximize(models[m], dataset, cfg=cfg)
+    return [_report(dataset, m, models[m], fits[m], B, B_inv) for m in methods]
+
+
+def _report(dataset, method, model, fit, B, B_inv):
+    """``fit_method``'s (fit, report, model) from the fit of ``model``."""
     q = model.interest_idx[-1] + 1
     slopes = slice(q - dataset.p, q)
     B, B_inv = B[-q:, -q:], B_inv[-q:, -q:]
@@ -161,7 +184,7 @@ def compare_methods(dataset, cfg=None):
     EfficiencyReport, ``releff`` maps method name to the per-slope variance
     ratio (se_mle / se_method)^2.
     """
-    reports = {method: fit_method(dataset, method, cfg=cfg)[1] for method in METHODS}
+    reports = {m: report for m, (_, report, _) in zip(METHODS, fit_methods(dataset, METHODS, cfg))}
     releff = {
         method: relative_efficiency(reports[method], reports["mle"])
         for method in METHODS

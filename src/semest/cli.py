@@ -31,7 +31,7 @@ from .analysis import (
     bench_methods,
     compare_methods,
     comparison_json,
-    fit_method,
+    fit_methods,
     render_comparison,
 )
 from .data import load_casecontrol_csv, load_long_csv
@@ -153,18 +153,15 @@ def _cfg(args):
 
 
 def _cmd_fit(args):
-    dataset = _load_dataset(args)
     methods = METHODS if args.method == "all" else (args.method,)
-    reports = [fit_method(dataset, m, cfg=_cfg(args))[1] for m in methods]
+    reports = [report for _, report, _ in fit_methods(_load_dataset(args), methods, _cfg(args))]
     if args.format == "json":
         if len(reports) == 1:
             text = reports[0].to_json()
         else:
             import json
 
-            text = json.dumps(
-                {r.method: json.loads(r.to_json()) for r in reports}, indent=2
-            )
+            text = json.dumps({r.method: r.to_dict() for r in reports}, indent=2)
     else:
         text = "\n\n".join(r.render_table() for r in reports)
     _emit(text, args.out)

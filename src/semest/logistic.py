@@ -206,6 +206,17 @@ class FullMLELogisticModel(ModelSpec):
             self._key, self._point, self._slopes = key, (g, eta, mu, nu, f, D), None
         return self._point
 
+    def profile_image(self, data, z_id):
+        """(theta, phi) at the image of the identifiable model's z_id = (z0*,
+        theta) in the same basis B (B e0 = e0): g_k ~ m_k (1 + e^eta_k) /
+        (1 + e^t_k), m_k the pooled count, eta_k = (1, v_k) B (0, theta), t_k =
+        eta_k + z0* + log(n1 / n0); a stationary point at the model's optimum."""
+        _, m, N, _ = self._table(data)
+        theta = z_id[1:]
+        eta = self._Z @ theta
+        log_g = np.log(m) + _log1pexp(eta) - _log1pexp(eta + z_id[0] + np.log(N[1] / N[0]))
+        return np.concatenate([theta, log_g[:-1] - log_g[-1]])
+
     def _slopes_at(self, params):
         """a = g f / D (2, K), b = y - mu (2, K) and m = (a b) Z (2, q) at
         ``params``, computed once per point."""

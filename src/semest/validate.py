@@ -470,6 +470,11 @@ def run_suite(seed=0, mc=False, reps=500):
                     for delta in (-0.2, -0.1, 0.0, 0.1, 0.2)])
     report("stationarity", worst, 1e-8, "max |score_log_q| / n")
 
+    # the image of the reparam-id fit is a stationary point of the joint likelihood
+    image = models["mle"].profile_image(dataset, fits["reparam-id"].params)
+    score = aggregate_score(models["mle"], image, dataset)
+    report("profile-image[mle]", np.max(np.abs(score)) / dataset.n, 1e-10, "max |score| / n")
+
     # the generic model, fitted, against the specialised reparam-nonid fit
     guarded("generic-vs-specialised", 1e-8, "slopes max rel diff", _generic_gap,
             reparam, fits["reparam-nonid"], dataset)

@@ -10,10 +10,10 @@ from semest import (
     EvaluationError, FitConfig, FitResult, ModelSpec, MultisampleDataset, leprosy_dataset,
     load_casecontrol_csv, log_likelihood, maximize,
 )
-from semest.analysis import METHODS, build_method, standardizing_basis
+from semest.analysis import METHODS, build_method, compare_methods, fit_method, standardizing_basis
 from semest.likelihood import hessian_entries
 from semest.logistic import (
-    build_full_mle_model, build_identifiable_model, build_nonidentifiable_model,
+    build_full_mle_model, build_identifiable_model, build_nonidentifiable_model, transform_age,
 )
 
 ONE_ROW = MultisampleDataset.from_columns(np.zeros((1, 1)), [1], [1])
@@ -306,3 +306,43 @@ def test_single_fit_is_bit_identical_to_a_batch_of_one(name, method):
         batch.loglik, batch.iterations, batch.grad_norm, batch.converged
     )
     assert isinstance(alone.iterations, int) and alone.warnings == batch.warnings
+
+
+def _fixture(name):
+    if name == "leprosy":
+        return leprosy_dataset()
+    return load_casecontrol_csv(str(FIXTURES / name), transform=transform_age)
+
+
+@pytest.mark.parametrize("name", ("leprosy",) + WIDE_SUPPORT)
+def test_mle_starts_at_the_image_of_the_reparam_id_fit(name):
+    """``fit_method``'s ``mle`` starts at the image of the converged
+    ``reparam-id`` fit, a stationary point of the joint likelihood: it takes
+    no Newton step and lands on a cold ``mle`` fit run to grad_tol 1e-12."""
+    dataset = _fixture(name)
+    fit, report, _ = fit_method(dataset, "mle")
+    model = build_method(dataset, "mle", standardizing_basis(dataset)[0])
+    cold = maximize(model, dataset, cfg=FitConfig(grad_tol=1e-12))
+    assert fit.converged and fit.iterations == report.iterations == 0
+    np.testing.assert_allclose(fit.params[: model.n_theta], cold.params[: model.n_theta],
+                               rtol=1e-12, atol=0)
+    assert np.max(np.abs(fit.params - cold.params)) <= 1e-12 * np.max(np.abs(cold.params))
+
+
+def test_mle_starts_cold_when_the_reparam_id_fit_did_not_converge(leprosy):
+    """At max_iter=5 the leprosy ``reparam-id`` fit (6 steps) does not
+    converge, so the ``mle`` starts from ``init_params``: the cold fit's 5
+    steps and its params, bit for bit."""
+    cfg = FitConfig(max_iter=5)
+    fit, _, _ = fit_method(leprosy, "mle", cfg)
+    model = build_method(leprosy, "mle", standardizing_basis(leprosy)[0])
+    cold = maximize(model, leprosy, cfg=cfg)
+    assert fit.converged and fit.iterations == cold.iterations == 5
+    np.testing.assert_array_equal(fit.params, cold.params)
+
+
+def test_mle_runtime_includes_its_start_fit(leprosy):
+    """In ``compare`` the ``mle``'s runtime is its own fit's plus that of
+    the ``reparam-id`` fit it started from, so it exceeds the latter."""
+    reports, _ = compare_methods(leprosy)
+    assert reports["mle"].runtime_ms > reports["reparam-id"].runtime_ms

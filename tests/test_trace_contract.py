@@ -14,6 +14,8 @@ from collections import Counter
 import pytest
 
 import semest.cli
+import semest.optimize
+from semest.analysis import build_method, standardizing_basis
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 METHODS = ("reparam-id", "reparam-nonid")
@@ -30,23 +32,49 @@ def tracing(monkeypatch):
     sys.modules.pop("tracing", None)
 
 
-def _traced_fits(tracing, tmp_path, methods):
-    """Span counts and the ``maximize`` span of a traced leprosy fit of each
-    method."""
+def _trace(tracing, *calls):
+    """A tracer that recorded each of ``calls`` (no-argument callables) as
+    one operation."""
     tracer = tracing.Tracer()
     assert tracer.missing == []
-    for op, method in enumerate(methods):
-        argv = ["fit", "--builtin", "leprosy", "--method", method, "--format", "json",
-                "--out", str(tmp_path / f"{method}.json")]
+    for op, call in enumerate(calls):
         tracer.install(op)
         try:
-            assert semest.cli.main(argv) == 0
+            call()
         finally:
             tracer.uninstall()
+    return tracer
+
+
+def _cli(argv):
+    def run():
+        assert semest.cli.main(argv) == 0, argv
+    return run
+
+
+def _traced_fits(tracing, tmp_path, methods):
+    """Span counts and the ``maximize`` spans of a traced leprosy fit of
+    each method."""
+    tracer = _trace(tracing, *(
+        _cli(["fit", "--builtin", "leprosy", "--method", method, "--format", "json",
+              "--out", str(tmp_path / f"{method}.json")])
+        for method in methods
+    ))
     for op, method in enumerate(methods):
         spans = [s for s in tracer.spans if s.op == op]
         fits = [s for s in spans if s.name == "optimize.maximize"]
         yield method, Counter(s.name for s in spans), fits
+
+
+def _passes(tracer):
+    """(first parameter label, iterations, aggregate span counts) of each
+    traced ``maximize``, in call order."""
+    out = []
+    for i, fit in enumerate(tracer.spans):
+        if fit.name == "optimize.maximize":
+            counts = Counter(s.name for s in tracer.spans if s.parent == i)
+            out.append((fit.model.param_labels[0], fit.result, [counts[n] for n in AGGREGATES]))
+    return out
 
 
 def test_reparam_fits_record_the_traced_spans(tracing, tmp_path):
@@ -58,15 +86,28 @@ def test_reparam_fits_record_the_traced_spans(tracing, tmp_path):
         assert [counts[name] for name in AGGREGATES] == [7, 7, 7], method
 
 
-def test_mle_fit_takes_one_derivative_pass_per_step(tracing, tmp_path):
+def test_mle_fit_takes_one_derivative_pass_per_step(tracing, tmp_path, leprosy):
     """One score and one Hessian span per accepted Newton step, and one at
-    the start.  Every step of the leprosy fit is accepted at full length,
-    so the objective too is evaluated once per step."""
+    the start.  Every step of a cold leprosy ``mle`` fit is accepted at
+    full length, so the objective too is evaluated once per step.  A traced
+    ``fit --method mle`` holds two fits: the ``reparam-id`` fit its start
+    comes from, then the ``mle`` from that start, which takes no step."""
+    model = build_method(leprosy, "mle", standardizing_basis(leprosy)[0])
+    cold = _trace(tracing, lambda: semest.optimize.maximize(model, leprosy))
+    assert _passes(cold) == [("Scar", 5, [6, 6, 6])]
     ((_, counts, fits),) = _traced_fits(tracing, tmp_path, ("mle",))
-    (fit,) = fits
-    assert fit.result == 5
-    for name in AGGREGATES:
-        assert counts[name] == fit.result + 1, name
+    assert [(s.model.param_labels[0], s.result) for s in fits] == [("alpha*", 6), ("Scar", 0)]
+    assert [counts[name] for name in AGGREGATES] == [8, 8, 8]
+
+
+def test_compare_fits_each_method_once(tracing, tmp_path):
+    """A traced ``compare`` fits ``reparam-id`` once, for its own report and
+    for the ``mle``'s start: three ``maximize`` spans, each with one
+    derivative pass per step and one at the start."""
+    argv = ["compare", "--builtin", "leprosy", "--format", "json", "--out", str(tmp_path / "c")]
+    assert _passes(_trace(tracing, _cli(argv))) == [
+        ("alpha*", 6, [7, 7, 7]), ("Scar", 0, [1, 1, 1]), ("alpha", 6, [7, 7, 7]),
+    ]
 
 
 def test_traced_validate_reaches_the_generic_model(tracing, capsys):

@@ -209,6 +209,15 @@ def _broken_score(aggregate_score):
     return broken
 
 
+def _shifted_image(profile_image):
+    """``profile_image`` with g times 1.01 on alternate support points."""
+    def shifted(self, data, z_id):
+        out = profile_image(self, data, z_id).copy()
+        out[self.n_theta :: 2] += np.log(1.01)
+        return out
+    return shifted
+
+
 def _corrupt(check, monkeypatch):
     if check == "fd-score[identifiable]":
         monkeypatch.setattr(
@@ -219,6 +228,9 @@ def _corrupt(check, monkeypatch):
     elif check == "generic-vs-specialised":
         for name in ("casecontrol_weight_spec", "casecontrol_family"):
             monkeypatch.setattr(semest.logistic, name, _stretched(getattr(semest.logistic, name)))
+    elif check == "profile-image[mle]":
+        shifted = _shifted_image(FullMLELogisticModel.profile_image)
+        monkeypatch.setattr(FullMLELogisticModel, "profile_image", shifted)
     else:
         scaled = _scaled_phi_scores(FullMLELogisticModel.evaluate)
         monkeypatch.setattr(FullMLELogisticModel, "evaluate", scaled)
@@ -230,6 +242,7 @@ _FAILS = {
     "normalization": ("max |sum - 1| = nan",) * 2,
     "generic-vs-specialised": ("slopes max rel diff 9.09e-02",) * 2,
     "totals-vs-rows[full-mle]": ("max rel gap 9.90e-03",) * 2,
+    "profile-image[mle]": ("max |score| / n 5.75e-04",) * 2,
 }
 
 
@@ -238,8 +251,9 @@ def test_suite_fails_on_corrupted_code(monkeypatch, capsys, check):
     """Each corruption of the code makes ``validate`` fail the check named,
     and no other, and exit 3: a score with 0.1 per unit added to reparam-id's
     alpha* component, a NaN normalization, a generic model with a wrong but
-    self-consistent link (1.1 eta), and the mle's per-row phi scores scaled
-    by 1.01."""
+    self-consistent link (1.1 eta), the mle's per-row phi scores scaled
+    by 1.01, and the image of the reparam-id fit with g off by 1% on
+    alternate support points."""
     _corrupt(check, monkeypatch)
     for seed, detail in zip((0, 3), _FAILS[check]):
         assert main(["validate", "--seed", str(seed)]) == 3
