@@ -244,8 +244,8 @@ def comparison_json(reports, releff):
 
 
 def bench_methods(dataset, cfg=None, repeats=5):
-    """Median-of-``repeats`` wall time of ``fit_method``'s fit per method,
-    with parameter counts; used by the CLI ``bench`` subcommand."""
+    """Median-of-``repeats`` wall time of each model's own fit from ``init_params``
+    (the ``mle`` too), with parameter counts; used by the CLI ``bench`` subcommand."""
     import time
 
     out = {}

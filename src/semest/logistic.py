@@ -210,7 +210,7 @@ class FullMLELogisticModel(ModelSpec):
         """(theta, phi) at the image of the identifiable model's z_id = (z0*,
         theta) in the same basis B (B e0 = e0): g_k ~ m_k (1 + e^eta_k) /
         (1 + e^t_k), m_k the pooled count, eta_k = (1, v_k) B (0, theta), t_k =
-        eta_k + z0* + log(n1 / n0); a stationary point at the model's optimum."""
+        eta_k + z0* + log(n1 / n0).  At that model's optimum, a joint stationary point."""
         _, m, N, _ = self._table(data)
         theta = z_id[1:]
         eta = self._Z @ theta
