@@ -127,12 +127,10 @@ class MultisampleDataset:
         response ``sample - 1`` (the stratum indicator), and the number of
         identical units the row stands for.
     observations : sequence of Observation
-        The rows as objects: the ones given to the constructor (where a
-        given ``y`` must be ``sample - 1``), or a view that builds each one
-        when read (datasets made by ``from_columns``).
+        The rows as objects, each built when it is read.
     labels : tuple of str
-        One name per covariate column: ``x1..xp`` unless given to
-        ``from_columns`` (the case-control loaders name theirs Scar, Age).
+        One name per covariate column: ``x1..xp`` unless given (the
+        case-control loaders name theirs Scar, Age).
     n_samples : int
         Number of samples S (the largest sample index present).
     sample_sizes : ndarray, shape (S,)
@@ -150,40 +148,10 @@ class MultisampleDataset:
     on first read, once per dataset; the reparametrized fits never read them.
     """
 
-    def __init__(self, observations, n_samples=None):
-        obs = tuple(observations)
-        if not obs:
-            raise DataError("no observations")
-        dims = sorted({o.x.shape[0] for o in obs})
-        if len(dims) > 1:
-            raise DataError(f"covariate dimension mismatch: dimensions {dims}")
-        i = next((i for i, o in enumerate(obs) if o.y is not None and o.y != o.sample - 1), None)
-        if i is not None:
-            raise DataError(
-                f"row {i}: y must be the sample index minus 1 ({obs[i].sample - 1}), "
-                f"got {obs[i].y}"
-            )
-        self._set_columns(
-            np.array([o.x for o in obs]),
-            _integers([o.sample for o in obs], "sample index"),
-            _integers([o.multiplicity for o in obs], "multiplicity"),
-            n_samples,
-        )
-        self.observations = obs
-
-    @classmethod
-    def from_columns(cls, X, sample, multiplicity, n_samples=None, labels=None):
-        """Dataset from a covariate matrix (N, p), per-row sample indices
-        and multiplicities, and optionally one label per covariate column."""
-        self = cls.__new__(cls)
-        self._set_columns(
-            np.asarray(X, dtype=float), _integers(sample, "sample index"),
-            _integers(multiplicity, "multiplicity"), n_samples, labels,
-        )
-        self.observations = ObservationView(self)
-        return self
-
-    def _set_columns(self, X, sample, multiplicity, n_samples, labels=None):
+    def __init__(self, X, sample, multiplicity, n_samples=None, labels=None):
+        X = np.asarray(X, dtype=float)
+        sample = _integers(sample, "sample index")
+        multiplicity = _integers(multiplicity, "multiplicity")
         if X.ndim != 2 or not len(X) == len(sample) == len(multiplicity):
             raise DataError("X must be (N, p), with a sample and a multiplicity per row")
         if not len(X):
@@ -221,6 +189,7 @@ class MultisampleDataset:
         self.n = int(sizes.sum())
         self.p = X.shape[1]
         self.labels = tuple(labels)
+        self.observations = ObservationView(self)
 
     @cached_property
     def _support_table(self):
@@ -343,7 +312,7 @@ def load_long_csv(path):
     _check_rows(lines, sample < 1, "sample index must be >= 1")
     _check_rows(lines, ~np.all(np.isfinite(X), axis=1), "non-finite covariate")
     _check_rows(lines, y != sample - 1, "y must be 0 in the first sample, 1 in the second")
-    return MultisampleDataset.from_columns(X, sample, np.ones(len(lines), dtype=int))
+    return MultisampleDataset(X, sample, np.ones(len(lines), dtype=int))
 
 
 def _casecontrol_columns(path):
@@ -367,7 +336,7 @@ def _casecontrol_dataset(x2, scar, counts):
     line_idx, stratum = np.nonzero(counts > 0)
     if not len(line_idx):
         raise DataError("no observations")
-    return MultisampleDataset.from_columns(
+    return MultisampleDataset(
         X[line_idx], stratum + 1, counts[line_idx, stratum], labels=("Scar", "Age")
     )
 

@@ -39,11 +39,11 @@ from .structured import DiagPlusLowRank, StructuredHessian, _t, _vecmat
 
 
 def transform_age(age):
-    """Covariate transform 100 (age + 7.5)^-2."""
+    """Covariate transform 100 (age + 7.5)^-2, squared by a product: a 0-d ``** 2`` calls pow."""
     age = np.asarray(age, dtype=float)
     if np.any(age <= -7.5):
         raise DataError("age must exceed -7.5")
-    out = 100.0 / (age + 7.5) ** 2
+    out = 100.0 / np.square(age + 7.5)
     return float(out) if out.ndim == 0 else out
 
 
@@ -161,10 +161,9 @@ class FullMLELogisticModel(ModelSpec):
     ``totals`` sums over rows with the table's counts, never forming a
     per-row array, and the (2, K) intermediates of the last point evaluated
     are kept for the next call at the same point.  Every order takes a
-    stack of parameter vectors (order 2 with one set of row
-    multiplicities).  Order 2 returns a ``StructuredHessian``: the phi
-    block is a diagonal plus a rank-2 term, never formed as a K x K
-    array."""
+    stack of parameter vectors, with one set of row multiplicities.  Order
+    2 returns a ``StructuredHessian``: the phi block is a diagonal plus a
+    rank-2 term, never formed as a K x K array."""
 
     def __init__(self, support, theta_labels, design_map):
         support = np.asarray(support, dtype=float)
@@ -184,6 +183,8 @@ class FullMLELogisticModel(ModelSpec):
         column sums (K,), row sums N (2,) and sqrt(N) (2, 1)."""
         rows = (data.X, data.sample, data.multiplicity)
         if self._rows is None or any(new is not old for new, old in zip(rows, self._rows)):
+            if np.ndim(data.multiplicity) != 1:
+                raise ValueError("the mle takes one (N,) set of row multiplicities")
             k = support_positions(self.support, data)
             M = np.bincount(
                 (data.sample - 1) * self.K + k, weights=data.multiplicity,
@@ -228,10 +229,7 @@ class FullMLELogisticModel(ModelSpec):
         return self._slopes
 
     def totals(self, params, data, order):
-        """The totals over the rows of ``data`` from its count table; per-vector
-        row multiplicities (P, N) are summed row by row at orders 0 and 1."""
-        if order < 2 and np.ndim(data.multiplicity) == 2:
-            return super().totals(params, data, order)
+        """The totals over the rows of ``data`` from its count table."""
         M, per_point, N, root_N = self._table(data)
         Z = self._Z
         # products with the counts are row-vector products, (1, K) @ (K, .)
@@ -289,11 +287,15 @@ class FullMLELogisticModel(ModelSpec):
 
 
 def _two_sample_weights(dataset):
-    """w_s = n_s / n of a dataset with the S = 2 samples a case-control
-    model needs (controls, cases); DataError names S otherwise."""
+    """w_s = n_s / n of a dataset with what a case-control model needs, S = 2
+    samples (controls, cases) and 2 distinct covariate vectors; DataError
+    names what is missing.  Rows are compared by value, the last with the
+    first before the full scan, never through ``dataset.support`` (a sort)."""
     weights = compute_weights(dataset)
     if len(weights) != 2:
         raise DataError(f"case-control models need S=2 samples, got S={len(weights)}")
+    if np.array_equal(dataset.X[-1], dataset.X[0]) and (dataset.X == dataset.X[0]).all():
+        raise DataError("need at least 2 distinct covariate vectors")
     return weights
 
 

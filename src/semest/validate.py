@@ -174,10 +174,6 @@ class ToyInstance:
         mu = 1.0 / (1.0 + np.exp(-eta))
         return mu if y == 1 else 1.0 - mu
 
-    def stratum_prob(self, s):
-        """Q_s = P(Y = s - 1)."""
-        return float(self.response_probs(s - 1) @ self.g)
-
     def cond_probs(self, s):
         """P(X = v_k | stratum s)."""
         f = self.response_probs(s - 1)
@@ -238,7 +234,7 @@ def enumerated_centered_scores(toy: ToyInstance, params=None):
     model = toy.mle_model()
     params = toy.mle_params() if params is None else np.asarray(params, dtype=float)
     K = len(toy.support)
-    outcomes = MultisampleDataset.from_columns(
+    outcomes = MultisampleDataset(
         np.vstack([toy.support] * 2), np.repeat([1, 2], K), np.ones(2 * K)
     )
     scores = evaluate(model, params, outcomes, 1).reshape(2, K, -1)
@@ -265,7 +261,7 @@ def simulate(toy: ToyInstance, sizes, rng) -> MultisampleDataset:
     stratum, covariate cells multinomial within stratum."""
     counts = _draw_counts(rng, sizes, (toy.cond_probs(1), toy.cond_probs(2)))
     stratum, k = np.nonzero(counts)
-    return MultisampleDataset.from_columns(
+    return MultisampleDataset(
         toy.support[k], stratum + 1, counts[stratum, k], n_samples=2, labels=toy.labels
     )
 
@@ -368,6 +364,11 @@ class CheckResult:
     detail: str = ""
 
 
+def _below(value, bound, what):
+    """A check's outcomes when its value must stay below ``bound`` (a NaN fails)."""
+    return [(value < bound, f"{what} {value:.2e}")]
+
+
 def _row_sum_loglik(model, params, dataset):
     """Total log-likelihood of a stack (P, d) as the multiplicity-weighted
     sum of the per-row log-densities (the default ``ModelSpec.totals``), so
@@ -391,6 +392,20 @@ def _totals_gap(model, x, dataset):
                        for k in (0, 1)], axis=0)
 
 
+def _fd_outcomes(model, x, dataset):
+    """Finite-difference agreement of the score and Hessian, and closed-form
+    totals against the row sums, at a stack of points ``x``, one call per
+    quantity; every worst value is an np.max, which keeps a NaN (a failure)."""
+    f = lambda p: _row_sum_loglik(model, p, dataset)
+    g = aggregate_score(model, x, dataset)
+    h = dense(aggregate_hessian(model, x, dataset))
+    errs = [_rel_err(g, fd_gradient(f, x)), _rel_err(h, fd_hessian(f, x)),
+            _totals_gap(model, x, dataset)]
+    worst_g, worst_h, worst_t = np.max(errs, axis=1)
+    return [*_below(worst_g, 1e-6, "max rel err"), *_below(worst_h, 1e-5, "max rel err"),
+            *_below(worst_t, 1e-12, "max rel gap")]
+
+
 def _generic_gap(model, nonid_fit, dataset):
     """Relative gap between the slopes of the generic model's fit and those
     of the specialised ``reparam-nonid`` fit."""
@@ -399,11 +414,12 @@ def _generic_gap(model, nonid_fit, dataset):
     return float(np.max(np.abs(slopes - ref))) / float(np.max(np.abs(ref)))
 
 
-def _orthogonality_gap(cs, blocks, weights, sample_sizes):
-    """max |cov(efficient score, centered nuisance scores)|, each sample's
-    rows weighted by w_s / n_s."""
-    lstar = efficient_score(cs, blocks)
-    w_obs = weights.w[cs.sample - 1] * cs.multiplicity / sample_sizes[cs.sample - 1]
+def _orthogonality_gap(model, params, dataset, weights):
+    """max |cov(efficient score, centered nuisance scores)| at ``params``,
+    each sample's rows weighted by w_s / n_s."""
+    cs = centered_scores(model, params, dataset)
+    lstar = efficient_score(cs, info_blocks_moments(cs, weights))
+    w_obs = weights.w[cs.sample - 1] * cs.multiplicity / dataset.sample_sizes[cs.sample - 1]
     cov = (lstar * w_obs[:, None]).T @ cs.l2c
     return float(np.max(np.abs(cov))) if cov.size else 0.0
 
@@ -414,22 +430,21 @@ def run_suite(seed=0, mc=False, reps=500):
     variance report as a final entry.
 
     Each method's model is built and fitted once; the finite-difference,
-    stationarity, orthogonality and Schur checks all read those objects."""
+    stationarity, orthogonality and Schur checks all read those objects.
+    A check that raises fails with its message, and the suite goes on."""
     rng = np.random.default_rng(seed)
     results = []
     dataset = leprosy_dataset()
     weights = compute_weights(dataset)
 
-    def report(name, value, bound, what):
-        results.append(CheckResult(name, value < bound, f"{what} {value:.2e}"))
-
-    def guarded(name, bound, what, check, *args):
-        """``report`` of ``check(*args)``, or a failed check with the
-        message of what it raised (a singular nuisance block, say)."""
+    def run(names, check):
+        """Append a CheckResult per name from ``check()``, which gives a
+        (passed, detail) pair per name, or, if it raises, a failure carrying its message."""
         try:
-            report(name, check(*args), bound, what)
-        except Exception as exc:
-            results.append(CheckResult(name, False, str(exc)))
+            outcomes = check()
+        except Exception as exc:  # a singular block, a fixed point that does not converge
+            outcomes = [(False, str(exc))] * len(names)
+        results.extend(CheckResult(name, *outcome) for name, outcome in zip(names, outcomes))
 
     models = {method: build_method(dataset, method) for method in METHODS}
     fd_models = {
@@ -439,74 +454,67 @@ def run_suite(seed=0, mc=False, reps=500):
         "reparam-generic": casecontrol_reparam_model(dataset),
     }
 
-    # 1. finite-difference agreement, and closed-form totals against the row
-    # sums, at a stack of 20 random points per model, one call per quantity;
-    # every worst value is an np.max, which keeps a NaN (a failure)
+    # 1. finite differences and totals at a stack of 20 random points per model
     for name, model in fd_models.items():
-        f = lambda p: _row_sum_loglik(model, p, dataset)
         x = 0.5 * rng.uniform(-1.0, 1.0, size=(20, model.n_params))
-        g = aggregate_score(model, x, dataset)
-        h = dense(aggregate_hessian(model, x, dataset))
-        errs = [_rel_err(g, fd_gradient(f, x)), _rel_err(h, fd_hessian(f, x)),
-                _totals_gap(model, x, dataset)]
-        worst_g, worst_h, worst_t = np.max(errs, axis=1)
-        report(f"fd-score[{name}]", worst_g, 1e-6, "max rel err")
-        report(f"fd-hessian[{name}]", worst_h, 1e-5, "max rel err")
-        report(f"totals-vs-rows[{name}]", worst_t, 1e-12, "max rel gap")
+        run([f"fd-score[{name}]", f"fd-hessian[{name}]", f"totals-vs-rows[{name}]"],
+            lambda: _fd_outcomes(model, x, dataset))
 
     # 2. mixture normalization at 50 random (theta, q)
     reparam = fd_models["reparam-generic"]
-    gaps = []
-    for _ in range(50):
-        theta = 2.0 * rng.uniform(-1.0, 1.0, size=reparam.n_theta)
-        q = QVector.from_free(np.exp(rng.uniform(-1.5, 1.5, size=1)))
-        gaps.append(check_normalization(reparam.wspec, theta, q, reparam.fstar, weights) - 1.0)
-    report("normalization", np.max(np.abs(gaps)), 1e-12, "max |sum - 1| =")
+
+    def normalization():
+        gaps = []
+        for _ in range(50):
+            theta = 2.0 * rng.uniform(-1.0, 1.0, size=reparam.n_theta)
+            q = QVector.from_free(np.exp(rng.uniform(-1.5, 1.5, size=1)))
+            gaps.append(check_normalization(reparam.wspec, theta, q, reparam.fstar, weights) - 1.0)
+        return _below(np.max(np.abs(gaps)), 1e-12, "max |sum - 1| =")
+    run(["normalization"], normalization)
 
     # 3. nuisance stationarity on a 5-point theta grid around the reparam-id
     # fit's (alpha*, beta), a sensible center for (alpha, beta)
     fits = {method: maximize(model, dataset) for method, model in models.items()}
-    worst = np.max([check_stationarity(reparam, fits["reparam-id"].params + delta, dataset)
-                    for delta in (-0.2, -0.1, 0.0, 0.1, 0.2)])
-    report("stationarity", worst, 1e-8, "max |score_log_q| / n")
+    center, mle = fits["reparam-id"].params, models["mle"]
+    run(["stationarity"], lambda: _below(np.max([check_stationarity(
+        reparam, center + delta, dataset) for delta in (-0.2, -0.1, 0.0, 0.1, 0.2)]),
+        1e-8, "max |score_log_q| / n"))
 
     # the image of the reparam-id fit is a stationary point of the joint likelihood
-    image = models["mle"].profile_image(dataset, fits["reparam-id"].params)
-    score = aggregate_score(models["mle"], image, dataset)
-    report("profile-image[mle]", np.max(np.abs(score)) / dataset.n, 1e-10, "max |score| / n")
+    run(["profile-image[mle]"], lambda: _below(np.max(np.abs(aggregate_score(
+        mle, mle.profile_image(dataset, center), dataset))) / dataset.n, 1e-10, "max |score| / n"))
 
     # the generic model, fitted, against the specialised reparam-nonid fit
-    guarded("generic-vs-specialised", 1e-8, "slopes max rel diff", _generic_gap,
-            reparam, fits["reparam-nonid"], dataset)
+    run(["generic-vs-specialised"], lambda: _below(
+        _generic_gap(reparam, fits["reparam-nonid"], dataset), 1e-8, "slopes max rel diff"))
 
     # 4 + 5. orthogonality and Schur identity at every fitted model
     for method, model in models.items():
-        cs = centered_scores(model, fits[method].params, dataset)
-        blocks = info_blocks_moments(cs, weights)
-        guarded(f"orthogonality[{method}]", 1e-10, "max |cov|",
-                _orthogonality_gap, cs, blocks, weights, dataset.sample_sizes)
-        obs_blocks = info_blocks_observed(model, fits[method], dataset)
-        guarded(f"schur-identity[{method}]", 1e-10, "max rel diff", schur_identity_gap, obs_blocks)
+        run([f"orthogonality[{method}]"], lambda: _below(
+            _orthogonality_gap(model, fits[method].params, dataset, weights), 1e-10, "max |cov|"))
+        run([f"schur-identity[{method}]"], lambda: _below(schur_identity_gap(
+            info_blocks_observed(model, fits[method], dataset)), 1e-10, "max rel diff"))
 
     # 6. brute-force enumeration vs inference formulas on a toy instance
-    toy = ToyInstance(support=[[0.0], [1.0]], g=[0.4, 0.6], alpha=0.3, beta=[np.log(2.0)],
-                      weights=Weights([0.5, 0.5]))
-    blocks_bf, istar_bf = brute_force_info(toy)
-    blocks_inf = info_blocks_moments(enumerated_centered_scores(toy), toy.weights)
-    istar_inf = efficient_information(blocks_inf)
-    diff = max(
-        float(np.max(np.abs(blocks_bf.full() - blocks_inf.full()))),
-        float(np.max(np.abs(istar_bf - istar_inf))),
-    )
-    report("brute-force-info", diff, 1e-12, "max |diff|")
+    def brute_force():
+        toy = ToyInstance(support=[[0.0], [1.0]], g=[0.4, 0.6], alpha=0.3, beta=[np.log(2.0)],
+                          weights=Weights([0.5, 0.5]))
+        blocks_bf, istar_bf = brute_force_info(toy)
+        blocks_inf = info_blocks_moments(enumerated_centered_scores(toy), toy.weights)
+        istar_inf = efficient_information(blocks_inf)
+        diff = max(float(np.max(np.abs(blocks_bf.full() - blocks_inf.full()))),
+                   float(np.max(np.abs(istar_bf - istar_inf))))
+        return _below(diff, 1e-12, "max |diff|")
+    run(["brute-force-info"], brute_force)
 
     if mc:
-        study = monte_carlo_variance(default_mc_design(), sizes=(260, 260), n_rep=reps, seed=seed)
-        ratios = study.sd_se_ratio
-        ok = bool(np.all((ratios > 0.9) & (ratios < 1.1)))
-        detail = " ".join(f"{lab}={r:.4f}" for lab, r in zip(study.labels, ratios))
-        results.append(CheckResult("monte-carlo sd/SE", ok, detail))
-        results.append(CheckResult("monte-carlo report", True, str(study.to_dict())))
+        def monte_carlo():
+            study = monte_carlo_variance(default_mc_design(), (260, 260), n_rep=reps, seed=seed)
+            ratios = study.sd_se_ratio
+            ok = bool(np.all((ratios > 0.9) & (ratios < 1.1)))
+            detail = " ".join(f"{lab}={r:.4f}" for lab, r in zip(study.labels, ratios))
+            return [(ok, detail), (True, str(study.to_dict()))]
+        run(["monte-carlo sd/SE", "monte-carlo report"], monte_carlo)
     return results
 
 

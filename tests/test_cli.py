@@ -423,6 +423,26 @@ def test_one_sample_exits_1_naming_s(tmp_path, capsys, schema, text):
         assert capsys.readouterr().err == "error: case-control models need S=2 samples, got S=1\n"
 
 
+@pytest.mark.parametrize(
+    "schema, text",
+    [
+        ("casecontrol", "age,scar,cases,controls\n2.5,1,3,4\n"),
+        ("casecontrol", "age,scar,cases,controls\n2.5,1,3,0\n2.5,1,0,4\n"),
+        ("long", "sample,y,x1\n1,0,0.0\n2,1,-0.0\n"),
+    ],
+    ids=["one-row", "two-rows", "long-signed-zero"],
+)
+def test_one_covariate_vector_exits_1_from_every_method(tmp_path, capsys, schema, text):
+    """A table whose rows all hold one covariate vector (compared by value)
+    has no slope to fit: every method, ``compare`` and ``bench`` exit 1
+    with one message."""
+    f = tmp_path / "one.csv"
+    f.write_text(text)
+    for argv in (*(["fit", "--method", m] for m in METHODS + ("all",)), ["compare"], ["bench"]):
+        assert main(argv + ["--input", str(f), "--schema", schema]) == 1, argv
+        assert capsys.readouterr().err == "error: need at least 2 distinct covariate vectors\n"
+
+
 def test_negative_seed_exits_1_naming_it(capsys):
     assert main(["validate", "--seed", "-1"]) == 1
     assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"

@@ -57,7 +57,7 @@ def test_support_lexicographic(leprosy):
 def test_support_matches_row_loop(rows):
     """Bit-exact distinct rows (0.0 and -0.0 apart), lexicographic order."""
     X = np.array(rows)
-    ds = MultisampleDataset.from_columns(X, np.ones(len(X)), np.ones(len(X)))
+    ds = MultisampleDataset(X, np.ones(len(X)), np.ones(len(X)))
     support, idx, freq = support_reference(X)
     assert support.tobytes() == ds.support.tobytes()
     np.testing.assert_array_equal(ds.support_index, idx)
@@ -95,24 +95,22 @@ def test_support_computed_once_and_only_when_read(tmp_path, monkeypatch):
 
 def test_empty_sample_rejected():
     with pytest.raises(DataError, match="empty sample"):
-        MultisampleDataset([Observation(2, [1.0])], n_samples=2)
+        MultisampleDataset([[1.0]], [2], [1], n_samples=2)
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(DataError, match="dimension"):
-        MultisampleDataset([Observation(1, [1.0]), Observation(1, [1.0, 2.0])])
+    """X is (N, p), with one sample index and one multiplicity per row."""
+    for X, sample in [([1.0, 2.0], [1, 2]), ([[1.0], [2.0]], [1, 2, 2])]:
+        with pytest.raises(DataError, match=r"X must be \(N, p\), with a sample and"):
+            MultisampleDataset(X, sample, np.ones(len(sample)))
 
 
 def test_observation_y_must_match_sample():
-    """A given y is the stratum indicator sample - 1, never replaced
-    silently: the dataset's y column and its observations agree."""
-    with pytest.raises(DataError, match=r"row 1: y must be the sample index minus 1 \(0\)"):
-        MultisampleDataset([Observation(2, [0.0], y=1.0), Observation(1, [0.0], y=1.0)])
-    with pytest.raises(DataError, match="row 0: y must be"):
-        MultisampleDataset([Observation(1, [0.0], y=float("nan")), Observation(2, [1.0])])
-    d = MultisampleDataset([Observation(1, [0.0], y=0.0), Observation(2, [1.0])])
+    """y is the stratum indicator sample - 1: the dataset's y column and
+    its observations agree."""
+    d = MultisampleDataset([[0.0], [1.0]], [1, 2], [1, 1])
     assert d.y.tolist() == [0.0, 1.0]
-    assert [o.y for o in d.observations] == [0.0, None]
+    assert [o.y for o in d.observations] == [0.0, 1.0]
 
 
 def test_weights_validation():
@@ -120,26 +118,22 @@ def test_weights_validation():
         Weights([0.5, 0.6])
     with pytest.raises(DataError):
         Weights([1.2, -0.2])
-    w = compute_weights(
-        MultisampleDataset([Observation(1, [0.0], multiplicity=3), Observation(2, [0.0])])
-    )
+    w = compute_weights(MultisampleDataset([[0.0], [0.0]], [1, 2], [3, 1]))
     np.testing.assert_allclose(w.w, [0.75, 0.25])
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=1000), min_size=2, max_size=6))
 def test_weights_from_any_sizes(sizes):
-    obs = [Observation(s + 1, [0.0], multiplicity=m) for s, m in enumerate(sizes)]
-    w = compute_weights(MultisampleDataset(obs))
+    S = len(sizes)
+    w = compute_weights(MultisampleDataset(np.zeros((S, 1)), np.arange(1, S + 1), sizes))
     assert abs(w.w.sum() - 1.0) < 1e-12
     np.testing.assert_allclose(w.w, np.array(sizes) / sum(sizes), atol=1e-15)
 
 
 def test_zero_covariate_columns_rejected_at_construction():
     with pytest.raises(DataError, match="at least one covariate column"):
-        MultisampleDataset.from_columns(np.zeros((3, 0)), [1, 2, 2], [1, 1, 1])
-    with pytest.raises(DataError, match="at least one covariate column"):
-        MultisampleDataset([Observation(1, []), Observation(2, [])])
+        MultisampleDataset(np.zeros((3, 0)), [1, 2, 2], [1, 1, 1])
 
 
 def test_load_long_csv(tmp_path):
@@ -153,10 +147,10 @@ def test_load_long_csv(tmp_path):
 
 def test_labels_travel_with_the_dataset(tmp_path, leprosy):
     X = [[0.0, 1.0, 2.0], [1.0, 0.0, 2.0]]
-    assert MultisampleDataset.from_columns(X, [1, 2], [1, 1]).labels == ("x1", "x2", "x3")
-    named = MultisampleDataset.from_columns(X, [1, 2], [1, 1], labels=["a", "b", "c"])
+    assert MultisampleDataset(X, [1, 2], [1, 1]).labels == ("x1", "x2", "x3")
+    named = MultisampleDataset(X, [1, 2], [1, 1], labels=["a", "b", "c"])
     assert named.labels == ("a", "b", "c")
-    assert MultisampleDataset([Observation(1, [0.0]), Observation(2, [1.0])]).labels == ("x1",)
+    assert MultisampleDataset([[0.0], [1.0]], [1, 2], [1, 1]).labels == ("x1",)
     assert leprosy.labels == ("Scar", "Age")
     f = tmp_path / "cc.csv"
     f.write_text("age,scar,cases,controls\n2.5,0,1,24\n7.5,1,11,22\n")
@@ -165,19 +159,19 @@ def test_labels_travel_with_the_dataset(tmp_path, leprosy):
     assert load_long_csv(f).labels == ("x1", "x2", "x3")
 
 
-def test_from_columns_rejects_labels_of_wrong_length():
+def test_dataset_rejects_labels_of_wrong_length():
     X = np.zeros((2, 3))
     for labels in (("a", "b"), ("a", "b", "c", "d"), (), ("a", "b", "a")):
         with pytest.raises(DataError, match="expected 3 distinct covariate labels, got"):
-            MultisampleDataset.from_columns(X, [1, 2], [1, 1], labels=labels)
+            MultisampleDataset(X, [1, 2], [1, 1], labels=labels)
 
 
 @pytest.mark.parametrize("name", ["Intercept", "Intercept*", "log_rho1", "Intercept!"])
-def test_from_columns_rejects_a_report_row_name_as_label(name):
+def test_dataset_rejects_a_report_row_name_as_label(name):
     """A covariate named like a report's intercept-type row (marked '!' or
     not) would print two rows of one name."""
     with pytest.raises(DataError, match=f"covariate label '{re.escape(name)}' is the name of"):
-        MultisampleDataset.from_columns(np.zeros((2, 2)), [1, 2], [1, 1], labels=("Age", name))
+        MultisampleDataset(np.zeros((2, 2)), [1, 2], [1, 1], labels=("Age", name))
 
 
 def test_load_long_csv_zero_based(tmp_path):
@@ -355,7 +349,7 @@ def test_long_loader_matches_row_reader(tmp_path_factory, text):
     is rejected with the reference's message."""
     f = tmp_path_factory.getbasetemp() / "long.csv"
     f.write_bytes(text.encode("utf-8"))
-    want = _outcome(lambda: MultisampleDataset.from_columns(*long_csv_reference(f)))
+    want = _outcome(lambda: MultisampleDataset(*long_csv_reference(f)))
     _assert_same_load(_outcome(lambda: load_long_csv(f)), want)
 
 
@@ -365,7 +359,7 @@ def test_casecontrol_loader_matches_row_reader(tmp_path_factory, text, transform
     f = tmp_path_factory.getbasetemp() / "cc.csv"
     f.write_bytes(text.encode("utf-8"))
     want = _outcome(
-        lambda: MultisampleDataset.from_columns(*casecontrol_csv_reference(f, transform))
+        lambda: MultisampleDataset(*casecontrol_csv_reference(f, transform))
     )
     _assert_same_load(_outcome(lambda: load_casecontrol_csv(f, transform)), want)
 
@@ -441,15 +435,11 @@ def test_constructors_reject_non_integral_rows():
         ([1, np.nan], [1, 1], "row 1: sample index must be a whole number, got nan"),
     ]:
         with pytest.raises(DataError, match=f"^{what}$"):
-            MultisampleDataset.from_columns(np.zeros((2, 1)), sample, multiplicity)
-        with pytest.raises(DataError, match=f"^{what}$"):
-            MultisampleDataset(
-                Observation(s, [0.0], multiplicity=m) for s, m in zip(sample, multiplicity)
-            )
-    d = MultisampleDataset.from_columns(np.zeros((2, 1)), [1.0, 2.0], np.array([3.0, 1.0]))
+            MultisampleDataset(np.zeros((2, 1)), sample, multiplicity)
+    d = MultisampleDataset(np.zeros((2, 1)), [1.0, 2.0], np.array([3.0, 1.0]))
     assert d.multiplicity.tolist() == [3, 1] and d.n == 4
     assert d.sample.dtype == d.multiplicity.dtype == np.dtype(int)
-    d = MultisampleDataset.from_columns(
+    d = MultisampleDataset(
         np.zeros((2, 1)), np.array([1, 2], np.int32), np.array([3, 1], np.uint8)
     )
     assert d.sample.dtype == d.multiplicity.dtype == np.dtype(int)
@@ -459,6 +449,4 @@ def test_constructors_reject_non_integral_rows():
 def test_constructors_reject_a_nonfinite_covariate(value):
     X = [[0.0, 1.0], [2.0, value]]
     with pytest.raises(DataError, match="^row 1: non-finite covariate$"):
-        MultisampleDataset.from_columns(X, [1, 2], [1, 1])
-    with pytest.raises(DataError, match="^row 1: non-finite covariate$"):
-        MultisampleDataset([Observation(s, x) for s, x in zip([1, 2], X)])
+        MultisampleDataset(X, [1, 2], [1, 1])

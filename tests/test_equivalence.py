@@ -161,7 +161,7 @@ def test_batched_replicates_match_irls(mc_batch):
 def test_own_support_index_matches_support_lookup(leprosy, rng):
     """A model built on a dataset reads its support_index directly; on a copy
     with its own support array it looks the points up.  Same numbers."""
-    copy = MultisampleDataset.from_columns(leprosy.X, leprosy.sample, leprosy.multiplicity)
+    copy = MultisampleDataset(leprosy.X, leprosy.sample, leprosy.multiplicity)
     mle = build_full_mle_model(leprosy)
     assert copy.support is not mle.support is leprosy.support
     params = rng.uniform(-1.0, 1.0, size=mle.n_params)
@@ -183,7 +183,7 @@ def _regrouped(dataset, seed):
     sample = np.concatenate([dataset.sample, dataset.sample[keep]])
     mult = np.concatenate([first, (m - first)[keep]])
     order = rng.permutation(len(sample))
-    return MultisampleDataset.from_columns(X[order], sample[order], mult[order])
+    return MultisampleDataset(X[order], sample[order], mult[order])
 
 
 def _generic_fit(dataset):
@@ -232,7 +232,7 @@ def test_covariate_rescaling(leprosy, leprosy_reports, j, log10_c, negative):
     c = 10.0**log10_c * (-1 if negative else 1)
     X = leprosy.X.copy()
     X[:, j] *= c
-    scaled = MultisampleDataset.from_columns(X, leprosy.sample, leprosy.multiplicity)
+    scaled = MultisampleDataset(X, leprosy.sample, leprosy.multiplicity)
     factor = np.ones(2)
     factor[j] = c
     for method in METHODS:
@@ -254,7 +254,7 @@ def test_covariate_shift(leprosy, leprosy_reports, j, shift):
     not."""
     X = leprosy.X.copy()
     X[:, j] += shift
-    shifted = MultisampleDataset.from_columns(X, leprosy.sample, leprosy.multiplicity)
+    shifted = MultisampleDataset(X, leprosy.sample, leprosy.multiplicity)
     for method in METHODS:
         ref = leprosy_reports[0][method]
         _, got, _ = fit_method(shifted, method)
@@ -271,7 +271,7 @@ def test_covariate_labels_do_not_move_the_report(leprosy, method):
     its own labels.  (``log_rho1`` is also a report row's name, which the
     dataset rejects as a label.)"""
     def fit(labels):
-        ds = MultisampleDataset.from_columns(
+        ds = MultisampleDataset(
             leprosy.X, leprosy.sample, leprosy.multiplicity, labels=labels
         )
         return fit_method(ds, method)[1]

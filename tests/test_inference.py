@@ -369,7 +369,7 @@ def test_mle_linear_algebra_stays_interest_sized(monkeypatch):
     p = 3
     controls = rng.standard_normal((750, p))
     cases = rng.standard_normal((750, p)) + [0.5, -0.3, 0.2]
-    dataset = MultisampleDataset.from_columns(
+    dataset = MultisampleDataset(
         np.vstack([controls, cases]), np.repeat([1, 2], 750), np.ones(1500, dtype=int)
     )
     _, mle, _ = fit_method(dataset, "mle")

@@ -8,7 +8,6 @@ from semest import (
     EvaluationError,
     ModelSpec,
     MultisampleDataset,
-    Observation,
     aggregate_hessian,
     aggregate_score,
     log_likelihood,
@@ -46,20 +45,14 @@ class GaussianLocation(ModelSpec):
 
 @pytest.fixture
 def gauss_data():
-    return MultisampleDataset(
-        [
-            Observation(1, [0.3], multiplicity=2),
-            Observation(1, [-1.0]),
-            Observation(2, [2.0], multiplicity=3),
-        ]
-    )
+    return MultisampleDataset([[0.3], [-1.0], [2.0]], [1, 1, 2], [2, 1, 3])
 
 
 def test_multiplicity_weighting(gauss_data):
     model = GaussianLocation()
     params = np.array([0.1, 1.5])
     m = gauss_data.multiplicity
-    exp = MultisampleDataset.from_columns(
+    exp = MultisampleDataset(
         np.repeat(gauss_data.X, m, axis=0), np.repeat(gauss_data.sample, m), np.ones(m.sum())
     )
     assert log_likelihood(model, params, gauss_data) == pytest.approx(
@@ -172,7 +165,7 @@ def _long_dataset(rows, seed=3):
     rng = np.random.default_rng(seed)
     sample = np.repeat([1, 2], rows // 2)
     X = rng.standard_normal((rows, 2)) + 0.5 * (sample[:, None] - 1)
-    return MultisampleDataset.from_columns(X, sample, np.ones(rows, dtype=int))
+    return MultisampleDataset(X, sample, np.ones(rows, dtype=int))
 
 
 def _mle_datasets(leprosy):
@@ -279,12 +272,24 @@ def test_intermediate_cache_sees_mutation_and_new_data(leprosy, method):
         _hessian_bits(aggregate_hessian(build(leprosy), x, leprosy)),
     )
     order = np.arange(len(leprosy.sample))[::-1]
-    other = MultisampleDataset.from_columns(
+    other = MultisampleDataset(
         leprosy.X[order], leprosy.sample[order], 2 * leprosy.multiplicity[order]
     )
     for quantity in (log_likelihood, aggregate_score, aggregate_hessian):
         got, want = quantity(model, x, other), quantity(build(leprosy), x, other)
         np.testing.assert_array_equal(_hessian_bits(got), _hessian_bits(want))
+
+
+def test_mle_takes_one_set_of_row_multiplicities(leprosy):
+    """Per-vector row multiplicities (P, N) are a ValueError at every order
+    of the mle, whose count table holds one set of them."""
+    model = build_full_mle_model(leprosy)
+    stacked = copy.copy(leprosy)
+    stacked.multiplicity = np.stack([leprosy.multiplicity] * 2)
+    x = np.zeros((2, model.n_params))
+    for quantity in (log_likelihood, aggregate_score, aggregate_hessian):
+        with pytest.raises(ValueError, match=r"^the mle takes one \(N,\) set of row multiplicities$"):
+            quantity(model, x, stacked)
 
 
 def test_intermediate_cache_on_the_monte_carlo_batch():

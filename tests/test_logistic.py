@@ -15,6 +15,7 @@ from semest.likelihood import evaluate
 from semest.logistic import (
     CaseControlLogisticModel,
     DiscreteG,
+    FullMLELogisticModel,
     build_full_mle_model,
     build_identifiable_model,
     build_nonidentifiable_model,
@@ -30,6 +31,10 @@ def test_transform_age_values():
     with pytest.raises(DataError):
         transform_age(-7.5)
     np.testing.assert_allclose(transform_age(np.array([2.5, 12.5])), [1.0, 0.25])
+    # an age gives the same bits alone as in an array (a 0-d ** 2 was 1 ulp off here)
+    age = 4.797239451912798e-13
+    exact = 100.0 / ((age + 7.5) * (age + 7.5))
+    assert transform_age(age) == transform_age(np.array([age, 1.0]))[0] == exact
 
 
 @settings(max_examples=50, deadline=None)
@@ -100,13 +105,21 @@ def test_model_scores_match_fd(leprosy, rng):
 
 def test_builders_validate_strata():
     """Every builder needs the two samples of a case-control design, and
-    says how many it got."""
+    says how many it got, and 2 distinct covariate vectors, found without
+    reading the support; the mle model built directly keeps its own check."""
+    builders = (build_identifiable_model, build_nonidentifiable_model, build_full_mle_model)
     for samples in ([1, 1, 1], [1, 2, 3]):
-        dataset = MultisampleDataset.from_columns([[0.0], [1.0], [2.0]], samples, [1, 1, 1])
-        builders = (build_identifiable_model, build_nonidentifiable_model, build_full_mle_model)
+        dataset = MultisampleDataset([[0.0], [1.0], [2.0]], samples, [1, 1, 1])
         for build in builders:
             with pytest.raises(DataError, match=f"need S=2 samples, got S={max(samples)}"):
                 build(dataset)
+    one = MultisampleDataset([[1.0, 2.5], [1.0, 2.5], [1.0, 2.5]], [1, 2, 2], [3, 1, 4])
+    for build in builders:
+        with pytest.raises(DataError, match="^need at least 2 distinct covariate vectors$"):
+            build(one)
+    assert "_support_table" not in vars(one)
+    with pytest.raises(DataError, match="^need at least 2 support points to profile g$"):
+        FullMLELogisticModel(one.support, one.labels, np.eye(3)[:, 1:])
 
 
 def test_leprosy_dataset_integrity(leprosy):

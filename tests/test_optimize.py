@@ -16,7 +16,7 @@ from semest.logistic import (
     build_full_mle_model, build_identifiable_model, build_nonidentifiable_model, transform_age,
 )
 
-ONE_ROW = MultisampleDataset.from_columns(np.zeros((1, 1)), [1], [1])
+ONE_ROW = MultisampleDataset(np.zeros((1, 1)), [1], [1])
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 WIDE_SUPPORT = (
     "wide_support.csv", "wide_support_indefinite.csv", "wide_support_ridge_stall.csv"
@@ -184,7 +184,7 @@ def test_mle_fit_memory_does_not_grow_with_rows_times_support():
     rng = np.random.default_rng(5)
     sample = np.repeat([1, 2], 1000)
     X = rng.standard_normal((2000, 2)) + 0.5 * (sample[:, None] - 1)
-    dataset = MultisampleDataset.from_columns(X, sample, np.ones(2000, dtype=int))
+    dataset = MultisampleDataset(X, sample, np.ones(2000, dtype=int))
     model = build_full_mle_model(dataset)
     assert model.K == 2000
     tracemalloc.start()

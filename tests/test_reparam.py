@@ -98,7 +98,7 @@ def test_fixed_point_matches_enumeration():
     )
     fstar = toy.population_fstar()
     qhat = fixed_point_q(casecontrol_weight_spec, toy.theta, fstar, toy.weights)
-    expected = np.array([toy.stratum_prob(1), toy.stratum_prob(2)])
+    expected = np.array([toy.response_probs(s - 1) @ toy.g for s in (1, 2)])
     expected = expected / expected[-1]
     np.testing.assert_allclose(qhat.q, expected, atol=1e-10)
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import semest.logistic
+import semest.reparam
 import semest.validate
 from semest import ConvergenceError, EvaluationError, FitConfig, Weights
 from semest.analysis import build_method
@@ -72,7 +73,8 @@ def test_fd_on_a_stack_equals_single_points(leprosy, name):
 def test_toy_probabilities(toy):
     for s in (1, 2):
         assert toy.cond_probs(s).sum() == pytest.approx(1.0, abs=1e-14)
-    assert toy.stratum_prob(1) + toy.stratum_prob(2) == pytest.approx(1.0, abs=1e-14)
+    stratum_probs = [toy.response_probs(s - 1) @ toy.g for s in (1, 2)]
+    assert sum(stratum_probs) == pytest.approx(1.0, abs=1e-14)
     assert toy.population_fstar().values.sum() == pytest.approx(1.0, abs=1e-14)
 
 
@@ -231,6 +233,8 @@ def _corrupt(check, monkeypatch):
     elif check == "profile-image[mle]":
         shifted = _shifted_image(FullMLELogisticModel.profile_image)
         monkeypatch.setattr(FullMLELogisticModel, "profile_image", shifted)
+    elif check == "stationarity":
+        monkeypatch.setattr(semest.reparam, "FIXED_POINT_MAX_ITER", 1)
     else:
         scaled = _scaled_phi_scores(FullMLELogisticModel.evaluate)
         monkeypatch.setattr(FullMLELogisticModel, "evaluate", scaled)
@@ -243,6 +247,7 @@ _FAILS = {
     "generic-vs-specialised": ("slopes max rel diff 9.09e-02",) * 2,
     "totals-vs-rows[full-mle]": ("max rel gap 9.90e-03",) * 2,
     "profile-image[mle]": ("max |score| / n 5.75e-04",) * 2,
+    "stationarity": ("fixed-point iteration did not converge in 1 iterations",) * 2,
 }
 
 
@@ -252,8 +257,10 @@ def test_suite_fails_on_corrupted_code(monkeypatch, capsys, check):
     and no other, and exit 3: a score with 0.1 per unit added to reparam-id's
     alpha* component, a NaN normalization, a generic model with a wrong but
     self-consistent link (1.1 eta), the mle's per-row phi scores scaled
-    by 1.01, and the image of the reparam-id fit with g off by 1% on
-    alternate support points."""
+    by 1.01, the image of the reparam-id fit with g off by 1% on
+    alternate support points, and a fixed point of q cut off after one
+    iteration: a check that raises fails with its message, and the suite
+    goes on."""
     _corrupt(check, monkeypatch)
     for seed, detail in zip((0, 3), _FAILS[check]):
         assert main(["validate", "--seed", str(seed)]) == 3
