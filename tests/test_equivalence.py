@@ -271,9 +271,7 @@ def test_covariate_labels_do_not_move_the_report(leprosy, method):
     its own labels.  (``log_rho1`` is also a report row's name, which the
     dataset rejects as a label.)"""
     def fit(labels):
-        ds = MultisampleDataset(
-            leprosy.X, leprosy.sample, leprosy.multiplicity, labels=labels
-        )
+        ds = MultisampleDataset(leprosy.X, leprosy.sample, leprosy.multiplicity, labels=labels)
         return fit_method(ds, method)[1]
 
     ref = fit(("Scar", "Age"))
