@@ -13,6 +13,7 @@ stack: one vector stacked alone gives the same bits as the plain (d,) call.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -113,55 +114,6 @@ def evaluate(model, params, dataset, order):
         return _stacked(model, params, dataset, order)
 
 
-def _require_finite(dataset, theta, rows, what):
-    """EvaluationError naming the first row whose value is not finite."""
-    if np.isfinite(rows).all():
-        return
-    i = int(np.argmin(np.all(np.isfinite(rows.reshape(len(rows), -1)), axis=1)))
-    obs = dataset.observations[i]
-    raise EvaluationError(
-        f"non-finite {what} ({rows[i]}) at observation {obs}",
-        observation=obs,
-        params=theta,
-    )
-
-
-def _quiet_totals(model, params, dataset, order):
-    """``model.totals`` with floating-point warnings silenced (see
-    ``evaluate``)."""
-    with np.errstate(all="ignore"):
-        return model.totals(params, dataset, order)
-
-
-def log_likelihood(model, params, dataset):
-    """Multiplicity-weighted total log-likelihood: a float for one vector
-    (d,), a (P,) array for a stack (P, d).
-
-    For one vector, raises EvaluationError (carrying the offending
-    observation) if any per-observation log-density is non-finite: the rows
-    are evaluated one by one only when the total is not finite.  In a
-    stack such a vector gets a non-finite total instead, for the caller to
-    check, so one inadmissible vector does not stop the others.
-    """
-    theta = np.asarray(params, dtype=float)
-    total = _quiet_totals(model, theta, dataset, 0)
-    if theta.ndim == 2:
-        return total
-    if not np.isfinite(total):
-        _require_finite(dataset, theta, evaluate(model, theta, dataset, 0), "log-density")
-    return float(total)
-
-
-def aggregate_score(model, params, dataset) -> np.ndarray:
-    """Multiplicity-weighted total score, (d,) or (P, d); non-finite rows
-    raise or, in a stack, propagate, as in ``log_likelihood``."""
-    theta = np.asarray(params, dtype=float)
-    total = _quiet_totals(model, theta, dataset, 1)
-    if theta.ndim == 1 and not np.isfinite(total).all():
-        _require_finite(dataset, theta, evaluate(model, theta, dataset, 1), "score")
-    return total
-
-
 def hessian_entries(hess):
     """The stored entries of a Hessian, dense (..., d, d) or structured,
     flattened over all but the stack axes."""
@@ -170,21 +122,58 @@ def hessian_entries(hess):
     return hess.reshape(hess.shape[:-2] + (-1,))
 
 
+def _total(model, theta, dataset, order):
+    """``model.totals`` at ``order``, with floating-point warnings silenced
+    and a dense Hessian symmetrized.  For one vector (d,) it is finite or
+    an EvaluationError naming the first row whose value is not: the rows
+    are evaluated only then, a Hessian's one row at a time.  In a stack
+    (P, d) a non-finite total propagates, for the caller to check, so one
+    inadmissible vector does not stop the others."""
+    with np.errstate(all="ignore"):
+        total = model.totals(theta, dataset, order)
+        if order == 2 and not isinstance(total, StructuredHessian):
+            total = 0.5 * (total + total.swapaxes(-1, -2))
+        if theta.ndim == 2:
+            return total
+        if order < 2:
+            # order 0 is a scalar, which math.isfinite tests without numpy's call cost
+            if math.isfinite(total) if order == 0 else np.isfinite(total).all():
+                return total
+            rows = _stacked(model, theta, dataset, order)
+        else:  # a finite sum has finite entries; the entries are read only if it is not
+            if math.isfinite(total.sum()) or np.isfinite(hessian_entries(total)).all():
+                return total
+            rows = np.array([hessian_entries(_stacked(model, theta, observation_rows(o), 2))
+                             for o in dataset.observations])
+    ok = np.isfinite(rows.reshape(len(rows), -1)).all(axis=1)
+    what = ("log-density", "score", "Hessian")[order]
+    if ok.all():  # the sum of finite rows overflowed
+        raise EvaluationError(f"non-finite total {what} at params {theta}", params=theta)
+    i = int(np.argmin(ok))
+    obs = dataset.observations[i]
+    raise EvaluationError(
+        f"non-finite {what} ({rows[i]}) at observation {obs}", observation=obs, params=theta
+    )
+
+
+def log_likelihood(model, params, dataset):
+    """Multiplicity-weighted total log-likelihood: a float for one vector
+    (d,), a (P,) array for a stack (P, d).  A non-finite total raises
+    EvaluationError for one vector, naming the first non-finite row, and
+    propagates in a stack (see ``_total``)."""
+    theta = np.asarray(params, dtype=float)
+    total = _total(model, theta, dataset, 0)
+    return total if theta.ndim == 2 else float(total)
+
+
+def aggregate_score(model, params, dataset) -> np.ndarray:
+    """Multiplicity-weighted total score, (d,) or (P, d); a non-finite
+    total raises or, in a stack, propagates, as in ``log_likelihood``."""
+    return _total(model, np.asarray(params, dtype=float), dataset, 1)
+
+
 def aggregate_hessian(model, params, dataset):
     """Symmetrized total Hessian, (d, d) or (P, d, d), or the model's
-    ``StructuredHessian`` (symmetric by construction); non-finite entries
-    raise naming the row or, in a stack, propagate."""
-    theta = np.asarray(params, dtype=float)
-    total = _quiet_totals(model, theta, dataset, 2)
-    # a finite sum has finite entries; the entries are read only if it is not
-    if theta.ndim == 1 and not (
-        np.isfinite(total.sum()) or np.isfinite(hessian_entries(total)).all()
-    ):
-        rows = np.array([  # find the offending row
-            hessian_entries(evaluate(model, theta, observation_rows(o), 2))
-            for o in dataset.observations
-        ])
-        _require_finite(dataset, theta, rows, "Hessian")
-    if isinstance(total, StructuredHessian):
-        return total
-    return 0.5 * (total + total.swapaxes(-1, -2))
+    ``StructuredHessian`` (symmetric by construction); a non-finite total
+    raises or, in a stack, propagates, as in ``log_likelihood``."""
+    return _total(model, np.asarray(params, dtype=float), dataset, 2)

@@ -12,7 +12,6 @@ variance formula.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,29 +56,6 @@ MAX_OUTCOMES = 10_000  # the most (stratum, support point) outcomes brute_force_
 MAX_FAILURE_RATE = 0.01  # the share of failed Monte Carlo replicate fits that aborts the study
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
-
-
-@lru_cache(maxsize=16)
-def _fd_gradient_pattern(d):
-    """Row, coordinate and sign of each of the 2d points x +- h_i e_i:
-    rows 2i and 2i + 1 move coordinate i by +h_i and -h_i."""
-    return _read_only(np.arange(2 * d), np.repeat(np.arange(d), 2), np.tile([1.0, -1.0], d))
-
-
-@lru_cache(maxsize=16)
-def _fd_hessian_pattern(d):
-    """The pairs i <= j, and for each of their four points x +- h_i e_i +-
-    h_j e_j (rows 4p .. 4p + 3 for pair p): its row, i, j and the signs."""
-    i, j = np.triu_indices(d)
-    si = np.tile([1.0, 1.0, -1.0, -1.0], len(i))
-    sj = np.tile([1.0, -1.0, 1.0, -1.0], len(i))
-    return _read_only(i, j, np.arange(4 * len(i)), np.repeat(i, 4), np.repeat(j, 4), si, sj)
-
-
 def _require_finite(vals, x):
     """EvaluationError naming the first point of ``x`` with a non-finite sample."""
     ok = np.isfinite(vals.reshape(x.shape[:-1] + (-1,))).all(axis=-1)
@@ -95,9 +71,10 @@ def fd_gradient(f, x):
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
     h = FD_STEP * np.maximum(1.0, np.abs(x))
-    rows, i, sign = _fd_gradient_pattern(d)
+    # rows 2i and 2i + 1 move coordinate i by +h_i and -h_i
+    i = np.repeat(np.arange(d), 2)
     pts = np.repeat(x[..., None, :], 2 * d, axis=-2)
-    pts[..., rows, i] += sign * h[..., i]
+    pts[..., np.arange(2 * d), i] += np.tile([1.0, -1.0], d) * h[..., i]
     vals = np.asarray(f(pts.reshape(-1, d)), dtype=float).reshape(x.shape[:-1] + (d, 2))
     _require_finite(vals, x)
     return (vals[..., 0] - vals[..., 1]) / (2.0 * h)
@@ -110,10 +87,14 @@ def fd_hessian(f, x):
     x = np.asarray(x, dtype=float)
     d = x.shape[-1]
     steps = FD_HESS_STEP * np.maximum(1.0, np.abs(x))
-    i, j, rows, ii, jj, si, sj = _fd_hessian_pattern(d)
+    # the pairs i <= j; rows 4p .. 4p + 3 are the four points of pair p,
+    # moved by (+, +), (+, -), (-, +) and (-, -) steps along i and j
+    i, j = np.triu_indices(d)
+    ii, jj, rows = np.repeat(i, 4), np.repeat(j, 4), np.arange(4 * len(i))
     pts = np.repeat(x[..., None, :], len(ii), axis=-2)
-    pts[..., rows, ii] += si * steps[..., ii]  # two updates, so that i == j moves twice
-    pts[..., rows, jj] += sj * steps[..., jj]
+    # two updates, so that i == j moves twice
+    pts[..., rows, ii] += np.tile([1.0, 1.0, -1.0, -1.0], len(i)) * steps[..., ii]
+    pts[..., rows, jj] += np.tile([1.0, -1.0, 1.0, -1.0], len(i)) * steps[..., jj]
     vals = np.asarray(f(pts.reshape(-1, d)), dtype=float).reshape(x.shape[:-1] + (-1, 4))
     _require_finite(vals, x)
     H = np.empty(x.shape[:-1] + (d, d))

@@ -150,6 +150,30 @@ def test_nonfinite_hessian_names_the_row(leprosy):
     assert exc.value.observation.x.tolist() == leprosy.X[first].tolist()
 
 
+class FiniteRowsOfHalfTheLargestFloat(ModelSpec):
+    """Every log-density and score row is 1e308: finite, but two units sum
+    past the largest float."""
+
+    param_labels = ("a",)
+
+    def evaluate(self, params, data, order):
+        n = len(data.sample)
+        return np.full(params.shape[:-1] + ((n,), (n, 1))[order], 1e308)
+
+
+@pytest.mark.parametrize("quantity", [log_likelihood, aggregate_score])
+def test_total_that_overflows_from_finite_rows_raises_naming_no_row(quantity):
+    """One vector's total is finite or raises, even when every row is finite;
+    in a stack the infinite total propagates."""
+    two_units = MultisampleDataset(np.zeros((1, 1)), [1], [2])
+    model = FiniteRowsOfHalfTheLargestFloat()
+    with pytest.raises(EvaluationError, match="non-finite total") as exc:
+        quantity(model, np.zeros(1), two_units)
+    assert exc.value.observation is None
+    assert exc.value.params.tolist() == [0.0]
+    assert np.isposinf(quantity(model, np.zeros((1, 1)), two_units)).all()
+
+
 def test_nuisance_idx_complement():
     m = GaussianLocation()
     assert m.nuisance_idx == (1,)

@@ -15,6 +15,7 @@ from semest.likelihood import hessian_entries
 from semest.logistic import (
     build_full_mle_model, build_identifiable_model, build_nonidentifiable_model, transform_age,
 )
+from test_likelihood import NaNAtRow3
 
 ONE_ROW = MultisampleDataset(np.zeros((1, 1)), [1], [1])
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -138,6 +139,20 @@ def test_nonfinite_start_is_error(leprosy):
         maximize(model, leprosy, init=np.array([np.inf, 0.0, 0.0]))
 
 
+def test_nonfinite_start_is_raised_from_the_row_naming_error(leprosy):
+    """A single fit's start error carries its params, and as its cause the
+    error that names the first non-finite row."""
+    with pytest.raises(EvaluationError, match="objective is not finite at params") as err:
+        maximize(NaNAtRow3(), leprosy)
+    assert err.value.params.tolist() == [0.0]
+    cause = err.value.__cause__
+    assert isinstance(cause, EvaluationError)
+    got, want = cause.observation, leprosy.observations[3]
+    assert (got.sample, got.x.tolist(), got.multiplicity) == (
+        want.sample, want.x.tolist(), want.multiplicity
+    )
+
+
 def test_custom_init_respected(leprosy):
     model = build_identifiable_model(leprosy)
     fit = maximize(model, leprosy, init=np.array([1.2, -0.3, -4.3]))
@@ -259,32 +274,39 @@ def test_batch_with_one_singular_newton_system():
     np.testing.assert_allclose(fit.params[:, 0], 1.0, rtol=1e-8)  # the root of the score
 
 
-def _quartic_with_a_nan_band():
-    """-x^4 / 4, whose score is NaN on 1.5 < x < 2.5 (the objective stays
-    finite): Newton steps x -> 2x / 3, so a fit from 3 lands on 2 after its
-    first step, and a fit from 1 never enters the band."""
-    return OneParameter(
-        lambda x: -0.25 * x**4,
-        lambda x: np.where(np.abs(x - 2.0) < 0.5, np.nan, -(x**3)),
-        lambda x: -3.0 * x**2,
-    )
+def _quartic_with_a_nan_band(order):
+    """-x^4 / 4, whose score (``order`` 1) or Hessian (``order`` 2) is NaN
+    on 1.5 < x < 2.5 (the objective stays finite): Newton steps x -> 2x / 3,
+    so a fit from 3 lands on 2 after its first step, and a fit from 1 never
+    enters the band."""
+    derivatives = [lambda x: -0.25 * x**4, lambda x: -(x**3), lambda x: -3.0 * x**2]
+    exact = derivatives[order]
+    derivatives[order] = lambda x: np.where(np.abs(x - 2.0) < 0.5, np.nan, exact(x))
+    return OneParameter(*derivatives)
 
 
 def test_nonfinite_gradient_after_a_step_stops_the_fit():
-    """A single fit raises, carrying the params; in a batch that fit stops,
-    unconverged, with the error as its last warning, and the others go on."""
-    model = _quartic_with_a_nan_band()
-    with pytest.raises(EvaluationError, match="non-finite gradient at params") as err:
-        maximize(model, ONE_ROW, init=np.array([3.0]))
-    assert err.value.params[0] == pytest.approx(2.0, rel=1e-6)
-    init = np.array([[3.0], [1.0]])
-    fit = maximize(model, ONE_ROW, init=init)
-    assert fit.converged.tolist() == [False, True]
-    assert fit.iterations[0] == 1
-    assert fit.warnings[0][-1].startswith("non-finite gradient at params")
-    alone = maximize(model, ONE_ROW, init=init[1])
-    np.testing.assert_array_equal(fit.params[1], alone.params)
-    assert (fit.iterations[1], fit.grad_norm[1]) == (alone.iterations, alone.grad_norm)
+    """A single fit raises, carrying the params and, as its cause, the error
+    naming the row; in a batch that fit stops, unconverged, with the error
+    as its last warning, and the others go on.  The NaN is in the score,
+    then in the Hessian alone."""
+    for order, what in ((1, "score"), (2, "Hessian")):
+        model = _quartic_with_a_nan_band(order)
+        with pytest.raises(EvaluationError, match="non-finite gradient at params") as err:
+            maximize(model, ONE_ROW, init=np.array([3.0]))
+        assert err.value.params[0] == pytest.approx(2.0, rel=1e-6)
+        assert str(err.value.__cause__).startswith(f"non-finite {what}")
+        init = np.array([[3.0], [1.0]])
+        fit = maximize(model, ONE_ROW, init=init)
+        assert fit.converged.tolist() == [False, True]
+        assert fit.iterations[0] == 1
+        assert fit.warnings[0][-1].startswith("non-finite gradient at params")
+        alone = maximize(model, ONE_ROW, init=init[1])
+        np.testing.assert_array_equal(fit.params[1], alone.params)
+        np.testing.assert_array_equal(fit.hessian[1], alone.hessian)
+        assert (fit.loglik[1], fit.iterations[1], fit.grad_norm[1]) == (
+            alone.loglik, alone.iterations, alone.grad_norm
+        )
 
 
 @pytest.mark.parametrize("name", ("leprosy",) + WIDE_SUPPORT)
