@@ -4,8 +4,11 @@
         --seeds 41-50 --seconds 30 --trace 0 --out BENCH.json [--section S]
         [--claim W:METRIC --control W:METRIC]
 
-``--parent`` and ``--change`` are two checkouts of the repository (a
-``git clone`` or ``git archive`` of each commit).  For every seed the
+``--parent`` and ``--change`` are two checkouts of the repository, each a
+``git clone`` of its commit: the output names the commit of each
+(``-dirty`` when files under ``src`` differ from it), and a directory that
+is not the top of a git work tree, such as an extracted ``git archive``,
+is written as null with a line on standard error.  For every seed the
 benchmark runs once in each checkout, and the side that runs first
 alternates from seed to seed, so a drift in machine speed during the runs
 falls on both sides alike.  Each run's full record is read from the
@@ -61,10 +64,22 @@ def parse_seeds(text):
     return seeds
 
 
-def commit_of(checkout):
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
-                          capture_output=True, text=True)
-    return proc.stdout.strip() or None
+def commit_of(checkout, side):
+    """HEAD of ``checkout`` when it is the top of its own git work tree, with
+    ``-dirty`` when ``git status`` lists files under ``src``; otherwise None
+    (an archive extracted inside another work tree would give that tree's
+    HEAD), with one line on standard error naming ``side``."""
+    def git(*args):
+        proc = subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or Path(top).resolve() != Path(checkout).resolve():
+        print(f"{side} checkout {checkout} is not a git work tree: its commit is null",
+              file=sys.stderr)
+        return None
+    head = git("rev-parse", "HEAD")
+    return head + "-dirty" if git("status", "--porcelain", "--", "src") else head
 
 
 def run_once(checkout, workload, seed, seconds, trace):
@@ -204,8 +219,8 @@ def main(argv=None):
         "python": platform.python_version(), "numpy": np.__version__,
         "nproc": len(os.sched_getaffinity(0)),
     })
-    out["parent_commit"] = commit_of(args.parent)
-    out["change_commit"] = commit_of(args.change)
+    out["parent_commit"] = commit_of(args.parent, "parent")
+    out["change_commit"] = commit_of(args.change, "change")
     if args.trace:
         out.setdefault("traced", {})[args.workload] = traced(args, args.seeds[0])
     else:

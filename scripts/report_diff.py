@@ -4,7 +4,9 @@
 
 Runs a fixed list of ``semest`` invocations, each in a fresh interpreter,
 once with ``DIR/src`` and once with this checkout's ``src`` first on
-``PYTHONPATH``; both sides read the input files of this checkout.  For each
+``PYTHONPATH``; both sides read the input files of this checkout, and a
+10000-row unit ``sample,y,x1,x2,x3`` file for the long schema that this
+script writes to a temporary directory from a seeded ``random.Random``.  For each
 invocation it prints both exit codes and ``identical`` when they are equal
 and stdout is equal once every ``runtime_ms`` value and ``runtime ... ms``
 text is removed.  Otherwise it prints ``differs`` and the largest relative
@@ -19,8 +21,10 @@ import argparse
 import json
 import os
 import re
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -37,9 +41,23 @@ INVOCATIONS = [
     ["validate", "--seed", "3"],
     ["validate", "--mc", "--reps", "500", "--seed", "0"],
 ]
+LONG_METHODS = ("reparam-id", "reparam-nonid")
 RUNTIME_JSON = re.compile(r'("runtime_ms": )[^,\n}]+')  # the value becomes null
 RUNTIME_TEXT = re.compile(r"runtime \S+ ms")
 NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf")
+
+
+def write_unit_long(path, n=10000, seed=29):
+    """A unit-row ``sample,y,x1,x2,x3`` file: n/2 controls x ~ N(0, I), then
+    n/2 cases x ~ N(beta, I), beta = (0.5, -0.3, 0.2), floats as repr."""
+    rng = random.Random(seed)
+    lines = ["sample,y,x1,x2,x3"]
+    for i in range(n):
+        case = i >= n // 2
+        shift = (0.5, -0.3, 0.2) if case else (0.0, 0.0, 0.0)
+        x = (repr(rng.gauss(b, 1.0)) for b in shift)
+        lines.append(f"{1 + case},{int(case)}," + ",".join(x))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def run(src, args):
@@ -89,16 +107,26 @@ def main(argv=None):
     parser.add_argument("--parent", type=Path, required=True, help="checkout to compare with")
     args = parser.parse_args(argv)
     differs = 0
-    for argv_ in INVOCATIONS:
-        (code_p, out_p), (code_c, out_c) = run(args.parent / "src", argv_), run(ROOT / "src", argv_)
-        same = code_p == code_c and out_p == out_c
-        line = f"exit {code_p} {code_c}  {'identical' if same else 'differs'}"
-        if out_p != out_c:
-            rel = max_rel_diff(out_p, out_c)
-            line += "  numbers differ in count" if rel is None else f"  max rel diff {rel:.3e}"
-        print(f"{line}  semest {' '.join(argv_).replace(str(ROOT) + os.sep, '')}", flush=True)
-        differs += not same
-    print(f"{differs} of {len(INVOCATIONS)} invocations differ")
+    with tempfile.TemporaryDirectory() as tmp:
+        unit_long = Path(tmp) / "unit_long.csv"
+        write_unit_long(unit_long)
+        invocations = INVOCATIONS + [
+            ["fit", "--input", str(unit_long), "--schema", "long", "--method", m,
+             "--format", "json"]
+            for m in LONG_METHODS
+        ]
+        for argv_ in invocations:
+            (code_p, out_p), (code_c, out_c) = (run(args.parent / "src", argv_),
+                                                run(ROOT / "src", argv_))
+            same = code_p == code_c and out_p == out_c
+            line = f"exit {code_p} {code_c}  {'identical' if same else 'differs'}"
+            if out_p != out_c:
+                rel = max_rel_diff(out_p, out_c)
+                line += "  numbers differ in count" if rel is None else f"  max rel diff {rel:.3e}"
+            shown = " ".join(argv_).replace(str(ROOT) + os.sep, "").replace(tmp + os.sep, "")
+            print(f"{line}  semest {shown}", flush=True)
+            differs += not same
+    print(f"{differs} of {len(invocations)} invocations differ")
     return 1 if differs else 0
 
 

@@ -11,7 +11,10 @@ for determinism.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import os
+import stat
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -226,56 +229,74 @@ def compute_weights(dataset: MultisampleDataset) -> Weights:
 
 
 def _read_csv(path):
-    """Header fields of a UTF-8 CSV file, and the text after the header.
-    DataError names the path of a file that cannot be read or decoded."""
+    """Header fields of a UTF-8 CSV file and its body: ``records``, a csv
+    reader after the header, the bytes ``raw``, and the absolute ``path``
+    numpy may read the file by again (None for a pipe, read once).  Every
+    byte is decoded first: DataError names the path of a file that cannot
+    be read or decoded."""
     try:
         with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
+            raw = fh.read()
+            regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
         raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
-    fh = io.StringIO(text, newline="")
+    records = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
     try:
-        header = next(csv.reader(fh), None)
+        header = next(records, None)
     except csv.Error as exc:  # a field over the csv module's size limit
         raise DataError(f"line 1: {exc}") from None
     if header is None:
         raise DataError("no observations: empty file")
-    return [h.strip() for h in header], text[fh.tell():]
+    path = os.path.abspath(path) if regular else None  # absolute: numpy takes http:// for a URL
+    return [h.strip() for h in header], SimpleNamespace(records=records, raw=raw, path=path)
 
 
-def _columns(body, converters):
-    """File line numbers (where each record starts; the header is 1) of the
-    non-blank rows of the CSV text ``body``, and their fields converted by
-    column: one
-    ``np.loadtxt`` pass, or, for a body it rejects or warns about (a
-    whitespace-only line, ``1_0``, a record spread over lines, ``1.0`` in an
-    int column on numpy < 2), the csv module and the converters row by row, which accept
-    the same values and more and name the line of the first bad row."""
-    dtype = np.dtype([(f"f{i}", conv) for i, conv in enumerate(converters)])
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(
-                io.StringIO(body), dtype=dtype, delimiter=",", quotechar='"',
-                comments=None, ndmin=1,
-            )
-    except (ValueError, Warning):
-        table = ()
-    lines = range(2, len(table) + 2)
-    if len(table) != body.count("\n") + (not body.endswith("\n")):  # not a row per line
-        physical = io.StringIO(body, newline="")
-        lines = [n for n, line in enumerate(physical, start=2) if line.strip("\r\n")]
-    if len(table) and len(table) == len(lines):
-        return lines, [table[name] for name in dtype.names]
-    reader = csv.reader(io.StringIO(body, newline=""))
-    rows, lineno = [], 2  # the file line where the next record starts
+def _records(reader):
+    """(file line where it starts, fields) of each non-blank record left in
+    the csv ``reader``."""
+    rows, lineno = [], reader.line_num + 1
     try:
         for row in reader:
             if any(map(str.strip, row)):
                 rows.append((lineno, row))
-            lineno = reader.line_num + 2
+            lineno = reader.line_num + 1
     except csv.Error as exc:  # a field over the csv module's size limit
         raise DataError(f"line {lineno}: {exc}") from None
+    return rows
+
+
+def _lines(body, n):
+    """File lines of the ``n`` rows read from ``body``: its non-blank lines
+    after the header, or where each record starts if a record spans lines."""
+    skip = body.records.line_num
+    lines = [i for i, line in enumerate(body.raw.splitlines(), 1) if i > skip and line]
+    return lines if len(lines) == n else [lineno for lineno, _ in _records(body.records)]
+
+
+def _columns(body, converters):
+    """The non-blank records of a ``_read_csv`` body converted by column, and
+    a function giving their file lines (found only when a row is named).
+    One ``np.loadtxt`` pass reads the file itself; a file it rejects, warns
+    about or cannot read (a whitespace-only line, ``1_0``, ``1.0`` in an
+    int column on numpy < 2, a ``.gz`` name), or a pipe, goes through the
+    csv records and converters row by row, which accept the same values and
+    more and name the line of the first bad row."""
+    dtype = np.dtype([(f"f{i}", conv) for i, conv in enumerate(converters)])
+    if body.path is not None:
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(
+                    body.path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                    ndmin=1, skiprows=body.records.line_num, encoding="utf-8",
+                )
+        except Exception:  # the row-by-row pass gives the outcome
+            pass
+        else:
+            lines = functools.cache(lambda: _lines(body, len(table)))
+            return lines, [table[name] for name in dtype.names]
+    rows = _records(body.records)
     if not rows:
         raise DataError("no observations")
     for lineno, row in rows:
@@ -290,13 +311,14 @@ def _columns(body, converters):
                 column.append(conv(value))
             except ValueError as exc:
                 raise DataError(f"line {lineno}: {exc}") from exc
-    return [lineno for lineno, _ in rows], [np.array(column) for column in columns]
+    lines = [lineno for lineno, _ in rows]
+    return lambda: lines, [np.array(column) for column in columns]
 
 
 def _check_rows(lines, bad, message):
-    """Raise DataError naming the line of the first row flagged in ``bad``."""
+    """Raise DataError naming the line, in ``lines()``, of the first row flagged in ``bad``."""
     if np.any(bad):
-        raise DataError(f"line {lines[int(np.argmax(bad))]}: {message}")
+        raise DataError(f"line {lines()[int(np.argmax(bad))]}: {message}")
 
 
 def load_long_csv(path):
@@ -310,14 +332,15 @@ def load_long_csv(path):
     lines, (sample, y, *xs) = _columns(body, [int] + [float] * (len(header) - 1))
     X = np.column_stack(xs)
     _check_rows(lines, sample < 1, "sample index must be >= 1")
-    _check_rows(lines, ~np.all(np.isfinite(X), axis=1), "non-finite covariate")
+    if not np.isfinite(X).all():  # rows are told apart only when one is not
+        _check_rows(lines, ~np.isfinite(X).all(axis=1), "non-finite covariate")
     _check_rows(lines, y != sample - 1, "y must be 0 in the first sample, 1 in the second")
-    return MultisampleDataset(X, sample, np.ones(len(lines), dtype=int))
+    return MultisampleDataset(X, sample, np.ones(len(sample), dtype=int))
 
 
 def _casecontrol_columns(path):
-    """File lines and checked raw columns age, scar, counts (controls,
-    cases) of a CSV file."""
+    """File lines (a function, as ``_columns`` gives them) and checked raw
+    columns age, scar, counts (controls, cases) of a CSV file."""
     header, body = _read_csv(path)
     if header != ["age", "scar", "cases", "controls"]:
         raise DataError("expected header 'age,scar,cases,controls', got " + ",".join(header))
@@ -356,7 +379,7 @@ def load_casecontrol_csv(path, transform=None):
     try:
         x2 = age if transform is None else np.asarray(transform(age), dtype=float)
     except DataError:
-        for i, line in enumerate(lines):
+        for i, line in enumerate(lines()):
             try:
                 transform(age[i : i + 1])
             except DataError as exc:

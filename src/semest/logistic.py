@@ -83,13 +83,14 @@ class CaseControlLogisticModel(ModelSpec):
         self._map = design_map
         self._log_w0 = np.log(weights.w[0])
         self._log_w1 = np.log(weights.w[1])
-        self._X = self._Z = None  # the last covariate array seen, and its design
+        self._X = self._Z = self._ZT = None  # the last covariate array seen, its design Z, Z^T
         self._key = self._point = self._mu = None  # the last point on it, (u, t, e) and mu
 
     def _at(self, params, data):
         """The design Z of ``data`` and u, t and e = exp(-|t|) at ``params``."""
         if data.X is not self._X:  # a fit evaluates one dataset many times
             self._X, self._Z, self._key = data.X, _design(data.X) @ self._map, None
+            self._ZT = np.ascontiguousarray(self._Z.T)
         key = (params.shape, params.tobytes())
         if key != self._key:  # a Newton step evaluates one point at orders 0, 1, 2
             u = (self._Z @ params[..., None])[..., 0]
@@ -111,8 +112,11 @@ class CaseControlLogisticModel(ModelSpec):
         Z, mu = self._fitted(params, data)
         if order == 1:
             return (data.y - mu)[..., None] * Z
-        weighted = Z * (data.multiplicity * mu * (1.0 - mu))[..., None]
-        return -weighted.swapaxes(-1, -2) @ Z
+        # -Z' diag(w) Z as Z' (w Z): the weights go along the rows of the
+        # contiguous Z' (no d-wide inner loop) and the sum is negated as a
+        # (d, d) result, so w Z is the one design-sized temporary
+        weighted = self._ZT * (data.multiplicity * mu * (1.0 - mu))[..., None, :]
+        return -(Z.T @ weighted.swapaxes(-1, -2))
 
     def totals(self, params, data, order):
         """The default totals, with the total score as one product with Z:

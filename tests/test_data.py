@@ -450,3 +450,50 @@ def test_constructors_reject_a_nonfinite_covariate(value):
     X = [[0.0, 1.0], [2.0, value]]
     with pytest.raises(DataError, match="^row 1: non-finite covariate$"):
         MultisampleDataset(X, [1, 2], [1, 1])
+
+
+def _unit_long_rows(n=10000, seed=29):
+    """Data rows of a unit-row ``sample,y,x1,x2,x3`` file: n/2 controls,
+    then n/2 cases, floats written as repr."""
+    x = np.random.default_rng(seed).normal(size=(n, 3))
+    return [f"{1 + (i >= n // 2)},{int(i >= n // 2)}," + ",".join(map(repr, row))
+            for i, row in enumerate(x.tolist())]
+
+
+def test_bad_utf8_in_the_last_row_of_a_long_file_cannot_be_read(tmp_path, capsys):
+    """A byte that is not UTF-8 at the end of a 10000-row file is 'cannot
+    read' naming the path, exit 1, wherever the file is decoded."""
+    from semest.cli import main
+
+    rows = _unit_long_rows()
+    f = tmp_path / "long.csv"
+    f.write_bytes("\n".join(["sample,y,x1,x2,x3", *rows[:-1]]).encode() + b"\n2,1,0.5,\xff,1\n")
+    with pytest.raises(DataError, match=f"^cannot read {re.escape(str(f))}: 'utf-8' codec"):
+        load_long_csv(f)
+    assert main(["fit", "--input", str(f), "--schema", "long"]) == 1
+    assert f"error: cannot read {f}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("blank", [False, True])
+def test_bad_row_of_a_long_file_names_its_line(tmp_path, blank):
+    """y wrong on data row 9000 of 10000 is named by its file line: 9001,
+    or 9002 after a blank line before it."""
+    rows = _unit_long_rows()
+    rows[8999] = rows[8999].replace("2,1,", "2,0,", 1)
+    if blank:
+        rows.insert(8999, "")
+    f = tmp_path / "long.csv"
+    f.write_text("\n".join(["sample,y,x1,x2,x3", *rows]) + "\n")
+    with pytest.raises(DataError, match=f"^line {9001 + blank}: y must be 0 in the first"):
+        load_long_csv(f)
+
+
+def test_header_over_two_lines_counts_both(tmp_path):
+    """A quoted line break in the header moves every data row down a file
+    line, in the line an error names."""
+    f = tmp_path / "d.csv"
+    f.write_text('"sample\n",y,x1\n1,0,1.0\n2,0,2.0\n')
+    with pytest.raises(DataError, match="^line 4: y must be"):
+        load_long_csv(f)
+    f.write_text('"sample\n",y,x1\n1,0,1.0\n2,1,2.0\n')
+    assert load_long_csv(f).X[:, 0].tolist() == [1.0, 2.0]

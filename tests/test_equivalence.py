@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from semest import (
     MultisampleDataset,
     SingularInformationError,
+    Weights,
     aggregate_hessian,
     aggregate_score,
     efficient_information,
@@ -99,6 +100,26 @@ def test_array_pass_matches_row_loop(name, leprosy, leprosy_weights, rng):
         ])
         assert _rel_diff(rows, scores) < 1e-12
 
+
+
+@pytest.mark.parametrize("name", ["identifiable", "non-identifiable"])
+def test_unit_rows_single_calls_match_stack_items_and_the_row_loop(name):
+    """On 10000 unit rows, where the products take BLAS's large-matrix
+    path, a (d,) call at orders 0, 1, 2 has the bits of item 0 of the
+    (1, d) stack, and the total Hessian matches the row loop to 1e-12."""
+    rng = np.random.default_rng(29)
+    x = rng.normal(size=(10000, 3)) + np.repeat([[0.0] * 3, [0.5, -0.3, 0.2]], 5000, axis=0)
+    sample = np.repeat([1, 2], 5000)
+    data = MultisampleDataset(x, sample, np.ones(10000, dtype=int))
+    model = _model(name, data)
+    for _ in range(3):
+        params = rng.uniform(-0.5, 0.5, size=model.n_params)
+        for order in (0, 1, 2):
+            single = evaluate(model, params, data, order)
+            stacked = evaluate(model, params[None, :], data, order)[0]
+            np.testing.assert_array_equal(single.view(np.int64), stacked.view(np.int64))
+        _, _, hess = _reference(name, data, Weights(np.array([0.5, 0.5])), params)
+        assert _rel_diff(aggregate_hessian(model, params, data), hess) < 1e-12
 
 def test_stacked_loglik_matches_each_fd_point(leprosy):
     """At every point the validate suite's finite differences evaluate (its
