@@ -228,17 +228,21 @@ def compute_weights(dataset: MultisampleDataset) -> Weights:
     return Weights(dataset.sample_sizes / dataset.n)
 
 
+# np.loadtxt reads a file this large faster by its path, in chunks, than from
+# memory line by line; a smaller one it reads faster from memory
+_LOADTXT_BY_PATH = 1 << 16
+
+
 def _read_csv(path):
-    """Header fields of a UTF-8 CSV file and its body: ``records``, a csv
-    reader after the header, the bytes ``raw``, and the absolute ``path``
-    numpy may read the file by again (None for a pipe, read once).  Every
-    byte is decoded first: DataError names the path of a file that cannot
-    be read or decoded."""
+    """Header fields of a UTF-8 CSV file and its body: ``records``, a csv reader
+    after the header, the bytes ``raw`` and the ``source`` numpy reads (the path
+    of a large regular file, else its lines).  Every byte is decoded first:
+    DataError names the path of a file that cannot be read or decoded."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
             regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-        raw.decode("utf-8")
+        text = raw.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
         raise DataError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from None
     records = csv.reader(io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline=""))
@@ -248,8 +252,9 @@ def _read_csv(path):
         raise DataError(f"line 1: {exc}") from None
     if header is None:
         raise DataError("no observations: empty file")
-    path = os.path.abspath(path) if regular else None  # absolute: numpy takes http:// for a URL
-    return [h.strip() for h in header], SimpleNamespace(records=records, raw=raw, path=path)
+    source = (os.path.abspath(path) if regular and len(raw) >= _LOADTXT_BY_PATH  # not a URL
+              else io.StringIO(text, newline=""))  # a pipe reads once
+    return [h.strip() for h in header], SimpleNamespace(records=records, raw=raw, source=source)
 
 
 def _records(reader):
@@ -277,25 +282,24 @@ def _lines(body, n):
 def _columns(body, converters):
     """The non-blank records of a ``_read_csv`` body converted by column, and
     a function giving their file lines (found only when a row is named).
-    One ``np.loadtxt`` pass reads the file itself; a file it rejects, warns
-    about or cannot read (a whitespace-only line, ``1_0``, ``1.0`` in an
-    int column on numpy < 2, a ``.gz`` name), or a pipe, goes through the
-    csv records and converters row by row, which accept the same values and
+    One ``np.loadtxt`` pass reads the body's source; a file it rejects,
+    warns about or cannot read (a whitespace-only line, ``1_0``, ``1.0`` in
+    an int column on numpy < 2, a ``.gz`` name) goes through the csv
+    records and converters row by row, which accept the same values and
     more and name the line of the first bad row."""
     dtype = np.dtype([(f"f{i}", conv) for i, conv in enumerate(converters)])
-    if body.path is not None:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(
-                    body.path, dtype=dtype, delimiter=",", quotechar='"', comments=None,
-                    ndmin=1, skiprows=body.records.line_num, encoding="utf-8",
-                )
-        except Exception:  # the row-by-row pass gives the outcome
-            pass
-        else:
-            lines = functools.cache(lambda: _lines(body, len(table)))
-            return lines, [table[name] for name in dtype.names]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                body.source, dtype=dtype, delimiter=",", quotechar='"', comments=None,
+                ndmin=1, skiprows=body.records.line_num, encoding="utf-8",
+            )
+    except Exception:  # the row-by-row pass gives the outcome
+        pass
+    else:
+        lines = functools.cache(lambda: _lines(body, len(table)))
+        return lines, [table[name] for name in dtype.names]
     rows = _records(body.records)
     if not rows:
         raise DataError("no observations")

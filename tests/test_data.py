@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import semest.data
 from semest import (
     DataError,
     MultisampleDataset,
@@ -364,6 +366,22 @@ def test_casecontrol_loader_matches_row_reader(tmp_path_factory, text, transform
     _assert_same_load(_outcome(lambda: load_casecontrol_csv(f, transform)), want)
 
 
+
+@settings(max_examples=200, deadline=None)
+@given(text=_LONG_TEXT, cc_text=_CASECONTROL_TEXT)
+def test_loaders_reading_by_path_match_row_reader(tmp_path_factory, text, cc_text):
+    """The files of the two tests above, read by numpy from their path as a
+    large file is, load or are rejected as the reference has it."""
+    f, g = (tmp_path_factory.getbasetemp() / name for name in ("long.csv", "cc.csv"))
+    f.write_bytes(text.encode("utf-8"))
+    g.write_bytes(cc_text.encode("utf-8"))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semest.data, "_LOADTXT_BY_PATH", 0)
+        want = _outcome(lambda: MultisampleDataset(*long_csv_reference(f)))
+        _assert_same_load(_outcome(lambda: load_long_csv(f)), want)
+        want = _outcome(lambda: MultisampleDataset(*casecontrol_csv_reference(g, transform_age)))
+        _assert_same_load(_outcome(lambda: load_casecontrol_csv(g, transform_age)), want)
+
 @pytest.mark.parametrize("blank", ["", "  \t"])
 def test_blank_lines_skipped_and_later_lines_named(tmp_path, blank):
     """Empty lines (one loadtxt pass) and whitespace-only lines (the
@@ -497,3 +515,20 @@ def test_header_over_two_lines_counts_both(tmp_path):
         load_long_csv(f)
     f.write_text('"sample\n",y,x1\n1,0,1.0\n2,1,2.0\n')
     assert load_long_csv(f).X[:, 0].tolist() == [1.0, 2.0]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+def test_pipe_is_read_once_row_by_row(tmp_path):
+    """A file that is not a regular one (a pipe) cannot be read again by
+    path: it loads from the one read, to the same dataset as the file."""
+    text = "sample,y,x1\n1,0,1.5\n\n2,1,2.5\n"
+    f = tmp_path / "d.csv"
+    f.write_text(text)
+    r, w = os.pipe()
+    with os.fdopen(w, "w") as fh:
+        fh.write(text)
+    try:
+        got = load_long_csv(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+    _assert_same_load(got, load_long_csv(f))
