@@ -236,7 +236,7 @@ _LOADTXT_BY_PATH = 1 << 16
 def _read_csv(path):
     """Header fields of a UTF-8 CSV file and its body: ``records``, a csv reader
     after the header, the bytes ``raw`` and the ``source`` numpy reads (the path
-    of a large regular file, else its lines).  Every byte is decoded first:
+    of a large regular file, else its text).  Every byte is decoded first:
     DataError names the path of a file that cannot be read or decoded."""
     try:
         with open(path, "rb") as fh:
@@ -252,8 +252,8 @@ def _read_csv(path):
         raise DataError(f"line 1: {exc}") from None
     if header is None:
         raise DataError("no observations: empty file")
-    source = (os.path.abspath(path) if regular and len(raw) >= _LOADTXT_BY_PATH  # not a URL
-              else io.StringIO(text, newline=""))  # a pipe reads once
+    source = (os.path.abspath(path) if regular and len(raw) >= _LOADTXT_BY_PATH  # never a URL
+              else io.StringIO(text, newline=""))  # a pipe cannot be read again
     return [h.strip() for h in header], SimpleNamespace(records=records, raw=raw, source=source)
 
 

@@ -518,9 +518,9 @@ def test_header_over_two_lines_counts_both(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
-def test_pipe_is_read_once_row_by_row(tmp_path):
-    """A file that is not a regular one (a pipe) cannot be read again by
-    path: it loads from the one read, to the same dataset as the file."""
+def test_pipe_loads_like_the_file(tmp_path):
+    """A pipe, which cannot be read again by its path, loads from the one
+    read to the same dataset as a file of the same text."""
     text = "sample,y,x1\n1,0,1.5\n\n2,1,2.5\n"
     f = tmp_path / "d.csv"
     f.write_text(text)
