@@ -17,6 +17,7 @@ from semest import (
     load_long_csv,
     transform_age,
 )
+from semest.cli import main
 from oracles import (
     Rejected,
     casecontrol_csv_reference,
@@ -481,8 +482,6 @@ def _unit_long_rows(n=10000, seed=29):
 def test_bad_utf8_in_the_last_row_of_a_long_file_cannot_be_read(tmp_path, capsys):
     """A byte that is not UTF-8 at the end of a 10000-row file is 'cannot
     read' naming the path, exit 1, wherever the file is decoded."""
-    from semest.cli import main
-
     rows = _unit_long_rows()
     f = tmp_path / "long.csv"
     f.write_bytes("\n".join(["sample,y,x1,x2,x3", *rows[:-1]]).encode() + b"\n2,1,0.5,\xff,1\n")
