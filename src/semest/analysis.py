@@ -10,7 +10,8 @@ Methods
     Newton loop starts where the ``reparam-id`` fit maps to.
 ``reparam-nonid``
     Reparametrized submodel in (alpha, beta, log rho1); the intercept
-    direction is an exactly flat ridge, slopes are identified.
+    direction is an exactly flat ridge, slopes are identified.  Reported
+    at the image (alpha*, beta, 0) of the ``reparam-id`` fit.
 ``reparam-id``
     Identifiable reparametrization (alpha*, beta); the smallest and
     best-conditioned of the three.
@@ -38,7 +39,7 @@ from .logistic import (
     build_identifiable_model,
     build_nonidentifiable_model,
 )
-from .optimize import FitConfig, maximize
+from .optimize import FitConfig, FitResult, maximize
 
 METHODS = ("mle", "reparam-nonid", "reparam-id")
 
@@ -97,26 +98,43 @@ def fit_method(dataset, method, cfg=None):
 
     The ``mle`` starts at the ``profile_image`` of a converged ``reparam-id`` fit, else
     at ``init_params``; its ``iterations`` are its own, its ``runtime_ms`` includes that fit.
+    ``reparam-nonid`` is that fit at (alpha*, beta, 0), with 0 iterations and its runtime.
     """
     return fit_methods(dataset, (method,), cfg)[0]
 
 
 def fit_methods(dataset, methods, cfg=None):
-    """``fit_method`` of each of ``methods``, in order, with one ``reparam-id`` fit
-    shared; every model is built before any fit, so the first method's errors come first."""
+    """``fit_method`` of each of ``methods``, in order, from one shared ``reparam-id``
+    fit: ``reparam-nonid`` is that fit mapped (see ``_nonid_image``), the ``mle`` a
+    Newton fit from its image.  Every model is built before any fit, so the first
+    method's errors come first."""
     cfg = cfg or FitConfig()
     B, B_inv = standardizing_basis(dataset)
-    needed = methods + ("reparam-id",) if "mle" in methods else methods
-    models = {m: build_method(dataset, m, B) for m in dict.fromkeys(needed)}
-    fits = {}
-    if "mle" in models:
-        start = fits["reparam-id"] = maximize(models["reparam-id"], dataset, cfg=cfg)
+    models = {m: build_method(dataset, m, B) for m in dict.fromkeys(methods + ("reparam-id",))}
+    start = maximize(models["reparam-id"], dataset, cfg=cfg)
+    fits = {"reparam-id": start}
+    if "mle" in methods:
         init = models["mle"].profile_image(dataset, start.params) if start.converged else None
         fits["mle"] = maximize(models["mle"], dataset, init=init, cfg=cfg)
         fits["mle"].runtime += start.runtime
-    for m in methods:
-        fits[m] = fits.get(m) or maximize(models[m], dataset, cfg=cfg)
+    if "reparam-nonid" in methods:
+        fits["reparam-nonid"] = _nonid_image(start)
     return [_report(dataset, m, models[m], fits[m], B, B_inv) for m in methods]
+
+
+def _nonid_image(fit):
+    """The ``reparam-nonid`` fit at (z, 0), the image of a ``reparam-id`` fit at z in
+    the same basis B: with B e0 = e0, loglik_nonid(z, r) = loglik_id(M (z, r)) for
+    M = [I | e0], so the score is M'g and the Hessian M'HM, exactly, and the ridge
+    point (alpha*, beta, 0) is an optimum when z is.  No Newton step is taken; the
+    runtime is that fit's.  A fit that did not converge is returned as it is, so
+    the report raises its own message."""
+    if not fit.converged:
+        return fit
+    M = np.eye(len(fit.params), len(fit.params) + 1)
+    M[0, -1] = 1.0
+    return FitResult(np.append(fit.params, 0.0), fit.loglik, 0, fit.grad_norm, True,
+                     M.T @ fit.hessian @ M, list(fit.warnings), fit.runtime)
 
 
 def _report(dataset, method, model, fit, B, B_inv):

@@ -130,12 +130,17 @@ def spectrum(M, what):
     A stack of matrices (..., k, k) gives stacked results and raises if any
     one of them would."""
     values, vectors = np.linalg.eigh(0.5 * (M + _t(M)))
-    scale = np.max(np.abs(values), axis=-1, keepdims=True)
-    if np.any(scale == 0.0):
+    if values.ndim == 1:  # ascending: its two ends decide, as Python floats
+        low, scale = float(values[0]), max(-float(values[0]), float(values[-1]))
+        zero, indefinite = scale == 0.0, low < -RANK_TOL * scale
+    else:
+        low, scale = values[..., :1], np.max(np.abs(values), axis=-1, keepdims=True)
+        zero, indefinite = np.any(scale == 0.0), np.any(low < -RANK_TOL * scale)
+    if zero:
         raise SingularInformationError(f"{what} is zero")
-    if np.any(values[..., :1] < -RANK_TOL * scale):
+    if indefinite:
         raise SingularInformationError(
-            f"{what} is indefinite (smallest eigenvalue {values[..., 0].min():.3e})"
+            f"{what} is indefinite (smallest eigenvalue {np.min(low):.3e})"
         )
     return values, vectors, values > RANK_TOL * scale
 
@@ -215,6 +220,8 @@ def spectral_variance(info, basis=None):
     basis = np.eye(info.shape[-1]) if basis is None else basis
     values, vectors, keep = spectrum(info, "information matrix")
     rows = basis @ vectors
+    if keep.all():  # no null direction: every coordinate is identified
+        return (rows**2 / values[..., None, :]).sum(axis=-1), np.ones(rows.shape[:-1], bool)
     kept = keep[..., None, :]
     reach = np.linalg.norm(basis, axis=1)
     identified = np.linalg.norm(np.where(kept, 0.0, rows), axis=-1) <= RANK_TOL * reach

@@ -13,6 +13,7 @@ stack: one vector stacked alone gives the same bits as the plain (d,) call.
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 
@@ -54,7 +55,7 @@ class ModelSpec(ABC):
     def n_params(self):
         return len(self.param_labels)
 
-    @property
+    @functools.cached_property
     def nuisance_idx(self):
         interest = set(self.interest_idx)
         return tuple(i for i in range(self.n_params) if i not in interest)
@@ -64,17 +65,22 @@ class ModelSpec(ABC):
 
     def totals(self, params, data, order):
         """Total log-likelihood, () or (P,), total score, (d,) or (P, d), or
-        the order-2 result of ``evaluate``: the multiplicity-weighted sum
+        the order-2 result of ``evaluate``: the ``row_weights``-weighted sum
         of ``evaluate``'s per-row values (the aggregates set the warning
         filter of ``likelihood.evaluate`` around this call)."""
         rows = _stacked(self, params, data, order)
         if order == 2:
             return rows
+        weights = self.row_weights(data)
         if order == 1:
-            return _vecmat(data.multiplicity, rows)
+            return _vecmat(weights, rows)
         if np.ndim(params) == 1:
-            return data.multiplicity @ rows
-        return _vecmat(data.multiplicity, rows[..., None])[..., 0]
+            return weights @ rows
+        return _vecmat(weights, rows[..., None])[..., 0]
+
+    def row_weights(self, data):
+        """The weights of the rows in the totals: ``data.multiplicity``."""
+        return data.multiplicity
 
     def init_params(self, dataset) -> np.ndarray:
         return np.zeros(self.n_params)

@@ -27,6 +27,8 @@ same design from ``casecontrol_weight_spec`` and ``casecontrol_family``.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .data import (
@@ -74,7 +76,8 @@ class CaseControlLogisticModel(ModelSpec):
     multiplicities (the Monte Carlo replicates fitted as one batch).  The
     linear predictor u, t = u + log w1 - log w0, exp(-|t|) and the fitted
     probabilities of the last point evaluated are kept for the next call at
-    the same point.
+    the same point, and a float copy of the last multiplicities seen (the
+    same values: counts are exact in float64) for every call on those rows.
     """
 
     def __init__(self, weights: Weights, param_labels, interest_idx, design_map):
@@ -84,6 +87,7 @@ class CaseControlLogisticModel(ModelSpec):
         self._log_w0 = np.log(weights.w[0])
         self._log_w1 = np.log(weights.w[1])
         self._X = self._Z = self._ZT = None  # the last covariate array seen, its design Z, Z^T
+        self._counts = self._weights = None  # the last multiplicities seen, as floats
         self._key = self._point = self._mu = None  # the last point on it, (u, t, e) and mu
 
     def _at(self, params, data):
@@ -97,6 +101,12 @@ class CaseControlLogisticModel(ModelSpec):
             t = u + self._log_w1 - self._log_w0
             self._key, self._point, self._mu = key, (u, t, np.exp(-np.abs(t))), None
         return self._Z, self._point
+
+    def row_weights(self, data):
+        """``data.multiplicity`` as float64, converted once per array."""
+        if data.multiplicity is not self._counts:
+            self._counts, self._weights = data.multiplicity, data.multiplicity.astype(float)
+        return self._weights
 
     def _fitted(self, params, data):
         """Z and mu = w1 e^u / (w0 + w1 e^u) at ``params``, from the cached e."""
@@ -115,7 +125,7 @@ class CaseControlLogisticModel(ModelSpec):
         # -Z' diag(w) Z as Z' (w Z): the weights go along the rows of the
         # contiguous Z' (no d-wide inner loop) and the sum is negated as a
         # (d, d) result, so w Z is the one design-sized temporary
-        weighted = self._ZT * (data.multiplicity * mu * (1.0 - mu))[..., None, :]
+        weighted = self._ZT * (self.row_weights(data) * mu * (1.0 - mu))[..., None, :]
         return -(Z.T @ weighted.swapaxes(-1, -2))
 
     def totals(self, params, data, order):
@@ -124,7 +134,7 @@ class CaseControlLogisticModel(ModelSpec):
         if order != 1:
             return super().totals(params, data, order)
         Z, mu = self._fitted(params, data)
-        return _vecmat(data.multiplicity * (data.y - mu), Z)
+        return _vecmat(self.row_weights(data) * (data.y - mu), Z)
 
     def init_params(self, dataset):
         init = np.zeros(self.n_params)
@@ -155,6 +165,11 @@ class DiscreteG:
         return (phi - phi[-1])[:-1]
 
 
+@functools.lru_cache(maxsize=8)
+def _phi_labels(K):
+    return tuple(f"phi{k + 1}" for k in range(K - 1))
+
+
 class FullMLELogisticModel(ModelSpec):
     """Parameters (theta, phi_1..phi_{K-1}), labelled ``theta_labels`` and
     phi1.., with (alpha, beta) = M theta for a fixed (1+p, q) design map M.
@@ -177,7 +192,7 @@ class FullMLELogisticModel(ModelSpec):
         self.K = len(support)
         self._Z = _design(support) @ design_map  # (K, q)
         self.n_theta = design_map.shape[1]
-        self.param_labels = tuple(theta_labels) + tuple(f"phi{k + 1}" for k in range(self.K - 1))
+        self.param_labels = tuple(theta_labels) + _phi_labels(self.K)
         self.interest_idx = tuple(range(self.n_theta))
         self._rows = self._counts = None  # the last rows counted, and their counts
         self._key = self._point = self._slopes = None  # the last point, and its intermediates

@@ -328,6 +328,20 @@ def test_indefinite_rounding_is_a_null_direction(capsys):
     )
 
 
+def test_quasi_separated_table_fits_one_way_in_both_reparametrizations(capsys):
+    """Scar 0 only in a row without cases: a quasi-separated table, with a
+    flat direction along Scar.  Both reparametrized methods report the one
+    ``reparam-id`` fit, Scar 38.9, where a separate ``reparam-nonid`` fit
+    once stopped elsewhere on its ridge and exited 2."""
+    path = str(FIXTURES / "quasi_separated_scar.csv")
+    slopes = []
+    for method in ("reparam-id", "reparam-nonid"):
+        assert main(["fit", "--input", path, "--method", method, "--format", "json"]) == 0
+        slopes.append(json.loads(capsys.readouterr().out)["coef"])
+    assert slopes[0] == slopes[1]
+    assert slopes[0][0] == pytest.approx(38.9, abs=0.05)
+
+
 @pytest.mark.parametrize("method", ["mle", "reparam-nonid", "reparam-id"])
 def test_duplicated_covariate_exits_2_naming_the_slopes(tmp_path, capsys, method):
     # x2 is a copy of x1, so only x1 + x2 is identified

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from semest import (
-    EvaluationError, FitConfig, FitResult, ModelSpec, MultisampleDataset, leprosy_dataset,
-    load_casecontrol_csv, log_likelihood, maximize,
+    EvaluationError, FitConfig, FitResult, ModelSpec, MultisampleDataset, aggregate_hessian,
+    aggregate_score, leprosy_dataset, load_casecontrol_csv, log_likelihood, maximize,
 )
-from semest.analysis import METHODS, build_method, compare_methods, fit_method, standardizing_basis
+from semest.analysis import (
+    METHODS, build_method, compare_methods, fit_method, fit_methods, standardizing_basis,
+)
 from semest.likelihood import hessian_entries
 from semest.logistic import (
     build_full_mle_model, build_identifiable_model, build_nonidentifiable_model, transform_age,
@@ -368,3 +370,43 @@ def test_mle_runtime_includes_its_start_fit(leprosy):
     the ``reparam-id`` fit it started from, so it exceeds the latter."""
     reports, _ = compare_methods(leprosy)
     assert reports["mle"].runtime_ms > reports["reparam-id"].runtime_ms
+
+
+@pytest.mark.parametrize("name", ("leprosy",) + WIDE_SUPPORT)
+def test_reparam_nonid_is_the_reparam_id_fit_mapped(name):
+    """``reparam-nonid`` is the ``reparam-id`` fit at z mapped to (z, 0) through
+    M = [I | e0], with no step of its own: the nonid model's own loglik, score
+    (M'g, on the scale of n) and Hessian (M'HM) there match the mapped ones to
+    1e-12 relative.  Its report has the ``reparam-id`` slopes bit for bit and
+    its SEs to 4 ulp (the Schur complement over log_rho1 leaves rounding of
+    1e-19 in the null alpha row of I*), Intercept alpha* and log_rho1 0."""
+    dataset = _fixture(name)
+    (fit_id, report_id, model_id), (fit, report, model) = fit_methods(
+        dataset, ("reparam-id", "reparam-nonid")
+    )
+    assert fit.converged and fit.iterations == report.iterations == 0
+    assert fit.runtime == fit_id.runtime and fit.grad_norm == fit_id.grad_norm
+    np.testing.assert_array_equal(fit.params, np.append(fit_id.params, 0.0))
+    M = np.eye(model_id.n_params, model.n_params)
+    M[0, -1] = 1.0
+    assert log_likelihood(model, fit.params, dataset) == pytest.approx(fit.loglik, rel=1e-12)
+    score = aggregate_score(model, fit.params, dataset)
+    mapped = M.T @ aggregate_score(model_id, fit_id.params, dataset)
+    assert np.max(np.abs(score - mapped)) <= 1e-12 * dataset.n
+    hessian = aggregate_hessian(model, fit.params, dataset)
+    assert np.max(np.abs(hessian - fit.hessian)) <= 1e-12 * np.max(np.abs(hessian))
+    np.testing.assert_array_equal(report.coef, report_id.coef)
+    np.testing.assert_array_max_ulp(report.se, report_id.se, maxulp=4)
+    assert report.extra_rows["Intercept"] == (report_id.extra_rows["Intercept*"][0], None, "!")
+    assert report.extra_rows["log_rho1"] == (0.0, None, "!")
+
+
+def test_reparam_nonid_fails_with_the_reparam_id_fit(leprosy):
+    """When the shared ``reparam-id`` fit does not converge, ``reparam-nonid``
+    fails with that fit's message: its gradient norm and its 5 iterations."""
+    cfg = FitConfig(max_iter=5)
+    with pytest.raises(EvaluationError) as id_error:
+        fit_method(leprosy, "reparam-id", cfg)
+    with pytest.raises(EvaluationError, match="after 5 iterations") as nonid_error:
+        fit_method(leprosy, "reparam-nonid", cfg)
+    assert str(nonid_error.value) == str(id_error.value)

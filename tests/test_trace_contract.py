@@ -101,12 +101,13 @@ def test_mle_fit_takes_one_derivative_pass_per_step(tracing, tmp_path, leprosy):
 
 
 def test_compare_fits_each_method_once(tracing, tmp_path):
-    """A traced ``compare`` fits ``reparam-id`` once, for its own report and
-    for the ``mle``'s start: three ``maximize`` spans, each with one
-    derivative pass per step and one at the start."""
+    """A traced ``compare`` fits ``reparam-id`` once, for its own report, for
+    the ``mle``'s start and for the ``reparam-nonid`` report, which maps that
+    fit: two ``maximize`` spans, each with one derivative pass per step and
+    one at the start."""
     argv = ["compare", "--builtin", "leprosy", "--format", "json", "--out", str(tmp_path / "c")]
     assert _passes(_trace(tracing, _cli(argv))) == [
-        ("alpha*", 6, [7, 7, 7]), ("Scar", 0, [1, 1, 1]), ("alpha", 6, [7, 7, 7]),
+        ("alpha*", 6, [7, 7, 7]), ("Scar", 0, [1, 1, 1]),
     ]
 
 
